@@ -29,7 +29,6 @@ from .binomial import (
     VariableBlock,
     binomial_from_vector,
     buchberger,
-    eliminate,
     embed,
     ideal_equal,
     normal_form,

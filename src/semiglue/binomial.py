@@ -2,13 +2,13 @@
 
 A binomial here is a difference of two monomials, both with coefficient
 one.  Ideals generated by such binomials are closed under every
-operation we need -- S-polynomials, reduction, elimination, saturation
-by variables -- so Buchberger's algorithm specializes to bookkeeping on
-pairs of exponent vectors.  This module implements that specialization:
-weighted degree reverse lexicographic orders (optionally with a chosen
-cheapest variable) and block elimination orders, reduced Groebner bases
-with the Gebauer-Moeller pair criteria, normal forms, ideal equality,
-elimination of variables, and saturation with respect to variables.
+operation we need -- S-polynomials, reduction, saturation by variables
+-- so Buchberger's algorithm specializes to bookkeeping on pairs of
+exponent vectors.  This module implements that specialization: weighted
+degree reverse lexicographic orders (optionally with a chosen cheapest
+variable), reduced Groebner bases with the Gebauer-Moeller pair
+criteria, normal forms, ideal equality, and saturation with respect to
+variables.
 
 Internally all Groebner machinery works on raw exponent pairs and never
 cancels a common monomial factor: dividing an element by a variable can
@@ -130,38 +130,23 @@ class MonomialOrder:
 
     ``weighted-degrevlex`` compares weighted degrees first and breaks
     ties reverse lexicographically; ``cheapest`` picks which variable is
-    smallest (by default the last one).  ``block-elimination`` prepends
-    the total degree in the eliminated variables, so any monomial
-    involving them beats any monomial that avoids them.
+    smallest (by default the last one).
     """
 
     kind: str
     weights: tuple[int, ...]
-    eliminated: tuple[int, ...] = ()
     cheapest: int | None = None
 
     def __post_init__(self) -> None:
-        assert self.kind in ("weighted-degrevlex", "block-elimination")
+        assert self.kind == "weighted-degrevlex"
         assert len(self.weights) > 0
         assert all(isinstance(w, int) and w > 0 for w in self.weights)
-        p = len(self.weights)
-        assert all(0 <= i < p for i in self.eliminated)
-        assert tuple(sorted(set(self.eliminated))) == self.eliminated
-        if self.kind == "weighted-degrevlex":
-            assert self.eliminated == ()
-            assert self.cheapest is None or 0 <= self.cheapest < p
-        else:
-            assert self.cheapest is None
+        assert self.cheapest is None or 0 <= self.cheapest < len(self.weights)
 
     @classmethod
     def degrevlex(cls, weights, cheapest: int | None = None) -> "MonomialOrder":
         return cls("weighted-degrevlex", tuple(int(w) for w in weights),
                    cheapest=cheapest)
-
-    @classmethod
-    def elimination(cls, weights, eliminated) -> "MonomialOrder":
-        return cls("block-elimination", tuple(int(w) for w in weights),
-                   eliminated=tuple(sorted(set(eliminated))))
 
     def key_function(self):
         """Return a function mapping exponents to a sortable key.
@@ -176,17 +161,6 @@ class MonomialOrder:
         else:
             j = self.cheapest
             tail = (j,) + tuple(i for i in range(p - 1, -1, -1) if i != j)
-        if self.kind == "block-elimination":
-            elim = self.eliminated
-
-            def key(m, _w=w, _tail=tail, _elim=elim):
-                out = [sum(m[i] for i in _elim),
-                       sum(a * b for a, b in zip(_w, m))]
-                for i in _tail:
-                    out.append(-m[i])
-                return tuple(out)
-
-            return key
 
         def key(m, _w=w, _tail=tail):
             out = [sum(a * b for a, b in zip(_w, m))]
@@ -479,33 +453,6 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
     final = _buchberger(sat, MonomialOrder.degrevlex(weights).key_function())
     return BinomialIdeal(block, tuple(
         Binomial(Monomial(block, u), Monomial(block, v)) for u, v in final))
-
-
-def eliminate(ideal: BinomialIdeal, keep_names, weights=None) -> BinomialIdeal:
-    """Return the ideal's intersection with the subring on keep_names.
-
-    The result lives on the sub-block of the kept variables, in their
-    original order.
-    """
-    block = ideal.block
-    keep_set = set(keep_names)
-    assert keep_set <= set(block.names)
-    keep_idx = tuple(i for i, nm in enumerate(block.names) if nm in keep_set)
-    assert keep_idx, "must keep at least one variable"
-    elim_idx = tuple(i for i, nm in enumerate(block.names)
-                     if nm not in keep_set)
-    if weights is None:
-        weights = (1,) * block.size
-    order = MonomialOrder.elimination(tuple(int(w) for w in weights), elim_idx)
-    gb = ideal.groebner(order)
-    sub = VariableBlock(tuple(block.names[i] for i in keep_idx))
-    out = []
-    for g in gb:
-        u, v = g.as_pair()
-        if all(u[i] == 0 and v[i] == 0 for i in elim_idx):
-            out.append(Binomial(Monomial(sub, tuple(u[i] for i in keep_idx)),
-                                Monomial(sub, tuple(v[i] for i in keep_idx))))
-    return BinomialIdeal(sub, tuple(out))
 
 
 def embed(b: Binomial, target_block: VariableBlock, offset: int) -> Binomial:

@@ -29,7 +29,6 @@ from .gluing import (
     GluingCandidate,
     RankConditionsFail,
     check_rank_conditions,
-    find_coprime_pair,
     gluable_lattice_point,
     implication_chain_audit,
     is_member,
@@ -168,6 +167,13 @@ def _resolve(flag, env_name: str, file_value, default, cast=int):
     if file_value is not None:
         return file_value
     return default
+
+
+def _kmax(args, doc: InputDocument) -> int:
+    kmax = _resolve(args.kmax, "SEMIGLUE_KMAX", doc.kmax, 50)
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
+    return kmax
 
 
 def _json_wanted(args) -> bool:
@@ -330,7 +336,7 @@ def cmd_find_gluing(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "find-gluing")
     b = _gens(doc, "b", "find-gluing")
-    kmax = _resolve(args.kmax, "SEMIGLUE_KMAX", doc.kmax, 50)
+    kmax = _kmax(args, doc)
     work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
                           doc.work_limit, 10 ** 6)
     bounds = {"kmax": kmax, "work_limit": work_limit}
@@ -342,7 +348,7 @@ def cmd_find_gluing(args) -> int:
         _emit(args, "find-gluing", doc, bounds, result,
               [f"no gluing for any scalings: {nr.detail}"])
         return 1
-    pair = find_coprime_pair(a, b, kmax)
+    pair = nr.coprime_pair
     if pair is None:
         result = {"found": None, "detail": nr.detail,
                   "u": None if nr.u is None else list(nr.u)}
@@ -364,7 +370,7 @@ def cmd_audit(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "audit")
     b = _gens(doc, "b", "audit")
-    kmax = _resolve(args.kmax, "SEMIGLUE_KMAX", doc.kmax, 50)
+    kmax = _kmax(args, doc)
     k1 = args.k1 if args.k1 is not None else doc.k1
     k2 = args.k2 if args.k2 is not None else doc.k2
     if (k1 is not None and k1 < 1) or (k2 is not None and k2 < 1):
@@ -457,17 +463,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("input", help="input file, or - for stdin")
     common.add_argument("--json", dest="json_out", action="store_true",
                         default=None, help="machine readable output")
-    common.add_argument("--kmax", type=int, default=None,
-                        help="bound on searched multiples")
-    common.add_argument("--work-limit", type=int, default=None,
-                        help="bound on enumeration steps")
+    kmax_flag = argparse.ArgumentParser(add_help=False)
+    kmax_flag.add_argument("--kmax", type=int, default=None,
+                           help="bound on searched multiples")
+    work_flag = argparse.ArgumentParser(add_help=False)
+    work_flag.add_argument("--work-limit", type=int, default=None,
+                           help="bound on enumeration steps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("lattice-point", parents=[common],
                         help="the primitive point where the spans meet")
     sp.set_defaults(func=cmd_lattice_point)
 
-    sp = sub.add_parser("toric", parents=[common],
+    sp = sub.add_parser("toric", parents=[common, work_flag],
                         help="minimal generators of the toric ideal of A")
     sp.add_argument("--degree-bound", type=str, default=None,
                     help="also list all ideal binomials within this degree")
@@ -477,17 +485,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="decide whether v lies in the semigroup A")
     sp.set_defaults(func=cmd_membership)
 
-    sp = sub.add_parser("check-gluing", parents=[common],
+    sp = sub.add_parser("check-gluing", parents=[common, work_flag],
                         help="decide whether k1 A and k2 B glue")
     sp.add_argument("--k1", type=int, default=None)
     sp.add_argument("--k2", type=int, default=None)
     sp.set_defaults(func=cmd_check_gluing)
 
-    sp = sub.add_parser("find-gluing", parents=[common],
+    sp = sub.add_parser("find-gluing", parents=[common, kmax_flag, work_flag],
                         help="search scalings that make A and B glue")
     sp.set_defaults(func=cmd_find_gluing)
 
-    sp = sub.add_parser("audit", parents=[common],
+    sp = sub.add_parser("audit", parents=[common, kmax_flag],
                         help="evaluate the implication chain for A and B")
     sp.add_argument("--k1", type=int, default=None)
     sp.add_argument("--k2", type=int, default=None)

@@ -17,12 +17,12 @@ from .binomial import Binomial
 from .exactlin import IntegerMatrix, rank
 from .gluing import (
     GluingCandidate,
+    NecessaryReport,
     NotCoprime,
     _mixed_binomial,
-    check_rank_conditions,
-    find_coprime_pair,
     gluable_lattice_point,
     in_cone,
+    necessary_conditions,
     no_multiple_possible,
 )
 from .toric import SemigroupGens
@@ -167,26 +167,11 @@ class PairDecision:
     reason: str
 
 
-def n2_gluable(a: SemigroupGens, b: SemigroupGens,
-               kmax: int = 50) -> PairDecision:
-    """Decide whether some scalings glue two plane semigroups.
-
-    In the plane the rank conditions force one side onto a ray, and the
-    meeting line is that ray.  Definitive answers come from the rank
-    conditions, from the ray missing the other cone, or from a found
-    coprime pair; otherwise the bounded search is inconclusive.
-    """
-    assert a.ambient == 2 and b.ambient == 2
-    rc = check_rank_conditions(a, b)
-    if not rc.ok:
-        if rc.rank_a == rc.rank_b == 2:
-            reason = "both sides span the plane, so the meeting is not a line"
-        else:
-            reason = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
-                      f"rank {rc.rank_joint} + 1")
-        return PairDecision(False, None, None, None, None, reason)
-    u = gluable_lattice_point(a, b)
-    found = find_coprime_pair(a, b, kmax)
+def _decide_on_line(a: SemigroupGens, b: SemigroupGens,
+                    report: NecessaryReport, kmax: int) -> PairDecision:
+    """Decide a pair whose column spaces meet in a line, from its report."""
+    u = report.u
+    found = report.coprime_pair
     if found is not None:
         return PairDecision(True, (found.k1, found.k2), u, found.c, found.d,
                             "coprime multiples of the ray direction lie in "
@@ -204,6 +189,28 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
                         f"no coprime pair found up to {kmax}")
 
 
+def n2_gluable(a: SemigroupGens, b: SemigroupGens,
+               kmax: int = 50) -> PairDecision:
+    """Decide whether some scalings glue two plane semigroups.
+
+    In the plane the rank conditions force one side onto a ray, and the
+    meeting line is that ray.  Definitive answers come from the rank
+    conditions, from the ray missing the other cone, or from a found
+    coprime pair; otherwise the bounded search is inconclusive.
+    """
+    assert a.ambient == 2 and b.ambient == 2
+    report = necessary_conditions(a, b, kmax)
+    rc = report.rank
+    if not rc.ok:
+        if rc.rank_a == rc.rank_b == 2:
+            reason = "both sides span the plane, so the meeting is not a line"
+        else:
+            reason = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
+                      f"rank {rc.rank_joint} + 1")
+        return PairDecision(False, None, None, None, None, reason)
+    return _decide_on_line(a, b, report, kmax)
+
+
 def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
                   kmax: int = 50) -> PairDecision:
     """Decide gluability when the second semigroup lies on a single ray.
@@ -217,19 +224,4 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
         raise RankMismatch(
             f"need rank {n} and rank 1, got {rank(a.matrix)} and "
             f"{rank(b.matrix)}")
-    u = gluable_lattice_point(a, b)
-    found = find_coprime_pair(a, b, kmax)
-    if found is not None:
-        return PairDecision(True, (found.k1, found.k2), u, found.c, found.d,
-                            "coprime multiples of the ray direction lie in "
-                            "both semigroups")
-    if not in_cone(u, a.matrix):
-        return PairDecision(False, None, u, None, None,
-                            f"the ray direction {u} misses the cone of the "
-                            "first semigroup")
-    if no_multiple_possible(u, a):
-        return PairDecision(False, None, u, None, None,
-                            f"no multiple of {u} can lie in the first "
-                            "semigroup")
-    return PairDecision(None, None, u, None, None,
-                        f"no coprime pair found up to {kmax}")
+    return _decide_on_line(a, b, necessary_conditions(a, b, kmax), kmax)

@@ -119,6 +119,14 @@ class RankConditions:
     def full_dimensional(self) -> bool:
         return self.rank_joint == self.ambient
 
+    def require_line(self) -> None:
+        """Raise RankConditionsFail unless the column spaces meet in a line."""
+        if not self.ok:
+            raise RankConditionsFail(
+                f"rank {self.rank_a} + rank {self.rank_b} != "
+                f"rank {self.rank_joint} + 1: the column spaces do not meet "
+                "in a line")
+
 
 def check_rank_conditions(a: SemigroupGens, b: SemigroupGens) -> RankConditions:
     """Return the rank data of the pair."""
@@ -155,11 +163,7 @@ def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens,
     primitive with positive first nonzero coordinate.
     """
     rc = check_rank_conditions(a, b)
-    if not rc.ok:
-        raise RankConditionsFail(
-            f"rank {rc.rank_a} + rank {rc.rank_b} != "
-            f"rank {rc.rank_joint} + 1: the column spaces do not meet "
-            "in a line")
+    rc.require_line()
     if cols_a is None:
         cols_a = _independent_columns(a.matrix, rc.rank_a)
     else:
@@ -252,9 +256,22 @@ def no_multiple_possible(u, gens: SemigroupGens) -> bool:
     return False
 
 
+class CoprimePair(NamedTuple):
+    """Coprime scalings with membership witnesses: A c = k2 u, B d = k1 u."""
+
+    k1: int
+    k2: int
+    c: Vector
+    d: Vector
+
+
 @dataclass(frozen=True)
 class NecessaryReport:
-    """Outcome of the necessary conditions for some gluing of the pair."""
+    """Outcome of the necessary conditions for some gluing of the pair.
+
+    ``witnesses_a`` and ``witnesses_b`` list (k, exponents) for every
+    multiple k u found in each semigroup, by increasing k.
+    """
 
     rank: RankConditions
     u: Vector | None
@@ -263,6 +280,19 @@ class NecessaryReport:
     witnesses_a: tuple
     witnesses_b: tuple
     detail: str
+
+    @property
+    def coprime_pair(self) -> CoprimePair | None:
+        """Return the smallest coprime pair among the witnesses, or None.
+
+        k2 u must lie in <A> and k1 u in <B> with gcd(k1, k2) = 1; such
+        a pair makes k1 A and k2 B glue.  Pairs are ordered by k1 + k2,
+        then k1.
+        """
+        best = min(((k1 + k2, k1, k2, c, d) for k2, c in self.witnesses_a
+                    for k1, d in self.witnesses_b if gcd(k1, k2) == 1),
+                   default=None)
+        return None if best is None else CoprimePair(*best[1:])
 
 
 def necessary_conditions(a: SemigroupGens, b: SemigroupGens,
@@ -299,37 +329,17 @@ def necessary_conditions(a: SemigroupGens, b: SemigroupGens,
                            f"semigroup up to {kmax}")
 
 
-class CoprimePair(NamedTuple):
-    """Coprime scalings with membership witnesses: A c = k2 u, B d = k1 u."""
-
-    k1: int
-    k2: int
-    c: Vector
-    d: Vector
-
-
 def find_coprime_pair(a: SemigroupGens, b: SemigroupGens,
                       kmax: int = 50):
     """Return the smallest coprime pair (k1, k2) certifying a gluing.
 
-    Needs k1 u in <B> and k2 u in <A> with gcd(k1, k2) = 1; such a pair
-    makes k1 A and k2 B glue.  Pairs are ordered by k1 + k2, then k1.
-    Returns None when no pair exists below the bound.
+    The pair is ``coprime_pair`` of the necessary conditions: None when
+    no pair exists below the bound, RankConditionsFail when the column
+    spaces do not meet in a line.
     """
-    u = gluable_lattice_point(a, b)
-    in_a = multiples_in_semigroup(u, a, kmax)
-    in_b = multiples_in_semigroup(u, b, kmax)
-    best = None
-    for k1 in in_b:
-        for k2 in in_a:
-            if gcd(k1, k2) == 1:
-                entry = (k1 + k2, k1, k2)
-                if best is None or entry < best:
-                    best = entry
-    if best is None:
-        return None
-    _, k1, k2 = best
-    return CoprimePair(k1, k2, in_a[k2], in_b[k1])
+    report = necessary_conditions(a, b, kmax)
+    report.rank.require_line()
+    return report.coprime_pair
 
 
 def level(w: Binomial, cand: GluingCandidate) -> int:
@@ -493,61 +503,34 @@ def verify_gluing(cand: GluingCandidate,
                                "ideals", **base)
 
 
-def _solve_fractions(matrix: IntegerMatrix, v):
-    """Solve matrix * x = v exactly for independent columns; None if unsolvable."""
-    rows = [[Fraction(x) for x in row] + [Fraction(y)]
-            for row, y in zip(matrix.entries, v)]
-    ncols = matrix.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < ncols:
-        return None
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
-    return tuple(sol)
-
-
 def _cone_solution(v, matrix: IntegerMatrix):
     """Return (exponents, multiplier) with matrix*exponents == multiplier*v.
 
     The exponents are nonnegative integers and the multiplier positive,
     so this witnesses that v lies in the rational cone of the columns.
-    None when v is outside the cone.
+    None when v is outside the cone.  A column subset solves for v
+    exactly when the kernel of [subset | v] is a line whose primitive
+    generator d has d_last != 0; then the subset is independent, and
+    |d_last| is the least multiplier making the solution integral.
     """
     cols = matrix.columns()
     p = len(cols)
     r = rank(matrix)
     for size in range(1, r + 1):
         for subset in combinations(range(p), size):
-            sub = IntegerMatrix.from_columns([cols[j] for j in subset])
-            if rank(sub) < size:
+            basis = kernel_lattice_basis(
+                IntegerMatrix.from_columns([cols[j] for j in subset] + [v]))
+            if len(basis) != 1 or basis[0][-1] == 0:
                 continue
-            lam = _solve_fractions(sub, v)
-            if lam is None or any(x < 0 for x in lam):
+            d = basis[0]
+            sign = -1 if d[-1] > 0 else 1
+            lam = [sign * x for x in d[:-1]]
+            if any(x < 0 for x in lam):
                 continue
-            den = 1
-            for x in lam:
-                den = den * x.denominator // gcd(den, x.denominator)
             exps = [0] * p
             for j, x in zip(subset, lam):
-                exps[j] = int(x * den)
-            return tuple(exps), den
+                exps[j] = x
+            return tuple(exps), abs(d[-1])
     return None
 
 
@@ -595,27 +578,25 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
     fully verified.  A nonzero common semigroup element is constructed
     whenever the cones meet, making the last equivalence concrete.
     """
-    rc = check_rank_conditions(a, b)
+    nr = necessary_conditions(a, b, kmax)
+    rc, u = nr.rank, nr.u
     if not rc.ok:
         return ChainAudit(rc, None, False, None, None, None, None, None, ())
-    u = gluable_lattice_point(a, b)
-    nr = necessary_conditions(a, b, kmax)
     mult = True if nr.ok else (False if nr.definitive else None)
-    neg = tuple(-x for x in u)
-    pos_in_both = in_cone(u, a.matrix) and in_cone(u, b.matrix)
-    neg_in_both = in_cone(neg, a.matrix) and in_cone(neg, b.matrix)
-    cone_meet = pos_in_both or neg_in_both
     common = None
-    if cone_meet:
-        z = u if pos_in_both else neg
-        ea, na = _cone_solution(z, a.matrix)
-        eb, nb = _cone_solution(z, b.matrix)
-        common = tuple(na * nb * x for x in z)
-        assert a.matrix.matvec(tuple(nb * e for e in ea)) == common
-        assert b.matrix.matvec(tuple(na * e for e in eb)) == common
+    for z in (u, tuple(-x for x in u)):
+        sol_a = _cone_solution(z, a.matrix)
+        sol_b = sol_a and _cone_solution(z, b.matrix)
+        if sol_b:
+            (ea, na), (eb, nb) = sol_a, sol_b
+            common = tuple(na * nb * x for x in z)
+            assert a.matrix.matvec(tuple(nb * e for e in ea)) == common
+            assert b.matrix.matvec(tuple(na * e for e in eb)) == common
+            break
+    cone_meet = common is not None
     pair = None
     glue: bool | None = None
-    cp = find_coprime_pair(a, b, kmax)
+    cp = nr.coprime_pair
     if cp is not None:
         pair = (cp.k1, cp.k2)
         glue = True

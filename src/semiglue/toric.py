@@ -172,13 +172,12 @@ def toric_ideal(gens: SemigroupGens) -> GradedBinomialSet:
     return toric_ideal_of_matrix(gens.matrix, gens.block)
 
 
-def fiber_monomials(matrix: IntegerMatrix, degree,
-                    work_limit: int = 10 ** 6) -> tuple:
-    """Return all exponent vectors m with matrix * m == degree."""
-    degree = tuple(int(x) for x in degree)
-    assert len(degree) == matrix.rows
-    if any(x < 0 for x in degree):
-        return ()
+def _walk(matrix: IntegerMatrix, start, work_limit: int,
+          exact: bool) -> tuple:
+    """Return exponent vectors m with matrix * m <= start, or == if exact.
+
+    Every node of the depth-first walk counts against work_limit.
+    """
     cols = matrix.columns()
     p = len(cols)
     out = []
@@ -188,9 +187,10 @@ def fiber_monomials(matrix: IntegerMatrix, degree,
         nonlocal spent
         spent += 1
         if spent > work_limit:
-            raise BoundTooLarge(f"fiber enumeration passed {work_limit} steps")
+            kind = "fiber" if exact else "box"
+            raise BoundTooLarge(f"{kind} enumeration passed {work_limit} steps")
         if j == p:
-            if all(x == 0 for x in remaining):
+            if not exact or all(x == 0 for x in remaining):
                 out.append(prefix)
             return
         col = cols[j]
@@ -203,38 +203,30 @@ def fiber_monomials(matrix: IntegerMatrix, degree,
                 return
             rem, c = nxt, c + 1
 
-    dfs(0, degree, ())
+    try:
+        dfs(0, start, ())
+    finally:
+        # dfs reaches itself through its closure; breaking that cycle
+        # frees the walk now, not at the next cyclic garbage collection.
+        dfs = None
     return tuple(out)
+
+
+def fiber_monomials(matrix: IntegerMatrix, degree,
+                    work_limit: int = 10 ** 6) -> tuple:
+    """Return all exponent vectors m with matrix * m == degree."""
+    degree = tuple(int(x) for x in degree)
+    assert len(degree) == matrix.rows
+    if any(x < 0 for x in degree):
+        return ()
+    return _walk(matrix, degree, work_limit, exact=True)
 
 
 def _monomials_in_box(matrix: IntegerMatrix, bound,
                       work_limit: int) -> tuple:
     """Return all exponent vectors m with matrix * m <= bound componentwise."""
-    cols = matrix.columns()
-    p = len(cols)
-    out = []
-    spent = 0
-
-    def dfs(j: int, remaining, prefix) -> None:
-        nonlocal spent
-        spent += 1
-        if spent > work_limit:
-            raise BoundTooLarge(f"box enumeration passed {work_limit} steps")
-        if j == p:
-            out.append(prefix)
-            return
-        col = cols[j]
-        c = 0
-        rem = remaining
-        while True:
-            dfs(j + 1, rem, prefix + (c,))
-            nxt = tuple(a - b for a, b in zip(rem, col))
-            if any(x < 0 for x in nxt):
-                return
-            rem, c = nxt, c + 1
-
-    dfs(0, tuple(int(x) for x in bound), ())
-    return tuple(out)
+    return _walk(matrix, tuple(int(x) for x in bound), work_limit,
+                 exact=False)
 
 
 def enumerate_oracle(gens: SemigroupGens, degree_bound,

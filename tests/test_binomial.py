@@ -1,4 +1,4 @@
-"""Binomials, term orders, Groebner bases, saturation and elimination."""
+"""Binomials, term orders, Groebner bases and saturation."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from semiglue import (
     VariableBlock,
     binomial_from_vector,
     buchberger,
-    eliminate,
     embed,
     ideal_equal,
     normal_form,
@@ -152,30 +151,6 @@ def test_saturate_requires_homogeneous_generators():
         saturate(ideal)
     sat = saturate(ideal, weights=(2, 1, 1, 1))
     assert ideal_equal(sat, ideal, weights=(2, 1, 1, 1))
-
-
-def test_eliminate_projects_onto_kept_variables():
-    names = VariableBlock(("x1", "y1", "y2"))
-    ideal = BinomialIdeal(names, (
-        Binomial(Monomial(names, (1, 0, 0)), Monomial(names, (0, 1, 0))),
-        Binomial(Monomial(names, (0, 1, 0)), Monomial(names, (0, 0, 1))),
-    ))
-    kept = eliminate(ideal, ("y1", "y2"))
-    sub = VariableBlock(("y1", "y2"))
-    want = BinomialIdeal(sub, (
-        Binomial(Monomial(sub, (1, 0)), Monomial(sub, (0, 1))),))
-    assert ideal_equal(kept, want)
-
-
-def test_eliminate_nothing_returns_the_same_ideal():
-    kept = eliminate(CURVE, X4.names)
-    assert kept.block == X4
-    assert ideal_equal(kept, CURVE)
-
-
-def test_eliminate_to_a_free_subring():
-    kept = eliminate(CURVE, ("x1", "x4"))
-    assert kept.generators == ()
 
 
 def test_embed_pads_with_zeros():

@@ -291,6 +291,35 @@ def test_nonpositive_scaling_is_an_input_error(capsys):
     assert code == 2
 
 
+def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
+    for command in ("find-gluing", "audit"):
+        for kmax in ("0", "-3"):
+            code, _, err = run(capsys, command, CORPUS / "twisted_glue.txt",
+                               "--kmax", kmax)
+            assert code == 2
+            assert "kmax must be positive" in err
+    f = tmp_path / "zero.txt"
+    f.write_text((CORPUS / "twisted_glue.txt").read_text() + "kmax: 0\n")
+    code, _, err = run(capsys, "find-gluing", f)
+    assert code == 2
+    assert "kmax must be positive" in err
+    monkeypatch.setenv("SEMIGLUE_KMAX", "0")
+    code, _, _ = run(capsys, "audit", CORPUS / "twisted_glue.txt")
+    assert code == 2
+
+
+def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
+    f = tmp_path / "betti.txt"
+    f.write_text("betti_a: 1 3 2\nbetti_b: 1 3 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["betti-glue", str(f), "--kmax", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", str(CORPUS / "twisted_glue.txt"), "--work-limit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_membership_without_vector(capsys):
     code, _, err = run(capsys, "membership", CORPUS / "twisted_glue.txt")
     assert code == 2

@@ -1,11 +1,15 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from semiglue import (
     Binomial,
     DimensionMismatch,
     GluingCandidate,
+    IntegerMatrix,
     Monomial,
     NotCoprime,
     NotInIdeal,
@@ -21,7 +25,8 @@ from semiglue import (
     necessary_conditions,
     verify_gluing,
 )
-from semiglue.gluing import in_cone, no_multiple_possible
+from semiglue import cli, gluing
+from semiglue.gluing import _cone_solution, in_cone, no_multiple_possible
 from support import (
     brute_members,
     linear_binomial_pair,
@@ -173,6 +178,26 @@ def test_find_coprime_pair():
 
     assert find_coprime_pair(*shared_factor_pair()) is None
     assert find_coprime_pair(*twisted_bad_pair()) is None
+    with pytest.raises(RankConditionsFail):
+        find_coprime_pair(*crossing_plane_pair())
+
+
+def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
+    sides = []
+    sweep = gluing.multiples_in_semigroup
+
+    def counted(u, gens, kmax=50):
+        sides.append(gens.block.names[0])
+        return sweep(u, gens, kmax)
+
+    monkeypatch.setattr(gluing, "multiples_in_semigroup", counted)
+    implication_chain_audit(*twisted_pair())
+    assert sides == ["x1", "y1"]
+    sides.clear()
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    assert cli.main(["find-gluing", str(corpus / "twisted_glue.txt")]) == 0
+    capsys.readouterr()
+    assert sides == ["x1", "y1"]
 
 
 # -- levels ------------------------------------------------------------------
@@ -299,6 +324,51 @@ def test_in_cone():
     assert in_cone((0, 0, 0), b.matrix)
     assert not in_cone((-1, 0, 0), a.matrix)
     assert in_cone((2, 3, 1), b.matrix)
+
+
+def _some_multiple_is_member(cols, v, kmax):
+    """Return whether some k * v with 1 <= k <= kmax is a sum of columns.
+
+    Brute force: every semigroup element below kmax * v, by breadth-first
+    search from the origin.
+    """
+    box = tuple(kmax * x for x in v)
+    targets = {tuple(k * x for x in v) for k in range(1, kmax + 1)}
+    seen = {tuple(0 for _ in v)}
+    frontier = list(seen)
+    while frontier:
+        point = frontier.pop()
+        for col in cols:
+            nxt = tuple(x + c for x, c in zip(point, col))
+            if nxt in targets:
+                return True
+            if nxt not in seen and all(x <= b for x, b in zip(nxt, box)):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 4)])
+def test_cone_solutions_are_exact_and_complete(rows, cols):
+    rng = random.Random(20261018 + rows)
+    for _ in range(150):
+        columns = []
+        while len(columns) < cols:
+            col = tuple(rng.randrange(4) for _ in range(rows))
+            if any(col):
+                columns.append(col)
+        v = tuple(rng.randrange(-1, 4) for _ in range(rows))
+        if not any(v):
+            continue
+        m = IntegerMatrix.from_columns(columns)
+        sol = _cone_solution(v, m)
+        if sol is not None:
+            e, n = sol
+            assert m.matvec(e) == tuple(n * x for x in v)
+            assert all(x >= 0 for x in e)
+            assert n >= 1
+        elif min(v) >= 0:
+            assert not _some_multiple_is_member(columns, v, 12), (columns, v)
 
 
 def test_audit_of_a_gluable_pair():
