@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 
 from .exactlin import (
     IntegerMatrix,
-    RankDeficient,
     ZeroVector,
-    dependent_column_relation,
     kernel_lattice_basis,
     primitive,
     rank,

@@ -28,8 +28,7 @@ from .exactlin import IntegerMatrix
 from .gluing import (
     GluingCandidate,
     RankConditionsFail,
-    check_rank_conditions,
-    gluable_lattice_point,
+    _meeting_line,
     implication_chain_audit,
     is_member,
     necessary_conditions,
@@ -90,14 +89,16 @@ class InputDocument:
         fields: dict = {}
         for name in ("a", "b"):
             if name in data:
-                fields[name] = tuple(tuple(int(x) for x in col)
+                if not isinstance(data[name], list):
+                    raise ValueError(f"{name} must be a list of generators")
+                fields[name] = tuple(_ints(col, f"a generator of {name}")
                                      for col in data[name])
         for name in _SCALARS:
             if name in data:
-                fields[name] = int(data[name])
+                fields[name] = _ints([data[name]], name)[0]
         for name in _VECTORS:
             if name in data:
-                fields[name] = tuple(int(x) for x in data[name])
+                fields[name] = _ints(data[name], name)
         return cls(**fields)
 
     @classmethod
@@ -105,6 +106,12 @@ class InputDocument:
         if text.lstrip().startswith("{"):
             return cls.from_dict(json.loads(text))
         return cls.from_dict(_parse_text(text))
+
+
+def _ints(value, what: str) -> tuple:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be integers")
+    return tuple(value)
 
 
 def _vector(text: str) -> list:
@@ -253,9 +260,8 @@ def cmd_lattice_point(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "lattice-point")
     b = _gens(doc, "b", "lattice-point")
-    rc = check_rank_conditions(a, b)
+    rc, u = _meeting_line(a, b)
     if rc.ok:
-        u = gluable_lattice_point(a, b)
         result = {"u": list(u), "rank": _rankdict(rc)}
         _emit(args, "lattice-point", doc, {}, result,
               [f"u = {u}",

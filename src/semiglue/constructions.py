@@ -23,7 +23,6 @@ from .gluing import (
     gluable_lattice_point,
     in_cone,
     necessary_conditions,
-    no_multiple_possible,
 )
 from .toric import SemigroupGens
 
@@ -181,10 +180,6 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens,
             return PairDecision(False, None, u, None, None,
                                 f"the ray direction {u} misses the cone of "
                                 f"the {name} semigroup")
-        if no_multiple_possible(u, gens):
-            return PairDecision(False, None, u, None, None,
-                                f"no multiple of {u} can lie in the {name} "
-                                "semigroup")
     return PairDecision(None, None, u, None, None,
                         f"no coprime pair found up to {kmax}")
 

@@ -1,10 +1,9 @@
 """Exact integer linear algebra.
 
-Everything here works over arbitrary-precision integers: ranks and
-determinants via fraction-free (Bareiss) elimination, kernels of integer
-matrices as saturated lattices with primitive basis vectors, and the
-signed-minor relation among n+1 columns in dimension n.  No floating
-point anywhere.
+Everything here works over arbitrary-precision integers: ranks via
+fraction-free (Bareiss) elimination and kernels of integer matrices as
+saturated lattices with primitive basis vectors.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 Vector = tuple[int, ...]
-
-
-class RankDeficient(ValueError):
-    """Raised when an operation needs more independent columns than exist."""
 
 
 class ZeroVector(ValueError):
@@ -138,6 +133,7 @@ def _size_reduce(vectors: list[list[int]]) -> list[list[int]]:
     each accepted step strictly decreases a norm, so this terminates.
     """
     n = len(vectors)
+    norms = [sum(x * x for x in v) for v in vectors]
     changed = True
     while changed:
         changed = False
@@ -145,15 +141,15 @@ def _size_reduce(vectors: list[list[int]]) -> list[list[int]]:
             for j in range(n):
                 if i == j:
                     continue
-                denom = sum(x * x for x in vectors[j])
                 num = sum(a * b for a, b in zip(vectors[i], vectors[j]))
-                q = round(Fraction(num, denom))
-                if q == 0:
+                # num / norm within [-1/2, 1/2] rounds to 0 (half to even).
+                if 2 * abs(num) <= norms[j]:
                     continue
+                q = round(Fraction(num, norms[j]))
                 shorter = [a - q * b for a, b in zip(vectors[i], vectors[j])]
-                if (sum(x * x for x in shorter)
-                        < sum(x * x for x in vectors[i])):
-                    vectors[i] = shorter
+                norm = sum(x * x for x in shorter)
+                if norm < norms[i]:
+                    vectors[i], norms[i] = shorter, norm
                     changed = True
     return vectors
 
@@ -195,82 +191,12 @@ def kernel_lattice_basis(m: IntegerMatrix) -> tuple[Vector, ...]:
         r += 1
         if r == p:
             break
-    raw = []
-    for i in range(r, p):
-        assert all(x == 0 for x in work[i][:n])
-        raw.append(work[i][n:])
-    # also collect any earlier rows that happen to have zero left half
-    for i in range(r):
-        if all(x == 0 for x in work[i][:n]):
-            raw.append(work[i][n:])
+    # Rows above r keep a nonzero pivot, so the kernel has p - r rows.
+    assert all(x == 0 for i in range(r, p) for x in work[i][:n])
+    raw = [work[i][n:] for i in range(r, p)]
     if len(raw) > 1:
         raw = _size_reduce(raw)
     return tuple(sorted(primitive(tuple(v)) for v in raw))
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Return the determinant of a small square integer matrix."""
-    n = len(rows)
-    assert all(len(row) == n for row in rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n <= 4:
-        total = 0
-        sign = 1
-        for j in range(n):
-            if rows[0][j] != 0:
-                minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-                total += sign * rows[0][j] * _det(minor)
-            sign = -sign
-        return total
-    # Bareiss for anything larger
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def dependent_column_relation(m: IntegerMatrix) -> Vector:
-    """Return the primitive relation among the n+1 columns of a rank-n matrix.
-
-    m must be n x (n+1) of rank n.  The returned d satisfies m d = 0 and
-    is unique up to sign; the sign is fixed by d = primitive of the
-    vector of signed maximal minors d_i = (-1)^i det(m with column i
-    removed).
-    """
-    n = m.rows
-    assert m.cols == n + 1, "need exactly one more column than rows"
-    if rank(m) != n:
-        raise RankDeficient("columns span a space of rank below the row count")
-    minors = []
-    sign = 1
-    for i in range(n + 1):
-        sub = [
-            [row[j] for j in range(n + 1) if j != i] for row in m.entries
-        ]
-        minors.append(sign * _det(sub))
-        sign = -sign
-    d = tuple(minors)
-    assert m.matvec(d) == tuple([0] * n)
-    return primitive(d)
 
 
 def primitive(v) -> Vector:

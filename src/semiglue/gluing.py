@@ -27,7 +27,6 @@ from .binomial import (
 )
 from .exactlin import (
     IntegerMatrix,
-    dependent_column_relation,
     kernel_lattice_basis,
     primitive,
     rank,
@@ -128,65 +127,46 @@ class RankConditions:
                 "in a line")
 
 
-def check_rank_conditions(a: SemigroupGens, b: SemigroupGens) -> RankConditions:
-    """Return the rank data of the pair."""
+def _meeting_line(a: SemigroupGens,
+                  b: SemigroupGens) -> tuple[RankConditions, Vector | None]:
+    """Return the rank data of the pair and the primitive meeting point.
+
+    One integer kernel of [A|B] gives both: its rank is the column count
+    minus rank [A|B], and each kernel vector (alpha, beta) puts
+    A alpha = -B beta in both column spaces.  When those spaces meet in
+    a line, these images span it, so the first nonzero A alpha is a
+    multiple of the point; otherwise the point is None.
+    """
     if a.ambient != b.ambient:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
-    return RankConditions(rank(a.matrix), rank(b.matrix),
-                          rank(a.matrix.hstack(b.matrix)), a.ambient)
+    joint = a.matrix.hstack(b.matrix)
+    kernel = kernel_lattice_basis(joint)
+    rc = RankConditions(rank(a.matrix), rank(b.matrix),
+                        joint.cols - len(kernel), a.ambient)
+    if not rc.ok:
+        return rc, None
+    images = (a.matrix.matvec(d[:a.count]) for d in kernel)
+    return rc, primitive(next(w for w in images if any(w)))
 
 
-def _independent_columns(matrix: IntegerMatrix, target: int) -> tuple:
-    """Return the first column indices forming an independent set of size target."""
-    chosen: list[int] = []
-    for j in range(matrix.cols):
-        trial = chosen + [j]
-        sub = IntegerMatrix.from_columns([matrix.column(t) for t in trial])
-        if rank(sub) == len(trial):
-            chosen = trial
-            if len(chosen) == target:
-                break
-    assert len(chosen) == target
-    return tuple(chosen)
+def check_rank_conditions(a: SemigroupGens, b: SemigroupGens) -> RankConditions:
+    """Return the rank data of the pair."""
+    return _meeting_line(a, b)[0]
 
 
-def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens,
-                          cols_a=None, cols_b=None) -> Vector:
+def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens) -> Vector:
     """Return the primitive lattice point spanning the meeting line.
 
     Requires rank A + rank B = rank [A|B] + 1, so that the two column
     spaces meet in a line; otherwise RankConditionsFail.  The point is
-    built from the unique relation among independent columns drawn from
-    both sides - in the full-rank case the relation of an n x (n+1)
-    matrix, given by its signed maximal minors - and normalized to be
-    primitive with positive first nonzero coordinate.
+    A alpha for a relation (alpha, beta) in the integer kernel of
+    [A|B], normalized to be primitive with positive first nonzero
+    coordinate.
     """
-    rc = check_rank_conditions(a, b)
+    rc, u = _meeting_line(a, b)
     rc.require_line()
-    if cols_a is None:
-        cols_a = _independent_columns(a.matrix, rc.rank_a)
-    else:
-        cols_a = tuple(cols_a)
-        assert len(cols_a) == rc.rank_a
-    if cols_b is None:
-        cols_b = _independent_columns(b.matrix, rc.rank_b)
-    else:
-        cols_b = tuple(cols_b)
-        assert len(cols_b) == rc.rank_b
-    sel_a = [a.matrix.column(j) for j in cols_a]
-    sel_b = [b.matrix.column(j) for j in cols_b]
-    m = IntegerMatrix.from_columns(sel_a + sel_b)
-    if m.rows == m.cols - 1:
-        d = dependent_column_relation(m)
-    else:
-        basis = kernel_lattice_basis(m)
-        assert len(basis) == 1, "chosen columns must be independent"
-        d = basis[0]
-    u = tuple(sum(d[i] * col[r] for i, col in enumerate(sel_a))
-              for r in range(a.ambient))
-    assert any(x != 0 for x in u)
-    return primitive(u)
+    return u
 
 
 def is_member(v, gens: SemigroupGens):
@@ -196,7 +176,9 @@ def is_member(v, gens: SemigroupGens):
     with memoization on the remaining target.
     """
     v = tuple(int(x) for x in v)
-    assert len(v) == gens.ambient
+    if len(v) != gens.ambient:
+        raise ValueError(f"vector of length {len(v)} in ambient dimension "
+                         f"{gens.ambient}")
     if any(x < 0 for x in v):
         return None
     cols = gens.matrix.columns()
@@ -220,13 +202,19 @@ def is_member(v, gens: SemigroupGens):
         memo[state] = found
         return found
 
-    return solve(0, v)
+    try:
+        return solve(0, v)
+    finally:
+        # solve reaches itself through its closure; breaking that cycle
+        # frees the memo now, not at the next cyclic garbage collection.
+        solve = None
 
 
 def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50) -> dict:
     """Return {k: exponents} for every k <= kmax with k*u in the semigroup."""
     u = tuple(int(x) for x in u)
-    assert kmax >= 1
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
     if any(x < 0 for x in u):
         return {}
     out = {}
@@ -305,11 +293,10 @@ def necessary_conditions(a: SemigroupGens, b: SemigroupGens,
     below the bound; with ``definitive`` True there is a proof that
     none exists.
     """
-    rc = check_rank_conditions(a, b)
+    rc, u = _meeting_line(a, b)
     if not rc.ok:
         return NecessaryReport(rc, None, False, True, (), (),
                                "the column spaces do not meet in a line")
-    u = gluable_lattice_point(a, b)
     wa = tuple(sorted(multiples_in_semigroup(u, a, kmax).items()))
     wb = tuple(sorted(multiples_in_semigroup(u, b, kmax).items()))
     if wa and wb:
@@ -426,8 +413,9 @@ def verify_gluing(cand: GluingCandidate,
     ia = toric_ideal(cand.a)
     ib = toric_ideal(cand.b)
     ic = toric_ideal_of_matrix(cand.c_matrix, cand.c_block)
-    rc = check_rank_conditions(cand.a, cand.b)
-    dim_c = rank(cand.c_matrix)
+    rc, u = _meeting_line(cand.a, cand.b)
+    # Scaling the two blocks does not change the rank of [A|B].
+    dim_c = rc.rank_joint
     codim_c = cand.c_matrix.cols - dim_c
     if ic.mu == codim_c:
         hom = HomologySummary(dim=dim_c, pd=codim_c, depth=dim_c, ci=True,
@@ -441,7 +429,6 @@ def verify_gluing(cand: GluingCandidate,
         return GluingReport(u=None, is_gluing=False, rho=None, rho_level=None,
                             detail="the column spaces do not meet in a line",
                             **base)
-    u = gluable_lattice_point(cand.a, cand.b)
     if ic.mu != ia.mu + ib.mu + 1:
         return GluingReport(
             u=u, is_gluing=False, rho=None, rho_level=None,

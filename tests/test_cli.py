@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,6 +321,42 @@ def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
         main(["audit", str(CORPUS / "twisted_glue.txt"), "--work-limit", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_membership_vector_of_the_wrong_length(capsys, tmp_path):
+    f = tmp_path / "long.txt"
+    f.write_text("A:\n1 0\n0 1\nv: 1 2 3\n")
+    code, out, err = run(capsys, "membership", f)
+    assert code == 2
+    assert "length 3" in err
+    assert "combination" not in out
+
+
+def test_malformed_json_fields_are_input_errors(capsys, tmp_path):
+    for payload in ({"a": 5}, {"a": [5]}, {"a": [[1, 0]], "v": 3},
+                    {"a": [[1, 0]], "v": [[1], 0]},
+                    {"a": [[1, 0]], "kmax": None}):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "membership", f)
+        assert code == 2, payload
+        assert err.startswith("error: "), payload
+
+
+def test_input_errors_hold_under_optimization(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    long_v = tmp_path / "long.txt"
+    long_v.write_text("A:\n1 0\n0 1\nv: 1 2 3\n")
+    zero_kmax = tmp_path / "zero.txt"
+    zero_kmax.write_text((CORPUS / "twisted_glue.txt").read_text()
+                         + "kmax: 0\n")
+    for command, f in (("membership", long_v), ("find-gluing", zero_kmax)):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "semiglue", command, str(f)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, (command, done.stdout, done.stderr)
+        assert "Traceback" not in done.stderr
 
 
 def test_membership_without_vector(capsys):

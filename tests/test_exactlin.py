@@ -6,9 +6,7 @@ import pytest
 
 from semiglue import (
     IntegerMatrix,
-    RankDeficient,
     ZeroVector,
-    dependent_column_relation,
     kernel_lattice_basis,
     primitive,
     rank,
@@ -90,19 +88,6 @@ def test_kernel_lattice_is_saturated():
                   for c in span for d in span):
             if any(v) and m.matvec(v) == (0, 0):
                 assert integer_combination(basis, v) is not None
-
-
-def test_dependent_column_relation_known_value():
-    m = IntegerMatrix.from_rows([(4, 3, 3, 3), (0, 1, 3, 2), (0, 0, 0, 1)])
-    d = dependent_column_relation(m)
-    assert d == (3, -6, 2, 0)
-    assert m.matvec(d) == (0, 0, 0)
-
-
-def test_dependent_column_relation_needs_full_row_rank():
-    m = IntegerMatrix.from_rows([(1, 2, 3), (2, 4, 6)])
-    with pytest.raises(RankDeficient):
-        dependent_column_relation(m)
 
 
 def test_primitive_normalizes():

@@ -1,6 +1,8 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
+import gc
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from semiglue import (
     level,
     multiples_in_semigroup,
     necessary_conditions,
+    rank,
     verify_gluing,
 )
 from semiglue import cli, gluing
@@ -31,6 +34,7 @@ from support import (
     brute_members,
     linear_binomial_pair,
     monomial_curves_pair,
+    random_gens,
     shared_column_pair,
     shared_factor_pair,
     twisted_bad_pair,
@@ -81,12 +85,46 @@ def test_lattice_points_of_the_fixtures():
     assert gluable_lattice_point(*shared_column_pair()) == (1, 1, 2)
 
 
-def test_lattice_point_ignores_the_column_choice():
-    a, b = twisted_pair()
-    u = gluable_lattice_point(a, b)
-    for cols_a in ((0, 1), (0, 3), (2, 3)):
-        for cols_b in ((0, 1), (1, 3), (2, 3)):
-            assert gluable_lattice_point(a, b, cols_a, cols_b) == u
+def _random_pairs(seed, count):
+    """Yield seeded random pairs of semigroups in dimensions 2 to 4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 5)
+        yield (random_gens(rng, n, rng.randrange(1, 5), 3, "x"),
+               random_gens(rng, n, rng.randrange(1, 5), 3, "y"))
+
+
+def test_lattice_point_spans_the_meeting_line():
+    lines = 0
+    for a, b in _random_pairs(20261018, 300):
+        if not check_rank_conditions(a, b).ok:
+            continue
+        lines += 1
+        u = gluable_lattice_point(a, b)
+        for gens in (a, b):
+            with_u = IntegerMatrix.from_columns(gens.matrix.columns() + (u,))
+            assert rank(with_u) == rank(gens.matrix), (a, b, u)
+        assert gcd(*u) == 1
+        assert next(x for x in u if x) > 0
+        rng = random.Random(lines)
+        shuffled = [list(gens.matrix.columns()) for gens in (a, b)]
+        for cols in shuffled:
+            rng.shuffle(cols)
+        assert gluable_lattice_point(
+            SemigroupGens.from_columns(shuffled[0], "x"),
+            SemigroupGens.from_columns(shuffled[1], "y")) == u
+    assert lines >= 60
+
+
+def test_rank_conditions_are_the_three_ranks():
+    seen = set()
+    for a, b in _random_pairs(424242, 300):
+        rc = check_rank_conditions(a, b)
+        assert (rc.rank_a, rc.rank_b, rc.rank_joint, rc.ambient) == (
+            rank(a.matrix), rank(b.matrix),
+            rank(a.matrix.hstack(b.matrix)), a.ambient)
+        seen.add(rc.ok)
+    assert seen == {True, False}
 
 
 def test_lattice_point_refuses_crossing_planes():
@@ -107,6 +145,8 @@ def test_membership_witnesses_check_out():
     assert is_member((1, 1, 0), a) is None
     assert is_member((5, 0, 0), a) is None
     assert is_member((-1, 0, 0), a) is None
+    with pytest.raises(ValueError):
+        is_member((1, 2), a)
 
 
 def test_membership_agrees_with_brute_force():
@@ -119,6 +159,25 @@ def test_membership_agrees_with_brute_force():
         for v in ((1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 3)):
             if v not in reachable:
                 assert is_member(v, gens) is None
+
+
+def test_membership_search_is_freed_on_return():
+    gens = SemigroupGens.from_columns([(3, 7), (5, 2), (4, 4)], "x")
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_member((300, 300), gens) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_kmax_must_be_positive():
+    for kmax in (0, -3):
+        with pytest.raises(ValueError, match="kmax must be positive"):
+            necessary_conditions(*twisted_pair(), kmax=kmax)
+        with pytest.raises(ValueError, match="kmax must be positive"):
+            find_coprime_pair(*twisted_pair(), kmax=kmax)
 
 
 def test_multiples_in_the_twisted_pair():
@@ -362,6 +421,9 @@ def test_cone_solutions_are_exact_and_complete(rows, cols):
             continue
         m = IntegerMatrix.from_columns(columns)
         sol = _cone_solution(v, m)
+        gens = SemigroupGens.from_columns(dict.fromkeys(columns), "x")
+        if no_multiple_possible(v, gens):
+            assert sol is None, (columns, v)
         if sol is not None:
             e, n = sol
             assert m.matvec(e) == tuple(n * x for x in v)
