@@ -273,8 +273,22 @@ def _buchberger(raw_gens, key) -> tuple[RawBinomial, ...]:
     for g in seed:
         basis.append(g)
         _gm_update(basis, pairs, len(basis) - 1, key)
+    _complete(basis, pairs, key)
+    return _interreduce(basis, key)
+
+
+def _complete(basis, pairs, key, upto: int | None = None) -> None:
+    """Process critical pairs, smallest lcm first, extending basis in place.
+
+    With ``upto`` given, stop once every remaining pair has an lcm of
+    weighted degree above it.  For a homogeneous ideal the basis is then
+    a Groebner basis up to that degree: every element of the ideal of
+    weighted degree at most ``upto`` reduces to zero.
+    """
     while pairs:
         entry = min(pairs)
+        if upto is not None and entry[0][0] > upto:
+            return
         pairs.remove(entry)
         _, i, j = entry
         s = _spoly(basis[i], basis[j])
@@ -285,7 +299,6 @@ def _buchberger(raw_gens, key) -> tuple[RawBinomial, ...]:
             continue
         basis.append(r)
         _gm_update(basis, pairs, len(basis) - 1, key)
-    return _interreduce(basis, key)
 
 
 def _interreduce(basis, key) -> tuple[RawBinomial, ...]:

@@ -104,8 +104,18 @@ class InputDocument:
     @classmethod
     def parse(cls, text: str) -> "InputDocument":
         if text.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(text))
+            return cls.from_dict(json.loads(text,
+                                            object_pairs_hook=_unique_keys))
         return cls.from_dict(_parse_text(text))
+
+
+def _unique_keys(pairs) -> dict:
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
 
 
 def _ints(value, what: str) -> tuple:
@@ -138,6 +148,8 @@ def _parse_text(text: str) -> dict:
             section = None
             if key == "i":
                 key = "index"
+            if key in data:
+                raise ValueError(f"repeated key {head.strip()!r}")
             if key in _SCALARS:
                 data[key] = int(rest)
             elif key in _VECTORS:
@@ -326,8 +338,10 @@ def cmd_check_gluing(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "check-gluing")
     b = _gens(doc, "b", "check-gluing")
-    k1 = args.k1 if args.k1 is not None else (doc.k1 or 1)
-    k2 = args.k2 if args.k2 is not None else (doc.k2 or 1)
+    k1 = args.k1 if args.k1 is not None else doc.k1
+    k2 = args.k2 if args.k2 is not None else doc.k2
+    k1 = 1 if k1 is None else k1
+    k2 = 1 if k2 is None else k2
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be positive")
     work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",

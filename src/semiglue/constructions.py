@@ -14,12 +14,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .binomial import Binomial
-from .exactlin import IntegerMatrix, rank
+# rank is unused here, but perfbench/spans.py wraps constructions.rank.
+from .exactlin import IntegerMatrix, rank  # noqa: F401
 from .gluing import (
     GluingCandidate,
     NecessaryReport,
     NotCoprime,
+    _meeting_line,
     _mixed_binomial,
+    _necessary_on_line,
     gluable_lattice_point,
     in_cone,
     necessary_conditions,
@@ -215,8 +218,8 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
     everything reduces to multiples of its primitive direction.
     """
     n = a.ambient
-    if rank(a.matrix) != n or rank(b.matrix) != 1:
+    rc, u = _meeting_line(a, b)
+    if rc.rank_a != n or rc.rank_b != 1:
         raise RankMismatch(
-            f"need rank {n} and rank 1, got {rank(a.matrix)} and "
-            f"{rank(b.matrix)}")
-    return _decide_on_line(a, b, necessary_conditions(a, b, kmax), kmax)
+            f"need rank {n} and rank 1, got {rc.rank_a} and {rc.rank_b}")
+    return _decide_on_line(a, b, _necessary_on_line(a, b, rc, u, kmax), kmax)

@@ -293,7 +293,13 @@ def necessary_conditions(a: SemigroupGens, b: SemigroupGens,
     below the bound; with ``definitive`` True there is a proof that
     none exists.
     """
-    rc, u = _meeting_line(a, b)
+    return _necessary_on_line(a, b, *_meeting_line(a, b), kmax)
+
+
+def _necessary_on_line(a: SemigroupGens, b: SemigroupGens,
+                       rc: RankConditions, u: Vector | None,
+                       kmax: int) -> NecessaryReport:
+    """Return the necessary-conditions report from the pair's meeting line."""
     if not rc.ok:
         return NecessaryReport(rc, None, False, True, (), (),
                                "the column spaces do not meet in a line")
@@ -338,10 +344,16 @@ def level(w: Binomial, cand: GluingCandidate) -> int:
     NotCoprime unless gcd(k1, k2) = 1, and NotInIdeal when w is not
     homogeneous for the glued grading.
     """
+    return _level(w, cand, None)
+
+
+def _level(w: Binomial, cand: GluingCandidate, u: Vector | None) -> int:
+    """Return the level of w, given the meeting point u if already known."""
     assert w.block == cand.c_block
     if gcd(cand.k1, cand.k2) != 1:
         raise NotCoprime(f"scalings {cand.k1}, {cand.k2} share a factor")
-    u = gluable_lattice_point(cand.a, cand.b)
+    if u is None:
+        u = gluable_lattice_point(cand.a, cand.b)
     pa = cand.a.count
     pe, me = w.plus.exponents, w.minus.exponents
     alpha = tuple(x - y for x, y in zip(pe[:pa], me[:pa]))
@@ -448,7 +460,7 @@ def verify_gluing(cand: GluingCandidate,
             rho = _mixed_binomial(cand, c_wit, d_wit)
             assert completes(rho), \
                 "coprime membership witnesses always give a gluing"
-            lev = level(rho, cand)
+            lev = _level(rho, cand, u)
             assert lev == 1
             return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
                                 detail="glued by coprime membership "
@@ -479,7 +491,7 @@ def verify_gluing(cand: GluingCandidate,
                 tried.add(rho)
                 if completes(rho):
                     try:
-                        lev = level(rho, cand)
+                        lev = _level(rho, cand, u)
                     except NotCoprime:
                         lev = None
                     return GluingReport(

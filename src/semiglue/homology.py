@@ -30,9 +30,10 @@ class BettiSequence:
 
     def __post_init__(self) -> None:
         vals = tuple(int(v) for v in self.values)
-        assert len(vals) > 0
-        assert vals[0] == 1, "a cyclic module starts with beta_0 = 1"
-        assert all(v >= 0 for v in vals)
+        if not vals or vals[0] != 1:
+            raise ValueError("a cyclic module starts with beta_0 = 1")
+        if any(v < 0 for v in vals):
+            raise ValueError("Betti numbers are nonnegative")
         while len(vals) > 1 and vals[-1] == 0:
             vals = vals[:-1]
         object.__setattr__(self, "values", vals)

@@ -6,6 +6,13 @@ saturation, by the product of all variables, of the lattice ideal of
 the matrix kernel.  This module computes that ideal with a minimal
 generating set graded by the semigroup, and provides an independent
 brute-force enumeration of low-degree members for cross-checking.
+
+The Groebner data of each ideal is computed once.  The last saturation
+sweep strips the last variable from a Groebner basis under the ideal's
+own weighted reverse lexicographic order, which by Bayer and Stillman
+leaves a Groebner basis of the saturation, so interreducing it gives the
+reduced basis.  The minimal generators then come from one Buchberger run
+over the kept generators, completed degree by degree as the scan rises.
 """
 
 from __future__ import annotations
@@ -19,12 +26,16 @@ from .binomial import (
     Monomial,
     MonomialOrder,
     VariableBlock,
-    _buchberger,
+    _buchberger,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
     _canonical_key,
+    _complete,
     _coprime,
+    _gm_update,
+    _interreduce,
     _orient,
     _reduce_pair,
     _saturate_raw,
+    _wdeg,
 )
 from .exactlin import IntegerMatrix, kernel_lattice_basis
 
@@ -107,6 +118,14 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     Generators are scanned by increasing degree; one is kept exactly
     when it is not in the ideal of those already kept.  For an ideal
     graded by a positive weighting this yields a minimal generating set.
+
+    One Buchberger run serves the whole scan.  Before a generator of
+    weighted degree d is tested, the critical pairs of the kept elements
+    are completed up to degree d; the ideal is homogeneous, so the basis
+    then decides membership in degree d exactly.  A kept generator joins
+    the basis in its reduced form, with its pairs.  The kept set spans
+    the same ideal as all the generators, so it shares their reduced
+    Groebner basis.
     """
     block = gset.ideal.block
     order = MonomialOrder.degrevlex(gset.weights)
@@ -115,16 +134,19 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
                   key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
                                  _canonical_key(g)))
     kept: list[Binomial] = []
-    gb: list = []
+    basis: list = []
+    pairs: list = []
     for g in gens:
-        pr = g.as_pair()
-        if gb and _reduce_pair(pr, gb, key) is None:
+        d = _wdeg(g.plus.exponents, gset.weights)
+        _complete(basis, pairs, key, upto=d)
+        r = _reduce_pair(g.as_pair(), basis, key)
+        if r is None:
             continue
         kept.append(g)
-        gb = list(_buchberger(gb + [pr], key))
+        basis.append(r)
+        _gm_update(basis, pairs, len(basis) - 1, key)
     ideal = BinomialIdeal(block, tuple(kept))
-    ideal._cache[order] = tuple(Binomial(Monomial(block, u), Monomial(block, v))
-                                for u, v in gb)
+    ideal._cache[order] = gset.ideal.groebner(order)
     return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
                              gset.weights)
 
@@ -154,8 +176,8 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
     if not pairs:
         return GradedBinomialSet(BinomialIdeal(block, ()), {}, weights)
 
-    sat = _saturate_raw(pairs, weights)
-    gb = _buchberger(sat, key)
+    # The last sweep already leaves a Groebner basis under this order.
+    gb = _interreduce(_saturate_raw(pairs, weights), key)
     gens = []
     for u, v in gb:
         assert _coprime(u, v), "toric Groebner elements have disjoint support"
@@ -239,8 +261,11 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
     the algebra in this package, not as a way to compute with it.
     """
     bound = tuple(int(x) for x in degree_bound)
-    assert len(bound) == gens.ambient
-    assert all(x >= 0 for x in bound)
+    if len(bound) != gens.ambient:
+        raise ValueError(f"the degree bound needs {gens.ambient} entries, "
+                         f"got {len(bound)}")
+    if any(x < 0 for x in bound):
+        raise ValueError("the degree bound must be nonnegative")
     matrix = gens.matrix
     block = gens.block
     key = MonomialOrder.degrevlex(gens.weights()).key_function()

@@ -284,11 +284,17 @@ def test_missing_section_is_an_input_error(capsys, tmp_path):
     assert "needs an B: section" in err
 
 
-def test_nonpositive_scaling_is_an_input_error(capsys):
+def test_nonpositive_scaling_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt",
                        "--k1", "0")
     assert code == 2
     assert "must be positive" in err
+    f = tmp_path / "zero.txt"
+    f.write_text("A:\n1 0 0\n0 1 0\n0 0 1\nB:\n1 1 1\nk1: 0\n")
+    code, out, err = run(capsys, "check-gluing", f)
+    assert code == 2
+    assert "must be positive" in err
+    assert out == ""
     code, _, err = run(capsys, "audit", CORPUS / "twisted_glue.txt",
                        "--k1", "-1", "--k2", "1")
     assert code == 2
@@ -343,6 +349,47 @@ def test_malformed_json_fields_are_input_errors(capsys, tmp_path):
         assert err.startswith("error: "), payload
 
 
+def test_degree_bound_of_the_wrong_length(capsys, tmp_path):
+    f = tmp_path / "plane.txt"
+    f.write_text("A:\n1 0\n0 1\n1 1\n")
+    code, out, err = run(capsys, "toric", f, "--degree-bound", "5 5 5")
+    assert code == 2
+    assert "needs 2 entries" in err
+    assert out == ""
+    code, _, err = run(capsys, "toric", f, "--degree-bound", "5 -1")
+    assert code == 2
+    assert "nonnegative" in err
+
+
+def test_betti_numbers_must_start_with_one(capsys, tmp_path):
+    f = tmp_path / "betti.txt"
+    f.write_text("betti_a: 2 3 1\nbetti_b: 1 3 2\n")
+    code, out, err = run(capsys, "betti-glue", f)
+    assert code == 2
+    assert "beta_0 = 1" in err
+    assert out == ""
+    f.write_text("betti_a: 1 3 2\nbetti_b: 1 -3 2\n")
+    code, _, err = run(capsys, "betti-glue", f)
+    assert code == 2
+    assert "nonnegative" in err
+
+
+def test_repeated_keys_are_input_errors(capsys, tmp_path):
+    text = (CORPUS / "twisted_glue.txt").read_text()
+    for extra in ("k1: 2\nk1: 3\n", "i: 1\nindex: 2\n",
+                  "betti_a: 1 1\nbetti_a: 1 2\n"):
+        f = tmp_path / "twice.txt"
+        f.write_text(text + extra)
+        code, _, err = run(capsys, "check-gluing", f)
+        assert code == 2, extra
+        assert "repeated key" in err, extra
+    f = tmp_path / "twice.json"
+    f.write_text('{"a": [[1, 0], [0, 1]], "k1": 2, "k1": 3}')
+    code, _, err = run(capsys, "toric", f)
+    assert code == 2
+    assert "repeated key 'k1'" in err
+
+
 def test_input_errors_hold_under_optimization(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -351,11 +398,20 @@ def test_input_errors_hold_under_optimization(tmp_path):
     zero_kmax = tmp_path / "zero.txt"
     zero_kmax.write_text((CORPUS / "twisted_glue.txt").read_text()
                          + "kmax: 0\n")
-    for command, f in (("membership", long_v), ("find-gluing", zero_kmax)):
+    betti = tmp_path / "betti.txt"
+    betti.write_text("betti_a: 2 3 1\nbetti_b: 1 3 2\n")
+    twice = tmp_path / "twice.txt"
+    twice.write_text((CORPUS / "twisted_glue.txt").read_text()
+                     + "k1: 2\nk1: 3\n")
+    plane = tmp_path / "plane.txt"
+    plane.write_text("A:\n1 0\n0 1\n1 1\n")
+    for argv in (("membership", long_v), ("find-gluing", zero_kmax),
+                 ("betti-glue", betti), ("check-gluing", twice),
+                 ("toric", plane, "--degree-bound", "5 5 5")):
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "semiglue", command, str(f)],
+            [sys.executable, "-O", "-m", "semiglue", *map(str, argv)],
             env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 2, (command, done.stdout, done.stderr)
+        assert done.returncode == 2, (argv, done.stdout, done.stderr)
         assert "Traceback" not in done.stderr
 
 

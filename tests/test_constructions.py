@@ -13,6 +13,7 @@ from semiglue import (
     rank1_gluable,
     verify_gluing,
 )
+from semiglue import constructions, exactlin, gluing
 
 CUBIC = PlaneHomogeneousGens(3, (1, 2))
 STEEP = PlaneHomogeneousGens(5, (1, 4))
@@ -150,6 +151,21 @@ def test_rank1_gluable_positive():
     decision = rank1_gluable(a, b)
     assert decision.gluable is True
     assert decision.pair == (2, 1)
+
+
+def test_rank1_gluable_takes_each_rank_once(monkeypatch):
+    ranked = []
+
+    def counted(m):
+        ranked.append(m)
+        return exactlin.rank(m)
+
+    monkeypatch.setattr(gluing, "rank", counted)
+    monkeypatch.setattr(constructions, "rank", counted)
+    a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
+    b = SemigroupGens.from_columns([(2, 2)], "y")
+    assert rank1_gluable(a, b).gluable is True
+    assert ranked == [a.matrix, b.matrix]
 
 
 def test_rank1_gluable_requires_the_rank_profile():

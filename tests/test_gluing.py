@@ -259,6 +259,24 @@ def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
     assert sides == ["x1", "y1"]
 
 
+def test_verify_gluing_takes_the_meeting_line_once(monkeypatch):
+    calls = []
+    line = gluing._meeting_line
+
+    def counted(a, b):
+        calls.append((a.block, b.block))
+        return line(a, b)
+
+    monkeypatch.setattr(gluing, "_meeting_line", counted)
+    a, b = twisted_pair()
+    # coprime witnesses, then a mixed minimal generator; both take levels
+    for k1, k2 in ((3, 2), (1, 1)):
+        calls.clear()
+        report = verify_gluing(GluingCandidate(a, b, k1, k2))
+        assert report.rho_level is not None
+        assert calls == [(a.block, b.block)]
+
+
 # -- levels ------------------------------------------------------------------
 
 def test_level_of_the_twisted_gluing_binomial():

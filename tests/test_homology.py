@@ -25,10 +25,12 @@ def test_betti_sequence_basics():
     assert b.pd == 2
     assert b[0] == 1 and b[2] == 2 and b[5] == 0
     assert BettiSequence.of(1, 2, 0, 0).values == (1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BettiSequence.of(2, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BettiSequence.of(1, -1)
+    with pytest.raises(ValueError):
+        BettiSequence.of()
 
 
 def test_glued_betti_convolution():

@@ -1,5 +1,7 @@
 """Toric ideals of semigroup generators, with a brute-force oracle."""
 
+import random
+
 import pytest
 
 from semiglue import (
@@ -7,14 +9,23 @@ from semiglue import (
     BinomialIdeal,
     BoundTooLarge,
     GluingCandidate,
+    IntegerMatrix,
     Monomial,
+    MonomialOrder,
     SemigroupGens,
     VariableBlock,
+    buchberger,
     enumerate_oracle,
     ideal_equal,
+    normal_form,
     toric_ideal,
 )
-from semiglue.toric import fiber_monomials, toric_ideal_of_matrix
+from semiglue.toric import (
+    GradedBinomialSet,
+    fiber_monomials,
+    minimal_generators,
+    toric_ideal_of_matrix,
+)
 from support import linear_binomial_pair, monomial_curves_pair
 
 PLANE_CUBIC = SemigroupGens.from_columns(
@@ -145,3 +156,88 @@ def test_toric_ideal_of_matrix_accepts_repeated_columns():
     linear = mk(cand.c_block, (1, 0, 0), (0, 0, 1))
     assert linear in t.ideal.generators or \
         linear.negated() in t.ideal.generators
+
+
+def _random_matrix(rng, rows, cols, repeat=False):
+    columns = []
+    while len(columns) < cols:
+        c = tuple(rng.randint(0, 3) for _ in range(rows))
+        if any(c):
+            columns.append(c)
+    if repeat:
+        columns.append(rng.choice(columns))
+    return IntegerMatrix.from_columns(columns)
+
+
+def _rerun_minimal(gens, adegrees, order):
+    """Keep each generator outside the ideal of those kept before it.
+
+    The ideal of the kept ones gets a fresh Groebner basis every time
+    one is kept.
+    """
+    def scan_key(g):
+        u, v = g.plus.exponents, g.minus.exponents
+        return (sum(adegrees[g]), adegrees[g], sum(u), u, sum(v), v)
+
+    kept, gb = [], ()
+    for g in sorted(gens, key=scan_key):
+        if gb and normal_form(g, gb, order) is None:
+            continue
+        kept.append(g)
+        gb = buchberger(kept, order)
+    return kept
+
+
+def test_minimal_generators_match_the_per_generator_rerun():
+    rng = random.Random(20260205)
+    for trial in range(40):
+        rows = 2 + trial % 2
+        m = _random_matrix(rng, rows, rng.randint(rows + 1, rows + 3),
+                           repeat=trial % 4 == 3)
+        block = VariableBlock.prefixed("x", m.cols)
+        t = toric_ideal_of_matrix(m, block)
+        order = MonomialOrder.degrevlex(t.weights)
+        cached = t.ideal.groebner(order)
+        full = {g: m.matvec(g.plus.exponents) for g in cached}
+        graded = GradedBinomialSet(BinomialIdeal(block, cached), full,
+                                   t.weights)
+        want = _rerun_minimal(cached, full, order)
+        for got in (t, minimal_generators(graded)):
+            assert set(got.ideal.generators) == set(want), m
+            assert got.adegrees == {g: full[g] for g in want}, m
+            assert got.ideal.groebner(order) == buchberger(want, order), m
+        kept = t.ideal.generators
+        for i, g in enumerate(kept):
+            others = kept[:i] + kept[i + 1:]
+            if others:
+                assert normal_form(g, buchberger(others, order),
+                                   order) is not None, (m, g)
+
+
+def test_toric_ideals_agree_with_sympy_elimination():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for trial in range(20):
+        m = _random_matrix(rng, 2, 3 + trial % 2)
+        block = VariableBlock.prefixed("x", m.cols)
+        t = toric_ideal_of_matrix(m, block)
+        ts = sympy.symbols("t1 t2")
+        xs = sympy.symbols(" ".join(block.names))
+        images = [x - ts[0] ** c[0] * ts[1] ** c[1]
+                  for x, c in zip(xs, m.columns())]
+        eliminated = sympy.groebner(images, *ts, *xs, order="lex")
+        theirs = [f for f in eliminated.exprs if not f.free_symbols & set(ts)]
+
+        def as_expr(g):
+            def mono(e):
+                return sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+            return mono(g.plus.exponents) - mono(g.minus.exponents)
+
+        ours = [as_expr(g) for g in t.ideal.generators]
+        if not ours:
+            assert not theirs, m
+            continue
+        ours_gb = sympy.groebner(ours, *xs, order="grevlex")
+        theirs_gb = sympy.groebner(theirs, *xs, order="grevlex")
+        assert all(theirs_gb.contains(f) for f in ours), m
+        assert all(ours_gb.contains(f) for f in theirs), m
