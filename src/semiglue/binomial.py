@@ -463,7 +463,12 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
     else:
         idx = [block.index(nm) for nm in variables]
     sat = _saturate_raw(pairs, weights, idx)
-    final = _buchberger(sat, MonomialOrder.degrevlex(weights).key_function())
+    key = MonomialOrder.degrevlex(weights).key_function()
+    if idx is None:
+        # The last sweep ran under this order and left a Groebner basis.
+        final = _interreduce(sat, key)
+    else:
+        final = _buchberger(sat, key)
     return BinomialIdeal(block, tuple(
         Binomial(Monomial(block, u), Monomial(block, v)) for u, v in final))
 

@@ -195,6 +195,14 @@ def _kmax(args, doc: InputDocument) -> int:
     return kmax
 
 
+def _work_limit(args, doc: InputDocument) -> int:
+    work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
+                          doc.work_limit, 10 ** 6)
+    if work_limit < 1:
+        raise ValueError("work limit must be positive")
+    return work_limit
+
+
 def _json_wanted(args) -> bool:
     if args.json_out is not None:
         return args.json_out
@@ -290,8 +298,7 @@ def cmd_lattice_point(args) -> int:
 def cmd_toric(args) -> int:
     doc = _read_document(args)
     gens = _gens(doc, "a", "toric")
-    work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
-                          doc.work_limit, 10 ** 6)
+    work_limit = _work_limit(args, doc)
     t = toric_ideal(gens)
     result: dict = {"mu": t.mu, "generators": []}
     lines = [f"mu = {t.mu}"]
@@ -344,8 +351,7 @@ def cmd_check_gluing(args) -> int:
     k2 = 1 if k2 is None else k2
     if k1 < 1 or k2 < 1:
         raise ValueError("k1 and k2 must be positive")
-    work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
-                          doc.work_limit, 10 ** 6)
+    work_limit = _work_limit(args, doc)
     report = verify_gluing(GluingCandidate(a, b, k1, k2), work_limit)
     _emit(args, "check-gluing", doc, {"work_limit": work_limit},
           _check_result(report), _check_lines(report))
@@ -357,8 +363,7 @@ def cmd_find_gluing(args) -> int:
     a = _gens(doc, "a", "find-gluing")
     b = _gens(doc, "b", "find-gluing")
     kmax = _kmax(args, doc)
-    work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
-                          doc.work_limit, 10 ** 6)
+    work_limit = _work_limit(args, doc)
     bounds = {"kmax": kmax, "work_limit": work_limit}
     nr = necessary_conditions(a, b, kmax)
     if not nr.ok and nr.definitive:

@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
 Everything here works over arbitrary-precision integers: ranks via
-fraction-free (Bareiss) elimination and kernels of integer matrices as
-saturated lattices with primitive basis vectors.  No floating point
-anywhere.
+fraction-free (Bareiss) elimination, kernels of integer matrices as
+saturated lattices with primitive basis vectors, and the longest
+independent suffix of a matrix's columns with an integer inverse over a
+common denominator.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -197,6 +199,67 @@ def kernel_lattice_basis(m: IntegerMatrix) -> tuple[Vector, ...]:
     if len(raw) > 1:
         raw = _size_reduce(raw)
     return tuple(sorted(primitive(tuple(v)) for v in raw))
+
+
+class IndependentSuffix(NamedTuple):
+    """The longest suffix of linearly independent columns, with an inverse.
+
+    Columns ``start`` to the last are linearly independent, and column
+    ``start - 1``, if there is one, lies in their rational span.  On the
+    selected ``rows`` the suffix is an invertible square matrix T_R, and
+    ``inverse`` is denominator * T_R^-1 with the smallest positive
+    denominator that makes it integral.
+    """
+
+    start: int
+    rows: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]
+    denominator: int
+
+
+def independent_suffix(m: IntegerMatrix) -> IndependentSuffix:
+    """Return the longest independent suffix of m's columns and its inverse.
+
+    Reduces the columns from the last one backwards against an echelon
+    basis, so the suffix's pivot rows come out of the same pass; the
+    echelon vectors vanish on each other's pivots, so those rows carry
+    an invertible square block.
+    """
+    cols = m.columns()
+    echelon: list[tuple[int, list[Fraction]]] = []
+    start = 0
+    for j in range(len(cols) - 1, -1, -1):
+        w = [Fraction(x) for x in cols[j]]
+        for piv, e in echelon:
+            if w[piv]:
+                f = w[piv] / e[piv]
+                w = [a - f * b for a, b in zip(w, e)]
+        piv = next((i for i, x in enumerate(w) if x), None)
+        if piv is None:
+            start = j + 1
+            break
+        echelon.append((piv, w))
+    rows = tuple(sorted(piv for piv, _ in echelon))
+    r = len(rows)
+    # Gauss-Jordan on [T_R | I].
+    work = [[Fraction(cols[start + k][i]) for k in range(r)]
+            + [Fraction(int(i == t)) for t in rows] for i in rows]
+    for c in range(r):
+        pivot = next(i for i in range(c, r) if work[i][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        lead = work[c][c]
+        work[c] = [x / lead for x in work[c]]
+        for i in range(r):
+            if i != c and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    inv = [row[r:] for row in work]
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
+    return IndependentSuffix(start, rows, inverse, den)
 
 
 def primitive(v) -> Vector:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -27,6 +28,7 @@ from .binomial import (
 )
 from .exactlin import (
     IntegerMatrix,
+    independent_suffix,
     kernel_lattice_basis,
     primitive,
     rank,
@@ -169,11 +171,47 @@ def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens) -> Vector:
     return u
 
 
+class _MemberPlan(NamedTuple):
+    """Per-matrix data for ``is_member``; see ``exactlin.independent_suffix``."""
+
+    cols: tuple[Vector, ...]
+    free: int                      # column before the independent tail, or -1
+    rows: tuple[int, ...]
+    inverse: tuple[Vector, ...]
+    denominator: int
+    tail: tuple[Vector, ...]       # the tail columns, row by row
+    shift: Vector                  # inverse * (free column on rows)
+
+
+@lru_cache(maxsize=64)
+def _member_plan(matrix: IntegerMatrix) -> _MemberPlan:
+    cols = matrix.columns()
+    suffix = independent_suffix(matrix)
+    start, rows, inverse = suffix.start, suffix.rows, suffix.inverse
+    shift: Vector = ()
+    if start > 0:
+        free_col = cols[start - 1]
+        shift = tuple(sum(a * free_col[i] for a, i in zip(row, rows))
+                      for row in inverse)
+    tail = tuple(row[start:] for row in matrix.entries)
+    return _MemberPlan(cols, start - 1, rows, inverse, suffix.denominator,
+                       tail, shift)
+
+
 def is_member(v, gens: SemigroupGens):
     """Return exponents e with gens.matrix * e == v, or None.
 
-    Exact: tries coefficients for each generator in decreasing order
-    with memoization on the remaining target.
+    Of all solutions e >= 0 the result is the lexicographically largest
+    in column order; None means v is not in the semigroup.  The longest
+    suffix of linearly independent columns (the tail) is not searched:
+    for a given rest of v it has at most one rational solution, read off
+    an integer inverse with denominator D.  The column just before the
+    tail lies in the tail's span, so the tail solution is affine in that
+    column's coefficient c, and the feasible c are an interval
+    intersected with one residue class modulo D; the largest is found in
+    at most D steps.  Only the columns before that are searched, each
+    coefficient in decreasing order, with memoization on the remaining
+    target.
     """
     v = tuple(int(x) for x in v)
     if len(v) != gens.ambient:
@@ -181,13 +219,40 @@ def is_member(v, gens: SemigroupGens):
                          f"{gens.ambient}")
     if any(x < 0 for x in v):
         return None
-    cols = gens.matrix.columns()
-    p = len(cols)
+    cols, free, rows, inverse, den, tail, shift = _member_plan(gens.matrix)
+
+    def last(rem: Vector):
+        # The tail solution for rem - c * cols[free] is (num - c * shift) / den.
+        num = [sum(a * rem[i] for a, i in zip(row, rows)) for row in inverse]
+        # It solves every row for one c iff it does for all: check at c = 0.
+        for trow, x in zip(tail, rem):
+            if den * x != sum(t * n for t, n in zip(trow, num)):
+                return None
+        if free < 0:
+            if any(n < 0 or n % den for n in num):
+                return None
+            return tuple(n // den for n in num)
+        col = cols[free]
+        lo, hi = 0, min(r // x for r, x in zip(rem, col) if x > 0)
+        for n, s in zip(num, shift):
+            if s > 0:
+                hi = min(hi, n // s)
+            elif s < 0:
+                lo = max(lo, -(n // -s))
+            elif n < 0:
+                return None
+        # The residue condition repeats with period den.
+        for c in range(hi, max(lo, hi - den + 1) - 1, -1):
+            if all((n - c * s) % den == 0 for n, s in zip(num, shift)):
+                return (c,) + tuple((n - c * s) // den
+                                    for n, s in zip(num, shift))
+        return None
+
     memo: dict = {}
 
     def solve(j: int, rem: Vector):
-        if j == p:
-            return () if all(x == 0 for x in rem) else None
+        if j >= free:  # the free column, or the tail when there is none
+            return last(rem)
         state = (j, rem)
         if state in memo:
             return memo[state]
@@ -195,9 +260,9 @@ def is_member(v, gens: SemigroupGens):
         cmax = min(r // c for r, c in zip(rem, col) if c > 0)
         found = None
         for c in range(cmax, -1, -1):
-            tail = solve(j + 1, tuple(r - c * x for r, x in zip(rem, col)))
-            if tail is not None:
-                found = (c,) + tail
+            rest = solve(j + 1, tuple(r - c * x for r, x in zip(rem, col)))
+            if rest is not None:
+                found = (c,) + rest
                 break
         memo[state] = found
         return found
@@ -458,10 +523,14 @@ def verify_gluing(cand: GluingCandidate,
         d_wit = is_member(tuple(cand.k1 * x for x in u), cand.b)
         if c_wit is not None and d_wit is not None:
             rho = _mixed_binomial(cand, c_wit, d_wit)
-            assert completes(rho), \
-                "coprime membership witnesses always give a gluing"
+            # Self-checks of the witnesses; explicit so that -O keeps them.
+            if not completes(rho):
+                raise AssertionError(
+                    "coprime membership witnesses always give a gluing")
             lev = _level(rho, cand, u)
-            assert lev == 1
+            if lev != 1:
+                raise AssertionError(
+                    f"coprime membership witnesses give level {lev}, not 1")
             return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
                                 detail="glued by coprime membership "
                                        "witnesses", **base)

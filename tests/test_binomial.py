@@ -2,6 +2,7 @@
 
 import pytest
 
+from semiglue import binomial
 from semiglue import (
     Binomial,
     BinomialIdeal,
@@ -143,6 +144,24 @@ def test_saturate_by_a_single_variable():
                                                     (0, 0, 1, 0)),)))
     by_x2 = saturate(ideal, ("x2",))
     assert ideal_equal(by_x2, ideal)
+
+
+def test_saturate_takes_one_groebner_run_per_variable(monkeypatch):
+    runs = []
+    real = binomial._buchberger
+
+    def counted(pairs, key):
+        runs.append(len(pairs))
+        return real(pairs, key)
+
+    monkeypatch.setattr(binomial, "_buchberger", counted)
+    sat = saturate(CURVE_CI)
+    assert len(runs) == 4
+    # The last sweep, interreduced, is the reduced basis of the curve.
+    assert sat.generators == buchberger(CURVE.generators, ORDER)
+    runs.clear()
+    saturate(CURVE_CI, ("x1", "x4"))
+    assert len(runs) == 3
 
 
 def test_saturate_requires_homogeneous_generators():

@@ -317,6 +317,30 @@ def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_nonpositive_work_limit_is_an_input_error(capsys, monkeypatch,
+                                                  tmp_path):
+    glue = CORPUS / "twisted_glue.txt"
+    for command in ("toric", "check-gluing", "find-gluing"):
+        for limit in ("0", "-5"):
+            code, out, err = run(capsys, command, glue, "--work-limit", limit)
+            assert code == 2, (command, limit)
+            assert "work limit must be positive" in err
+            assert out == ""
+        f = tmp_path / "zero.txt"
+        f.write_text(glue.read_text() + "work_limit: 0\n")
+        code, _, err = run(capsys, command, f)
+        assert code == 2, command
+        assert "work limit must be positive" in err
+        monkeypatch.setenv("SEMIGLUE_WORK_LIMIT", "-5")
+        code, _, err = run(capsys, command, glue)
+        monkeypatch.delenv("SEMIGLUE_WORK_LIMIT")
+        assert code == 2, command
+        assert "work limit must be positive" in err
+    code, _, _ = run(capsys, "toric", glue, "--degree-bound", "2 2 0",
+                     "--work-limit", "-5")
+    assert code == 2
+
+
 def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
     f = tmp_path / "betti.txt"
     f.write_text("betti_a: 1 3 2\nbetti_b: 1 3 2\n")

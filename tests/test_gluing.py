@@ -1,7 +1,11 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -170,6 +174,115 @@ def test_membership_search_is_freed_on_return():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _largest_solution(cols, v):
+    """Every solution of sum e_j cols[j] == v by plain recursion; the max."""
+    found = []
+
+    def walk(j, rem, prefix):
+        if j == len(cols):
+            if not any(rem):
+                found.append(prefix)
+            return
+        col = cols[j]
+        c = 0
+        while all(r - c * x >= 0 for r, x in zip(rem, col)):
+            walk(j + 1, tuple(r - c * x for r, x in zip(rem, col)),
+                 prefix + (c,))
+            c += 1
+
+    walk(0, tuple(v), ())
+    return max(found, default=None)
+
+
+def test_membership_returns_the_largest_solution():
+    rng = random.Random(20261018)
+    dependent = repeated = 0
+    for trial in range(240):
+        n = 1 + trial % 3
+        size = rng.randrange(1, 6 if n == 1 else 7)  # 5 points in N^1
+        cols = set()
+        while len(cols) < size:
+            if cols and rng.random() < 0.25:
+                # a repeated direction: a multiple of an existing column
+                c = tuple(2 * x for x in rng.choice(sorted(cols)))
+            else:
+                c = tuple(rng.randrange(6) for _ in range(n))
+            if any(c) and max(c) <= 5:
+                cols.add(c)
+        cols = sorted(cols)
+        rng.shuffle(cols)
+        gens = SemigroupGens.from_columns(cols, "x")
+        dependent += rank(gens.matrix) < len(cols)
+        repeated += any(rank(IntegerMatrix.from_columns([c, d])) == 1
+                        for i, c in enumerate(cols) for d in cols[:i])
+        for _ in range(3):
+            coef = [rng.randrange(3) for _ in cols]
+            v = [sum(e * c[i] for e, c in zip(coef, cols)) for i in range(n)]
+            if rng.random() < 0.5:
+                i = rng.randrange(n)
+                v[i] = max(0, v[i] + rng.choice((-1, 1)))
+            assert is_member(v, gens) == _largest_solution(cols, v), (cols, v)
+        u = tuple(rng.randrange(3) for _ in range(n))
+        if any(u):
+            expected = {}
+            for k in range(1, 5):
+                e = is_member(tuple(k * x for x in u), gens)
+                if e is not None:
+                    expected[k] = e
+            assert multiples_in_semigroup(u, gens, 4) == expected
+    assert dependent >= 80, dependent
+    assert repeated >= 10, repeated
+
+
+def test_membership_of_large_targets():
+    pair = SemigroupGens.from_columns([(3, 7), (5, 2)], "x")
+    # 3a + 5b = 7a + 2b = 100000 needs 29 | 300000.
+    assert is_member((100000, 100000), pair) is None
+    assert is_member((80000, 90000), pair) == (10000, 10000)
+    triple = SemigroupGens.from_columns([(3, 7), (5, 2), (4, 4)], "x")
+    # The tail (5, 2), (4, 4) has determinant 12.  For (20, 20) the
+    # interval allows 0 <= e1 <= 2, and e1 = 2 or 1 leaves a rational
+    # tail, so the residue class mod 12 decides for e1 = 0.
+    assert is_member((20, 20), triple) == (0, 0, 5)
+    assert _largest_solution(triple.matrix.columns(), (20, 20)) == (0, 0, 5)
+    e = is_member((100000, 100000), triple)
+    assert triple.matrix.matvec(e) == (100000, 100000)
+    # No larger first coefficient leaves a nonnegative integer tail.
+    for a in range(e[0] + 1, 100000 // 7 + 1):
+        x, y = 100000 - 3 * a, 100000 - 7 * a
+        b = Fraction(4 * x - 4 * y, 12)
+        c = Fraction(5 * y - 2 * x, 12)
+        assert not (b.denominator == c.denominator == 1 and b >= 0 <= c)
+
+
+def test_coprime_witness_checks_hold_under_optimization(tmp_path):
+    # is_member is replaced by one that answers for twice the target, so
+    # rho lands at level 2 and cannot complete the two ideals.
+    script = tmp_path / "doubled.py"
+    script.write_text(
+        "from semiglue import gluing\n"
+        "from semiglue.gluing import GluingCandidate, verify_gluing\n"
+        "from support import twisted_pair\n"
+        "real = gluing.is_member\n"
+        "gluing.is_member = lambda v, g: real(tuple(2 * x for x in v), g)\n"
+        "a, b = twisted_pair()\n"
+        "try:\n"
+        "    verify_gluing(GluingCandidate(a, b, 3, 2))\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("refused: coprime membership witnesses always "
+                           "give a gluing\n")
 
 
 def test_kmax_must_be_positive():
