@@ -17,11 +17,19 @@ where it is exactly the point.  The public ``Binomial.make`` constructor
 does cancel common factors, which is the right behaviour at input
 boundaries; building a ``Binomial`` directly keeps the exponents as
 given.
+
+Buchberger's algorithm keeps its live critical pairs as records
+``(lcm key, i, j, lcm)``: basis indices i < j, the lcm of their leading
+terms, and that lcm's order key.  ``(lcm key, i, j)`` is unique, so the
+smallest record is the next pair to process and the lcm itself is never
+compared; it is stored so that the Gebauer-Moeller update reads it
+instead of recomputing it for every surviving pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, itemgetter, le, mul, neg, sub
 
 Exponents = tuple[int, ...]
 RawBinomial = tuple[Exponents, Exponents]
@@ -161,12 +169,11 @@ class MonomialOrder:
         else:
             j = self.cheapest
             tail = (j,) + tuple(i for i in range(p - 1, -1, -1) if i != j)
+        # itemgetter of one index returns the item, not a 1-tuple
+        pick = itemgetter(*tail) if p > 1 else (lambda m: (m[0],))
 
-        def key(m, _w=w, _tail=tail):
-            out = [sum(a * b for a, b in zip(_w, m))]
-            for i in _tail:
-                out.append(-m[i])
-            return tuple(out)
+        def key(m, _w=w, _pick=pick):
+            return (sum(map(mul, _w, m)), *map(neg, _pick(m)))
 
         return key
 
@@ -176,15 +183,16 @@ class MonomialOrder:
 
 
 def _divides(d: Exponents, m: Exponents) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: Exponents, b: Exponents) -> bool:
-    return all(min(x, y) == 0 for x, y in zip(a, b))
+    # exponents are nonnegative, so a zero minimum means one side is zero
+    return not any(map(min, a, b))
 
 
 def _orient(pair: RawBinomial, key) -> RawBinomial | None:
@@ -197,29 +205,31 @@ def _orient(pair: RawBinomial, key) -> RawBinomial | None:
 def _spoly(f: RawBinomial, g: RawBinomial) -> RawBinomial | None:
     (u1, v1), (u2, v2) = f, g
     big = _lcm(u1, u2)
-    a = tuple(x + y - z for x, y, z in zip(v1, big, u1))
-    b = tuple(x + y - z for x, y, z in zip(v2, big, u2))
+    a = tuple(map(sub, map(add, v1, big), u1))
+    b = tuple(map(sub, map(add, v2, big), u2))
     if a == b:
         return None
     return (a, b)
 
 
-def _nf_mono(m: Exponents, basis, key) -> Exponents:
-    """Reduce the monomial m by the leading terms of basis until stable."""
-    changed = True
-    while changed:
-        changed = False
+def _nf_mono(m: Exponents, basis) -> Exponents:
+    """Reduce the monomial m by the leading terms of basis until stable.
+
+    Each step uses the first element, in basis order, whose leading term
+    divides m.
+    """
+    while True:
         for lu, lv in basis:
-            if _divides(lu, m):
-                m = tuple(a - b + c for a, b, c in zip(m, lu, lv))
-                changed = True
+            if all(map(le, lu, m)):
+                m = tuple(map(add, map(sub, m, lu), lv))
                 break
-    return m
+        else:
+            return m
 
 
 def _reduce_pair(pair: RawBinomial, basis, key) -> RawBinomial | None:
-    u = _nf_mono(pair[0], basis, key)
-    v = _nf_mono(pair[1], basis, key)
+    u = _nf_mono(pair[0], basis)
+    v = _nf_mono(pair[1], basis)
     if u == v:
         return None
     return _orient((u, v), key)
@@ -228,33 +238,31 @@ def _reduce_pair(pair: RawBinomial, basis, key) -> RawBinomial | None:
 def _gm_update(basis, pairs, t: int, key) -> None:
     """Add the pairs for the new element basis[t], pruned Gebauer-Moeller style.
 
-    ``pairs`` holds live critical pairs as (lcm key, i, j) with i < j;
-    it is filtered and extended in place.
+    ``pairs`` holds live critical pairs as (lcm key, i, j, lcm) with
+    i < j; it is filtered and extended in place.
     """
     leads = [g[0] for g in basis]
     lt = leads[t]
-    lcms = [_lcm(leads[i], lt) for i in range(t)]
+    lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
     # drop old pairs whose S-polynomial the new element now takes care of
     survivors = []
     for entry in pairs:
-        _, i, j = entry
-        lij = _lcm(leads[i], leads[j])
-        if _divides(lt, lij) and lcms[i] != lij and lcms[j] != lij:
+        _, i, j, lij = entry
+        if all(map(le, lt, lij)) and lcms[i] != lij and lcms[j] != lij:
             continue
         survivors.append(entry)
     # among the new pairs keep only minimal lcms, one per value, and
     # finally discard those with coprime leading terms
-    chosen: list[int] = []
-    for i in sorted(range(t), key=lambda i: (key(lcms[i]), i)):
+    chosen: list[Exponents] = []
+    for k, i in sorted([(key(lij), i) for i, lij in enumerate(lcms)]):
+        lij = lcms[i]
         if _coprime(leads[i], lt):
-            chosen.append(i)
+            chosen.append(lij)
             continue
-        if any(_divides(lcms[j], lcms[i]) for j in chosen):
+        if any(all(map(le, c, lij)) for c in chosen):
             continue
-        chosen.append(i)
-    for i in chosen:
-        if not _coprime(leads[i], lt):
-            survivors.append((key(lcms[i]), i, t))
+        chosen.append(lij)
+        survivors.append((k, i, t, lij))
     pairs[:] = survivors
 
 
@@ -290,7 +298,7 @@ def _complete(basis, pairs, key, upto: int | None = None) -> None:
         if upto is not None and entry[0][0] > upto:
             return
         pairs.remove(entry)
-        _, i, j = entry
+        _, i, j, _ = entry
         s = _spoly(basis[i], basis[j])
         if s is None:
             continue
@@ -315,7 +323,7 @@ def _interreduce(basis, key) -> tuple[RawBinomial, ...]:
     minimal = [basis[i] for i in kept]
     reduced = []
     for u, v in minimal:
-        v2 = _nf_mono(v, minimal, key)
+        v2 = _nf_mono(v, minimal)
         assert v2 != u
         reduced.append((u, v2))
     reduced.sort(key=lambda g: key(g[0]))
@@ -382,7 +390,7 @@ def normal_form(f, basis, order: MonomialOrder):
     raw = [g.as_pair() for g in basis]
     key = order.key_function()
     if isinstance(f, Monomial):
-        return Monomial(f.block, _nf_mono(f.exponents, raw, key))
+        return Monomial(f.block, _nf_mono(f.exponents, raw))
     assert isinstance(f, Binomial)
     r = _reduce_pair(f.as_pair(), raw, key)
     if r is None:
@@ -398,6 +406,7 @@ class BinomialIdeal:
     block: VariableBlock
     generators: tuple[Binomial, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _reducers: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         assert all(isinstance(g, Binomial) and g.block == self.block
@@ -407,20 +416,35 @@ class BinomialIdeal:
 
     def groebner(self, order: MonomialOrder) -> tuple[Binomial, ...]:
         """Return the reduced Groebner basis under the given order."""
+        return self._groebner(order, None)
+
+    def _groebner(self, order: MonomialOrder, key) -> tuple[Binomial, ...]:
         assert len(order.weights) == self.block.size
         cached = self._cache.get(order)
         if cached is None:
-            key = order.key_function()
-            gb = _buchberger([g.as_pair() for g in self.generators], key)
+            gb = _buchberger([g.as_pair() for g in self.generators],
+                             key or order.key_function())
             cached = tuple(Binomial(Monomial(self.block, u),
                                     Monomial(self.block, v)) for u, v in gb)
             self._cache[order] = cached
         return cached
 
     def contains(self, f: Binomial, weights=None) -> bool:
-        """Return whether the binomial f lies in the ideal."""
-        order = _default_order(self.block, weights)
-        return normal_form(f, self.groebner(order), order) is None
+        """Return whether the binomial f lies in the ideal.
+
+        The reduced basis and order key for the weights are built on the
+        first call and reused by later ones.
+        """
+        if weights is not None:
+            weights = tuple(weights)
+        reducer = self._reducers.get(weights)
+        if reducer is None:
+            order = _default_order(self.block, weights)
+            key = order.key_function()
+            raw = [g.as_pair() for g in self._groebner(order, key)]
+            reducer = self._reducers[weights] = (raw, key)
+        raw, key = reducer
+        return _reduce_pair(f.as_pair(), raw, key) is None
 
 
 def _default_order(block: VariableBlock, weights) -> MonomialOrder:

@@ -430,10 +430,15 @@ def _level(w: Binomial, cand: GluingCandidate, u: Vector | None) -> int:
                          "degree, hence not in the glued toric ideal")
     nz = next(i for i, x in enumerate(u) if x != 0)
     scale = Fraction(va[nz], u[nz])
-    assert all(x == scale * y for x, y in zip(va, u)), \
-        "a glued-homogeneous drop lands on the meeting line"
+    # Self-checks of the glued grading; explicit so that -O keeps them.
+    if any(x != scale * y for x, y in zip(va, u)):
+        raise AssertionError(
+            f"the glued-homogeneous drop {va} misses the meeting line")
     ell = scale / cand.k2
-    assert ell.denominator == 1
+    if ell.denominator != 1:
+        raise AssertionError(
+            f"the glued-homogeneous drop {va} has level {ell}, "
+            "not an integer")
     return abs(int(ell))
 
 

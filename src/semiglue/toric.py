@@ -180,8 +180,13 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
     gb = _interreduce(_saturate_raw(pairs, weights), key)
     gens = []
     for u, v in gb:
-        assert _coprime(u, v), "toric Groebner elements have disjoint support"
-        assert matrix.matvec(u) == matrix.matvec(v)
+        # Self-checks of the saturation; explicit so that -O keeps them.
+        if not _coprime(u, v):
+            raise AssertionError(
+                f"toric Groebner element {u} - {v} has overlapping support")
+        if matrix.matvec(u) != matrix.matvec(v):
+            raise AssertionError(
+                f"toric Groebner element {u} - {v} is not homogeneous")
         gens.append(Binomial(Monomial(block, u), Monomial(block, v)))
     ideal = BinomialIdeal(block, tuple(gens))
     ideal._cache[order] = tuple(gens)

@@ -1,5 +1,8 @@
 """Binomials, term orders, Groebner bases and saturation."""
 
+import random
+from itertools import product
+
 import pytest
 
 from semiglue import binomial
@@ -104,6 +107,25 @@ def test_membership_separates_curve_from_complete_intersection():
     assert not CURVE.contains(b4((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
+def test_contains_builds_its_reducer_once(monkeypatch):
+    real = MonomialOrder.key_function
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return real(order)
+
+    monkeypatch.setattr(MonomialOrder, "key_function", counted)
+    curve = BinomialIdeal(X4, CURVE.generators)
+    probes = [G_MIX, b4((1, 0, 0, 0), (0, 1, 0, 0))] * 25
+    answers = [curve.contains(f) for f in probes]
+    assert answers == [True, False] * 25
+    assert calls == [ORDER]
+    curve.contains(G_MIX, weights=[2, 1, 1, 1])
+    curve.contains(G_MIX, weights=(2, 1, 1, 1))
+    assert calls == [ORDER, MonomialOrder.degrevlex((2, 1, 1, 1))]
+
+
 def test_normal_form_zero_exactly_on_members():
     gb = CURVE.groebner(ORDER)
     assert normal_form(G_MIX, gb, ORDER) is None
@@ -180,3 +202,105 @@ def test_embed_pads_with_zeros():
     assert g.as_pair() == ((0, 1, 0, 0), (0, 0, 2, 0))
     with pytest.raises(AssertionError):
         embed(f, target, 0)
+
+
+# -- the raw engine against a textbook Buchberger ----------------------------
+
+def textbook_key(weights, cheapest):
+    """Weighted degree, then reverse lexicographic with one cheapest variable."""
+    p = len(weights)
+    tail = [i for i in range(p - 1, -1, -1) if i != cheapest]
+    if cheapest is not None:
+        tail.insert(0, cheapest)
+
+    def key(m):
+        return (sum(w * e for w, e in zip(weights, m)),) \
+            + tuple(-m[i] for i in tail)
+
+    return key
+
+
+def textbook_groebner(gens, key):
+    """Buchberger with every pair processed and full reduction, no criteria."""
+    def divides(d, m):
+        return all(a <= b for a, b in zip(d, m))
+
+    def nf(m, basis):
+        while True:
+            for lu, lv in basis:
+                if divides(lu, m):
+                    m = tuple(a - b + c for a, b, c in zip(m, lu, lv))
+                    break
+            else:
+                return m
+
+    def orient(u, v):
+        return None if u == v else (u, v) if key(u) > key(v) else (v, u)
+
+    def pairs_with(j):
+        for i in range(j):
+            big = tuple(max(a, b) for a, b in zip(basis[i][0], basis[j][0]))
+            yield (key(big), i, j, big)
+
+    basis = [g for g in (orient(u, v) for u, v in gens) if g is not None]
+    todo = [pr for j in range(len(basis)) for pr in pairs_with(j)]
+    while todo:
+        # the normal strategy: the smallest lcm first
+        todo.sort(reverse=True)
+        _, i, j, big = todo.pop()
+        (u1, v1), (u2, v2) = basis[i], basis[j]
+        a = tuple(x + y - z for x, y, z in zip(v1, big, u1))
+        b = tuple(x + y - z for x, y, z in zip(v2, big, u2))
+        r = orient(nf(a, basis), nf(b, basis))
+        if r is not None:
+            basis.append(r)
+            todo += pairs_with(len(basis) - 1)
+    return binomial._interreduce(basis, key)
+
+
+def random_homogeneous_binomials(rng, p):
+    """Return positive weights and 2 to 4 binomials homogeneous for them."""
+    fibers = []
+    while not fibers:
+        weights = tuple(rng.randrange(1, 4) for _ in range(p))
+        by_degree = {}
+        for m in product(range(3), repeat=p):
+            by_degree.setdefault(sum(w * e for w, e in zip(weights, m)),
+                                 []).append(m)
+        fibers = [ms for ms in by_degree.values() if len(ms) > 1]
+    gens = []
+    for _ in range(rng.randrange(2, 5)):
+        u, v = rng.sample(rng.choice(fibers), 2)
+        gens.append((u, v))
+    return weights, gens
+
+
+def test_buchberger_matches_a_textbook_run(monkeypatch):
+    real_update = binomial._gm_update
+    checked = []
+
+    def checked_update(basis, pairs, t, key):
+        real_update(basis, pairs, t, key)
+        for lkey, i, j, lij in pairs:
+            assert i < j <= t
+            assert lij == tuple(map(max, basis[i][0], basis[j][0]))
+            assert lkey == key(lij)
+        checked.append(len(pairs))
+
+    monkeypatch.setattr(binomial, "_gm_update", checked_update)
+    rng = random.Random(20261018)
+    cheapest_seen = set()
+    for case in range(200):
+        p = 2 + case % 5
+        cheapest = (None, *range(p))[case // 5 % (p + 1)]
+        weights, gens = random_homogeneous_binomials(rng, p)
+        key = MonomialOrder.degrevlex(weights, cheapest=cheapest).key_function()
+        reference_key = textbook_key(weights, cheapest)
+        for m in (u for pair in gens for u in pair):
+            assert key(m) == reference_key(m)
+        got = binomial._buchberger(gens, key)
+        want = textbook_groebner(gens, reference_key)
+        assert got == want, (weights, gens, cheapest)
+        cheapest_seen.add((p, cheapest))
+    assert len(cheapest_seen) == sum(p + 1 for p in range(2, 7))
+    assert sum(checked) > 0

@@ -439,6 +439,35 @@ def test_input_errors_hold_under_optimization(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def corpus_command(text):
+    """Return the CLI command for a corpus file: its keys pick it."""
+    keys = {line.split(":")[0].strip()
+            for line in text.splitlines() if ":" in line}
+    if "i" in keys:
+        return "embed-glue"
+    if "k1" in keys or "k2" in keys:
+        return "check-gluing"
+    return "find-gluing"
+
+
+def test_every_corpus_file_answers_the_same_under_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    files = sorted(CORPUS.glob("*.txt"))
+    assert len(files) >= 11
+    for path in files:
+        argv = ["-m", "semiglue", corpus_command(path.read_text()),
+                str(path), "--json"]
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, timeout=120)
+            for flags in ((), ("-O",)))
+        assert plain.returncode in (0, 1, 3), (path.name, plain.stderr)
+        assert optimized.returncode == plain.returncode, path.name
+        assert optimized.stdout == plain.stdout, path.name
+        json.loads(plain.stdout)
+
+
 def test_membership_without_vector(capsys):
     code, _, err = run(capsys, "membership", CORPUS / "twisted_glue.txt")
     assert code == 2

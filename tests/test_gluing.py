@@ -414,6 +414,42 @@ def test_level_requires_coprime_scalings():
         level(w, cand)
 
 
+def test_level_checks_hold_under_optimization(tmp_path):
+    # A wrong meeting point u: the drop 6 * (1, 1, 0) of the twisted
+    # gluing binomial is off the line through (1, 2, 0), and its level
+    # over (4, 4, 0) would be 3/2.
+    script = tmp_path / "wrong_point.py"
+    script.write_text(
+        "from semiglue import Binomial, Monomial\n"
+        "from semiglue.gluing import GluingCandidate, _level\n"
+        "from support import twisted_pair\n"
+        "cand = GluingCandidate(*twisted_pair())\n"
+        "block = cand.c_block\n"
+        "w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),\n"
+        "             Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))\n"
+        "print(_level(w, cand, (1, 1, 0)))\n"
+        "for u in ((1, 2, 0), (4, 4, 0)):\n"
+        "    try:\n"
+        "        _level(w, cand, u)\n"
+        "    except AssertionError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "6\n"
+        "refused: the glued-homogeneous drop (-6, -6, 0) misses the "
+        "meeting line\n"
+        "refused: the glued-homogeneous drop (-6, -6, 0) has level -3/2, "
+        "not an integer\n")
+
+
 def test_level_rejects_inhomogeneous_binomials():
     cand = GluingCandidate(*twisted_pair())
     w = mixed(cand, (0, 0, 0, 0, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0))

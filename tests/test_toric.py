@@ -1,6 +1,10 @@
 """Toric ideals of semigroup generators, with a brute-force oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,33 @@ def test_toric_ideals_agree_with_sympy_elimination():
         theirs_gb = sympy.groebner(theirs, *xs, order="grevlex")
         assert all(theirs_gb.contains(f) for f in ours), m
         assert all(ours_gb.contains(f) for f in theirs), m
+
+
+def test_toric_self_checks_hold_under_optimization(tmp_path):
+    # The saturation is replaced by one that returns a single wrong
+    # element: x1*x2 - x2*x3 shares x2 between its sides, and x1 - x2 is
+    # not homogeneous for the plane cubic.
+    script = tmp_path / "wrong_saturation.py"
+    script.write_text(
+        "from semiglue import SemigroupGens, toric\n"
+        "gens = SemigroupGens.from_columns(\n"
+        "    [(3, 0), (2, 1), (1, 2), (0, 3)], 'x')\n"
+        "for wrong in (((1, 1, 0, 0), (0, 1, 1, 0)),\n"
+        "              ((1, 0, 0, 0), (0, 1, 0, 0))):\n"
+        "    toric._saturate_raw = lambda pairs, weights: [wrong]\n"
+        "    try:\n"
+        "        toric.toric_ideal(gens)\n"
+        "    except AssertionError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: toric Groebner element (1, 1, 0, 0) - (0, 1, 1, 0) has "
+        "overlapping support\n"
+        "refused: toric Groebner element (1, 0, 0, 0) - (0, 1, 0, 0) is not "
+        "homogeneous\n")
