@@ -341,10 +341,13 @@ def _is_homogeneous(pairs, weights) -> bool:
 def _saturate_raw(pairs, weights, variables=None) -> list[RawBinomial]:
     """Saturate the ideal of pairs by the product of the given variables.
 
-    Needs every pair homogeneous under the positive weights.  One sweep:
-    for each variable, take a Groebner basis under the degree reverse
-    lexicographic order that makes it the cheapest variable, then strip
-    the common power of that variable from every element.
+    Needs every pair homogeneous under the positive weights.
+    ``variables`` is an ordered list of indices, all of them in
+    ascending order by default.  One sweep per variable, in that order:
+    take a Groebner basis under the degree reverse lexicographic order
+    that makes it the cheapest variable, then strip the common power of
+    that variable from every element.  The result is a Groebner basis
+    under the order of the last sweep.
     """
     assert _is_homogeneous(pairs, weights)
     p = len(weights)

@@ -7,9 +7,12 @@ the matrix kernel.  This module computes that ideal with a minimal
 generating set graded by the semigroup, and provides an independent
 brute-force enumeration of low-degree members for cross-checking.
 
-The Groebner data of each ideal is computed once.  The last saturation
-sweep strips the last variable from a Groebner basis under the ideal's
-own weighted reverse lexicographic order, which by Bayer and Stillman
+The Groebner data of each ideal is computed once.  Saturation sweeps
+only the variables that the sign pattern of the kernel basis requires
+(``_sweep_variables``): a set of coordinates on which every basis vector
+keeps one sign needs no sweep.  The last variable is always swept, and
+last: that sweep strips it from a Groebner basis under the ideal's own
+weighted reverse lexicographic order, which by Bayer and Stillman
 leaves a Groebner basis of the saturation, so interreducing it gives the
 reduced basis.  The minimal generators then come from one Buchberger run
 over the kept generators, completed degree by degree as the scan rises.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .binomial import (
     Binomial,
@@ -151,6 +155,46 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
                              gset.weights)
 
 
+def _sweep_variables(basis, p: int) -> list[int]:
+    """Return the variables whose saturation sweeps the lattice basis needs.
+
+    Let L be the lattice spanned by ``basis`` and I_B the ideal of its
+    binomials.  If every basis vector is >= 0 or <= 0 on a coordinate set
+    S, then I_L = I_B : (prod of x_j for j not in S)^infinity.  Proof:
+    flip each b in the basis so that it is >= 0 on S, and write
+    l = sum of c_k b_k.  Walk from l- to l+ one basis step at a time,
+    first adding the b_k with c_k > 0, then subtracting the b_k with
+    c_k < 0.  On S the walk stays >= l- during the first phase and >= l+
+    during the second, so it never goes negative there; a large enough
+    monomial in the other variables keeps it nonnegative everywhere.
+    Each step from a to a + b is then a multiple of x^(b+) - x^(b-), so
+    that monomial times x^(l+) - x^(l-) lies in I_B.  I_L is saturated
+    and contains I_B, so it equals that saturation.
+
+    S is chosen greedily among 0..p-2, where i and j conflict when some
+    basis vector has v_i * v_j < 0: repeatedly take the candidate with
+    the fewest conflicts among the remaining candidates (ties to the
+    smallest index) and drop its conflicts.  Returned are the other
+    variables in ascending order and then p - 1, which is always swept
+    last: its sweep runs under the ideal's own order, in which p - 1 is
+    cheapest, so its output interreduces to the reduced Groebner basis.
+    """
+    conflicts: list[set] = [set() for _ in range(p - 1)]
+    for v in basis:
+        for i, j in combinations(range(p - 1), 2):
+            if v[i] * v[j] < 0:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    candidates = set(range(p - 1))
+    keep = set()
+    while candidates:
+        i = min(candidates,
+                key=lambda c: (len(conflicts[c] & candidates), c))
+        keep.add(i)
+        candidates -= conflicts[i] | {i}
+    return [j for j in range(p - 1) if j not in keep] + [p - 1]
+
+
 @lru_cache(maxsize=None)
 def toric_ideal_of_matrix(matrix: IntegerMatrix,
                           block: VariableBlock) -> GradedBinomialSet:
@@ -160,16 +204,22 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
     which matters when two scaled semigroups contribute equal
     generators.
     """
-    assert matrix.cols == block.size
-    assert all(x >= 0 for row in matrix.entries for x in row)
+    # Explicit so that -O keeps them: a zero column makes the
+    # saturation run forever, a negative entry gives a wrong ideal.
+    if matrix.cols != block.size:
+        raise ValueError("one variable per column, in order")
+    if any(x < 0 for row in matrix.entries for x in row):
+        raise ValueError("the matrix must have nonnegative entries")
     cols = matrix.columns()
-    assert all(any(x != 0 for x in c) for c in cols)
+    if not all(any(c) for c in cols):
+        raise ValueError("zero columns are not allowed")
     weights = tuple(sum(c) for c in cols)
     order = MonomialOrder.degrevlex(weights)
     key = order.key_function()
 
+    basis = kernel_lattice_basis(matrix)
     pairs = []
-    for v in kernel_lattice_basis(matrix):
+    for v in basis:
         plus = tuple(x if x > 0 else 0 for x in v)
         minus = tuple(-x if x < 0 else 0 for x in v)
         pairs.append((plus, minus))
@@ -177,7 +227,8 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
         return GradedBinomialSet(BinomialIdeal(block, ()), {}, weights)
 
     # The last sweep already leaves a Groebner basis under this order.
-    gb = _interreduce(_saturate_raw(pairs, weights), key)
+    sweeps = _sweep_variables(basis, matrix.cols)
+    gb = _interreduce(_saturate_raw(pairs, weights, sweeps), key)
     gens = []
     for u, v in gb:
         # Self-checks of the saturation; explicit so that -O keeps them.

@@ -24,8 +24,12 @@ from semiglue import (
     normal_form,
     toric_ideal,
 )
+from semiglue import toric
+from semiglue.binomial import _interreduce, _saturate_raw
+from semiglue.exactlin import kernel_lattice_basis
 from semiglue.toric import (
     GradedBinomialSet,
+    _sweep_variables,
     fiber_monomials,
     minimal_generators,
     toric_ideal_of_matrix,
@@ -258,7 +262,7 @@ def test_toric_self_checks_hold_under_optimization(tmp_path):
         "    [(3, 0), (2, 1), (1, 2), (0, 3)], 'x')\n"
         "for wrong in (((1, 1, 0, 0), (0, 1, 1, 0)),\n"
         "              ((1, 0, 0, 0), (0, 1, 0, 0))):\n"
-        "    toric._saturate_raw = lambda pairs, weights: [wrong]\n"
+        "    toric._saturate_raw = lambda pairs, weights, variables=None: [wrong]\n"
         "    try:\n"
         "        toric.toric_ideal(gens)\n"
         "    except AssertionError as exc:\n"
@@ -275,3 +279,104 @@ def test_toric_self_checks_hold_under_optimization(tmp_path):
         "overlapping support\n"
         "refused: toric Groebner element (1, 0, 0, 0) - (0, 1, 0, 0) is not "
         "homogeneous\n")
+
+
+def _lattice_pairs(m):
+    return [(tuple(x if x > 0 else 0 for x in v),
+             tuple(-x if x < 0 else 0 for x in v))
+            for v in kernel_lattice_basis(m)]
+
+
+def test_skipped_sweeps_give_the_same_toric_ideal():
+    # Reference: saturate the lattice-basis ideal by every variable.
+    rng = random.Random(20261018)
+    for trial in range(300):
+        rows = rng.randint(1, 3)
+        cols = rng.randint(3, min(7, 5 ** rows - 1))
+        columns = []
+        while len(columns) < cols:
+            c = tuple(rng.randint(0, 4) for _ in range(rows))
+            if any(c) and c not in columns:
+                columns.append(c)
+        m = IntegerMatrix.from_columns(columns)
+        block = VariableBlock.prefixed("x", m.cols)
+        basis = kernel_lattice_basis(m)
+        sweeps = _sweep_variables(basis, m.cols)
+        assert sweeps[-1] == m.cols - 1, m
+        skipped = set(range(m.cols)) - set(sweeps)
+        assert skipped, m
+        for v in basis:
+            assert all(v[i] >= 0 for i in skipped) or \
+                all(v[i] <= 0 for i in skipped), (m, v, skipped)
+        t = toric_ideal_of_matrix(m, block)
+        weights = t.weights
+        order = MonomialOrder.degrevlex(weights)
+        key = order.key_function()
+        pairs = _lattice_pairs(m)
+        full = _interreduce(_saturate_raw(pairs, weights), key) if pairs else []
+        gens = tuple(mk(block, u, v) for u, v in full)
+        assert t.ideal.groebner(order) == gens, m
+        ideal = BinomialIdeal(block, gens)
+        ideal._cache[order] = gens
+        want = minimal_generators(GradedBinomialSet(
+            ideal, {g: m.matvec(g.plus.exponents) for g in gens}, weights))
+        assert t.ideal.generators == want.ideal.generators, m
+        assert t.adegrees == want.adegrees, m
+
+
+def test_skipping_a_conflicting_pair_loses_a_generator():
+    m = IntegerMatrix.from_columns([(2, 1), (0, 3), (1, 1), (0, 2)])
+    basis = kernel_lattice_basis(m)
+    assert basis == ((1, -1, -2, 2), (1, 1, -2, -1))
+    # (1, -1, -2, 2) has opposite signs at 0 and 2, so {0, 2} may not
+    # be skipped; {0} alone may.
+    assert _sweep_variables(basis, 4) == [1, 2, 3]
+    weights = tuple(sum(c) for c in m.columns())
+    key = MonomialOrder.degrevlex(weights).key_function()
+    pairs = _lattice_pairs(m)
+    full = _interreduce(_saturate_raw(pairs, weights), key)
+    assert len(full) == 4
+    assert _interreduce(_saturate_raw(pairs, weights, [1, 2, 3]), key) == full
+    assert len(_interreduce(_saturate_raw(pairs, weights, [1, 3]), key)) == 3
+
+
+def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
+    swept = []
+
+    def counting(pairs, weights, variables=None):
+        swept.append(list(variables))
+        return _saturate_raw(pairs, weights, variables)
+
+    monkeypatch.setattr(toric, "_saturate_raw", counting)
+    m = IntegerMatrix.from_columns([(3, 0, 1), (0, 2, 1), (1, 1, 0), (2, 0, 2),
+                                    (0, 1, 3), (1, 3, 1), (2, 2, 0)])
+    t = toric_ideal_of_matrix.__wrapped__(m, VariableBlock.prefixed("x", 7))
+    assert swept == [[0, 2, 4, 5, 6]]
+    assert t.ideal.generators == toric_ideal_of_matrix(
+        m, VariableBlock.prefixed("x", 7)).ideal.generators
+
+
+def test_toric_input_checks_hold_under_optimization(tmp_path):
+    script = tmp_path / "bad_matrices.py"
+    script.write_text(
+        "from semiglue import IntegerMatrix, VariableBlock\n"
+        "from semiglue.toric import toric_ideal_of_matrix\n"
+        "for cols, size in ((((1, 2), (0, 0), (2, 1)), 3),\n"
+        "                   (((1, 2), (-1, 0), (2, 1)), 3),\n"
+        "                   (((1, 2), (2, 1)), 3)):\n"
+        "    m = IntegerMatrix.from_columns(cols)\n"
+        "    try:\n"
+        "        toric_ideal_of_matrix(m, VariableBlock.prefixed('x', size))\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: zero columns are not allowed\n"
+        "refused: the matrix must have nonnegative entries\n"
+        "refused: one variable per column, in order\n")
