@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import floordiv, sub
 
 from .binomial import (
     Binomial,
@@ -36,7 +37,6 @@ from .binomial import (
     _coprime,
     _gm_update,
     _interreduce,
-    _orient,
     _reduce_pair,
     _saturate_raw,
     _wdeg,
@@ -252,57 +252,98 @@ def toric_ideal(gens: SemigroupGens) -> GradedBinomialSet:
 
 def _walk(matrix: IntegerMatrix, start, work_limit: int,
           exact: bool) -> tuple:
-    """Return exponent vectors m with matrix * m <= start, or == if exact.
+    """Return (start - matrix * m, m) for m with matrix * m <= start, or ==.
 
-    Every node of the depth-first walk counts against work_limit.
+    ``start`` is nonnegative.  The exponent vectors m come in
+    lexicographic order: the leaves of a walk that takes column 0 some
+    c = 0, 1, ... times, then column 1, and so on, down to the last
+    column.  Every node of that walk, root and leaves included, counts
+    against work_limit, and the walk raises ``BoundTooLarge`` exactly
+    when their number passes it.
+
+    The walk runs depth first on an explicit stack, so it holds only the
+    pending siblings of its path and the output.  A node above the last
+    column with remainder r has ``top + 1`` children, where top is the
+    largest c with r - c * col >= 0; at the last column they are counted
+    at once.  Box mode keeps those nodes and builds their leaves only
+    once the walk is known to fit; exact mode keeps the one leaf whose
+    remainder is zero, c = top, if r == top * col.
     """
     cols = matrix.columns()
     p = len(cols)
+    if not all(max(col) > 0 for col in cols):
+        # Such a column fits any number of times: the walk never ends.
+        raise _too_large(exact, work_limit)
+    # Only the rows where a column is positive bound how often it fits.
+    fits = []
+    for col in cols:
+        rows = tuple(i for i, b in enumerate(col) if b > 0)
+        fits.append((rows, tuple(col[i] for i in rows)))
+    last = cols[-1]
+    zero = (0,) * len(start)
     out = []
-    spent = 0
-
-    def dfs(j: int, remaining, prefix) -> None:
-        nonlocal spent
-        spent += 1
+    tails = []
+    spent = 1
+    stack = [(start, ())]
+    while stack:
+        rem, prefix = stack.pop()
+        j = len(prefix)
+        rows, vals = fits[j]
+        top = min(map(floordiv, map(rem.__getitem__, rows), vals))
+        spent += top + 1
         if spent > work_limit:
-            kind = "fiber" if exact else "box"
-            raise BoundTooLarge(f"{kind} enumeration passed {work_limit} steps")
-        if j == p:
-            if not exact or all(x == 0 for x in remaining):
-                out.append(prefix)
-            return
-        col = cols[j]
-        c = 0
-        rem = remaining
-        while True:
-            dfs(j + 1, rem, prefix + (c,))
-            nxt = tuple(a - b for a, b in zip(rem, col))
-            if any(x < 0 for x in nxt):
-                return
-            rem, c = nxt, c + 1
-
-    try:
-        dfs(0, start, ())
-    finally:
-        # dfs reaches itself through its closure; breaking that cycle
-        # frees the walk now, not at the next cyclic garbage collection.
-        dfs = None
+            raise _too_large(exact, work_limit)
+        if j == p - 1:
+            if not exact:
+                tails.append((rem, prefix, top))
+            elif all(x == top * b for x, b in zip(rem, last)):
+                out.append((zero, prefix + (top,)))
+            continue
+        children = _steps(rem, prefix, cols[j], top)
+        children.reverse()
+        stack += children
+    for rem, prefix, top in tails:
+        out += _steps(rem, prefix, last, top)
     return tuple(out)
+
+
+def _steps(rem, prefix, col, top: int) -> list:
+    """Return [(rem - c * col, prefix + (c,)) for c = 0, ..., top]."""
+    out = [(rem, prefix + (0,))]
+    for c in range(1, top + 1):
+        rem = tuple(map(sub, rem, col))
+        out.append((rem, prefix + (c,)))
+    return out
+
+
+def _too_large(exact: bool, work_limit: int) -> BoundTooLarge:
+    kind = "fiber" if exact else "box"
+    return BoundTooLarge(f"{kind} enumeration passed {work_limit} steps")
 
 
 def fiber_monomials(matrix: IntegerMatrix, degree,
                     work_limit: int = 10 ** 6) -> tuple:
-    """Return all exponent vectors m with matrix * m == degree."""
+    """Return all exponent vectors m with matrix * m == degree.
+
+    They come in lexicographic order, and the walk that finds them
+    counts against work_limit as ``_walk`` describes.
+    """
     degree = tuple(int(x) for x in degree)
-    assert len(degree) == matrix.rows
+    # Explicit so that -O keeps it: a wrong-length degree gives a wrong fiber.
+    if len(degree) != matrix.rows:
+        raise ValueError(f"the degree needs {matrix.rows} entries, "
+                         f"got {len(degree)}")
     if any(x < 0 for x in degree):
         return ()
-    return _walk(matrix, degree, work_limit, exact=True)
+    return tuple(m for _, m in _walk(matrix, degree, work_limit, exact=True))
 
 
 def _monomials_in_box(matrix: IntegerMatrix, bound,
                       work_limit: int) -> tuple:
-    """Return all exponent vectors m with matrix * m <= bound componentwise."""
+    """Return (bound - matrix * m, m) for each m with matrix * m <= bound.
+
+    The bound is nonnegative; the pairs come as ``_walk`` returns them.
+    """
     return _walk(matrix, tuple(int(x) for x in bound), work_limit,
                  exact=False)
 
@@ -313,8 +354,13 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
 
     Brute force and independent of any Groebner computation: list all
     monomials whose degree fits under the componentwise bound, bucket
-    them by degree, and pair up each bucket.  Useful as an oracle for
-    the algebra in this package, not as a way to compute with it.
+    them by degree, and pair up each bucket.  A monomial's degree is the
+    bound minus the remainder that the box walk returns with it, so the
+    buckets are keyed by remainder.  Each bucket is sorted once by the
+    term order, so each pair is oriented with its larger monomial first;
+    the binomials come sorted by ``_canonical_key``.  Useful as an
+    oracle for the algebra in this package, not as a way to compute
+    with it.
     """
     bound = tuple(int(x) for x in degree_bound)
     if len(bound) != gens.ambient:
@@ -322,17 +368,18 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
                          f"got {len(bound)}")
     if any(x < 0 for x in bound):
         raise ValueError("the degree bound must be nonnegative")
-    matrix = gens.matrix
     block = gens.block
     key = MonomialOrder.degrevlex(gens.weights()).key_function()
     fibers: dict = {}
-    for m in _monomials_in_box(matrix, bound, work_limit):
-        fibers.setdefault(matrix.matvec(m), []).append(m)
+    for rem, m in _monomials_in_box(gens.matrix, bound, work_limit):
+        fibers.setdefault(rem, []).append(m)
     out = []
     for ms in fibers.values():
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                u, v = _orient((ms[i], ms[j]), key)
-                out.append(Binomial(Monomial(block, u), Monomial(block, v)))
+        if len(ms) < 2:
+            continue
+        ms.sort(key=key)
+        mons = [Monomial(block, m) for m in ms]
+        out.extend(Binomial(u, v) for j, u in enumerate(mons)
+                   for v in mons[:j])
     out.sort(key=_canonical_key)
     return tuple(out)

@@ -4,6 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from itertools import product
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -34,7 +37,7 @@ from semiglue.toric import (
     minimal_generators,
     toric_ideal_of_matrix,
 )
-from support import linear_binomial_pair, monomial_curves_pair
+from support import linear_binomial_pair, monomial_curves_pair, random_gens
 
 PLANE_CUBIC = SemigroupGens.from_columns(
     [(3, 0), (2, 1), (1, 2), (0, 3)], "x")
@@ -154,6 +157,140 @@ def test_oracle_empty_under_zero_bound():
     assert enumerate_oracle(PLANE_CUBIC, (0, 0)) == ()
     with pytest.raises(BoundTooLarge):
         enumerate_oracle(PLANE_CUBIC, (9, 9), work_limit=10)
+
+
+def _recursive_walk(matrix, start, work_limit, exact):
+    """Reference box and fiber walk: plain recursion, one call per node.
+
+    Returns the exponent vectors it finds and the number of nodes it
+    visits; it raises ``BoundTooLarge`` where ``toric._walk`` must.
+    """
+    cols = matrix.columns()
+    p = len(cols)
+    out = []
+    spent = 0
+
+    def dfs(j, remaining, prefix):
+        nonlocal spent
+        spent += 1
+        if spent > work_limit:
+            kind = "fiber" if exact else "box"
+            raise BoundTooLarge(f"{kind} enumeration passed {work_limit} steps")
+        if j == p:
+            if not exact or all(x == 0 for x in remaining):
+                out.append(prefix)
+            return
+        col = cols[j]
+        c = 0
+        rem = remaining
+        while True:
+            dfs(j + 1, rem, prefix + (c,))
+            nxt = tuple(a - b for a, b in zip(rem, col))
+            if any(x < 0 for x in nxt):
+                return
+            rem, c = nxt, c + 1
+
+    dfs(0, start, ())
+    return tuple(out), spent
+
+
+def test_walk_counts_nodes_like_the_recursive_walk():
+    rng = random.Random(20261019)
+    for trial in range(300):
+        rows = rng.randint(1, 3)
+        count = min(rng.randint(1, 5), 4 ** rows - 1)
+        cols = set()
+        while len(cols) < count:
+            col = tuple(rng.randint(0, 3) for _ in range(rows))
+            if any(col):
+                cols.add(col)
+        cols = list(cols)
+        rng.shuffle(cols)
+        m = IntegerMatrix.from_columns(cols)
+        start = tuple(rng.randint(0, 11) for _ in range(rows))
+        for exact in (False, True):
+            leaves, nodes = _recursive_walk(m, start, 10 ** 7, exact)
+            walked = toric._walk(m, start, nodes, exact)
+            assert tuple(x for _, x in walked) == leaves, (cols, start, exact)
+            for rem, x in walked:
+                assert rem == tuple(map(sub, start, m.matvec(x)))
+            with pytest.raises(BoundTooLarge) as raised:
+                toric._walk(m, start, nodes - 1, exact)
+            with pytest.raises(BoundTooLarge) as expected:
+                _recursive_walk(m, start, nodes - 1, exact)
+            assert str(raised.value) == str(expected.value)
+
+
+def _brute_force_oracle(gens, bound):
+    """Pair up the monomials of each degree under the bound, box by box."""
+    m = gens.matrix
+    key = MonomialOrder.degrevlex(gens.weights()).key_function()
+    ranges = [range(min(b // x for b, x in zip(bound, col) if x > 0) + 1)
+              for col in m.columns()]
+    fibers = {}
+    for e in product(*ranges):
+        degree = m.matvec(e)
+        if all(d <= b for d, b in zip(degree, bound)):
+            fibers.setdefault(degree, []).append(e)
+    pairs = []
+    for ms in fibers.values():
+        for i, u in enumerate(ms):
+            for v in ms[i + 1:]:
+                pairs.append((u, v) if key(u) > key(v) else (v, u))
+    pairs.sort(key=lambda uv: (sum(uv[0]), uv[0], sum(uv[1]), uv[1]))
+    return pairs
+
+
+def test_oracle_matches_a_brute_force():
+    rng = random.Random(424243)
+    nonempty = 0
+    for trial in range(200):
+        ambient = rng.randint(1, 3)
+        count = min(rng.randint(1, 5), 5 ** ambient - 1)
+        gens = random_gens(rng, ambient, count, 4)
+        bound = tuple(rng.randint(0, 12) for _ in range(ambient))
+        found = [g.as_pair() for g in enumerate_oracle(gens, bound)]
+        assert found == _brute_force_oracle(gens, bound), (gens, bound)
+        nonempty += bool(found)
+    assert nonempty >= 50
+
+
+def test_fiber_search_keeps_little_memory():
+    # The CLI's fiber search runs under a limit of 10**6 steps; the walk
+    # must hold its path and the fiber, not whole levels of the tree.
+    m = IntegerMatrix.from_columns([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+    tracemalloc.start()
+    try:
+        fiber = fiber_monomials(m, (30, 30), work_limit=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fiber) > 1000
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_fiber_degree_length_is_checked_under_optimization(tmp_path):
+    m = PLANE_CUBIC.matrix
+    with pytest.raises(ValueError, match="the degree needs 2 entries, got 1"):
+        fiber_monomials(m, (3,))
+    script = tmp_path / "short_degree.py"
+    script.write_text(
+        "from semiglue import IntegerMatrix\n"
+        "from semiglue.toric import fiber_monomials\n"
+        "m = IntegerMatrix.from_columns([(1, 2), (2, 1)])\n"
+        "for degree in ((3,), (3, 3, 3)):\n"
+        "    try:\n"
+        "        print('accepted:', fiber_monomials(m, degree))\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: the degree needs 2 entries, got 1\n"
+        "refused: the degree needs 2 entries, got 3\n")
 
 
 def test_toric_ideal_of_matrix_accepts_repeated_columns():
