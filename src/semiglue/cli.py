@@ -29,6 +29,7 @@ from .gluing import (
     GluingCandidate,
     RankConditionsFail,
     _meeting_line,
+    decide_on_line,
     implication_chain_audit,
     is_member,
     necessary_conditions,
@@ -366,27 +367,29 @@ def cmd_find_gluing(args) -> int:
     work_limit = _work_limit(args, doc)
     bounds = {"kmax": kmax, "work_limit": work_limit}
     nr = necessary_conditions(a, b, kmax)
-    if not nr.ok and nr.definitive:
-        result = {"found": False, "detail": nr.detail,
-                  "rank": _rankdict(nr.rank),
-                  "u": None if nr.u is None else list(nr.u)}
+    u = None if nr.u is None else list(nr.u)
+    # A definitive "no" from the necessary conditions needs no cone test.
+    decision = (None if nr.definitive and not nr.ok
+                else decide_on_line(a, b, nr, kmax))
+    if decision is None or decision.gluable is False:
+        detail = nr.detail if decision is None else decision.reason
+        result = {"found": False, "detail": detail,
+                  "rank": _rankdict(nr.rank), "u": u}
         _emit(args, "find-gluing", doc, bounds, result,
-              [f"no gluing for any scalings: {nr.detail}"])
+              [f"no gluing for any scalings: {detail}"])
         return 1
-    pair = nr.coprime_pair
-    if pair is None:
-        result = {"found": None, "detail": nr.detail,
-                  "u": None if nr.u is None else list(nr.u)}
+    if decision.gluable is None:
+        result = {"found": None, "detail": nr.detail, "u": u}
         _emit(args, "find-gluing", doc, bounds, result,
               [f"no coprime pair within bound {kmax}: inconclusive"])
         return 3
-    report = verify_gluing(GluingCandidate(a, b, pair.k1, pair.k2),
-                           work_limit)
+    k1, k2 = decision.pair
+    report = verify_gluing(GluingCandidate(a, b, k1, k2), work_limit)
     assert report.is_gluing
     result = _check_result(report)
     result["found"] = True
     _emit(args, "find-gluing", doc, bounds, result,
-          [f"found scalings k1={pair.k1} k2={pair.k2}"]
+          [f"found scalings k1={k1} k2={k2}"]
           + _check_lines(report))
     return 0
 

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 from math import gcd
 
 from .binomial import Binomial
-# rank is unused here, but perfbench/spans.py wraps constructions.rank.
+# rank and in_cone are unused here, but perfbench/spans.py wraps
+# constructions.rank and constructions.in_cone.
 from .exactlin import IntegerMatrix, rank  # noqa: F401
+from .gluing import in_cone  # noqa: F401
 from .gluing import (
     GluingCandidate,
-    NecessaryReport,
     NotCoprime,
+    PairDecision,
     _meeting_line,
     _mixed_binomial,
     _necessary_on_line,
+    decide_on_line,
     gluable_lattice_point,
-    in_cone,
     necessary_conditions,
 )
 from .toric import SemigroupGens
@@ -49,10 +51,14 @@ class PlaneHomogeneousGens:
     steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert isinstance(self.degree, int) and self.degree >= 1
+        if not isinstance(self.degree, int) or self.degree < 1:
+            raise ValueError(f"degree {self.degree!r} must be at least 1")
         steps = tuple(int(s) for s in self.steps)
-        assert all(0 < s < self.degree for s in steps)
-        assert all(x < y for x, y in zip(steps, steps[1:]))
+        if not all(0 < s < self.degree for s in steps):
+            raise ValueError(f"steps {steps} must lie strictly between 0 "
+                             f"and the degree {self.degree}")
+        if not all(x < y for x, y in zip(steps, steps[1:])):
+            raise ValueError(f"steps {steps} must be strictly increasing")
         object.__setattr__(self, "steps", steps)
 
     @property
@@ -157,36 +163,6 @@ def embed_and_glue(p: PlaneHomogeneousGens, q: PlaneHomogeneousGens,
                           cand)
 
 
-@dataclass(frozen=True)
-class PairDecision:
-    """A three-valued gluability answer with its evidence."""
-
-    gluable: bool | None
-    pair: tuple | None
-    u: Vector | None
-    witness_a: Vector | None
-    witness_b: Vector | None
-    reason: str
-
-
-def _decide_on_line(a: SemigroupGens, b: SemigroupGens,
-                    report: NecessaryReport, kmax: int) -> PairDecision:
-    """Decide a pair whose column spaces meet in a line, from its report."""
-    u = report.u
-    found = report.coprime_pair
-    if found is not None:
-        return PairDecision(True, (found.k1, found.k2), u, found.c, found.d,
-                            "coprime multiples of the ray direction lie in "
-                            "both semigroups")
-    for name, gens in (("first", a), ("second", b)):
-        if not in_cone(u, gens.matrix):
-            return PairDecision(False, None, u, None, None,
-                                f"the ray direction {u} misses the cone of "
-                                f"the {name} semigroup")
-    return PairDecision(None, None, u, None, None,
-                        f"no coprime pair found up to {kmax}")
-
-
 def n2_gluable(a: SemigroupGens, b: SemigroupGens,
                kmax: int = 50) -> PairDecision:
     """Decide whether some scalings glue two plane semigroups.
@@ -206,7 +182,7 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
             reason = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
                       f"rank {rc.rank_joint} + 1")
         return PairDecision(False, None, None, None, None, reason)
-    return _decide_on_line(a, b, report, kmax)
+    return decide_on_line(a, b, report, kmax)
 
 
 def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
@@ -222,4 +198,4 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
     if rc.rank_a != n or rc.rank_b != 1:
         raise RankMismatch(
             f"need rank {n} and rank 1, got {rc.rank_a} and {rc.rank_b}")
-    return _decide_on_line(a, b, _necessary_on_line(a, b, rc, u, kmax), kmax)
+    return decide_on_line(a, b, _necessary_on_line(a, b, rc, u, kmax), kmax)

@@ -67,7 +67,9 @@ class IntegerMatrix:
         return IntegerMatrix(tuple(zip(*self.entries)))
 
     def matvec(self, v) -> Vector:
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ValueError(f"the vector needs {self.cols} entries, "
+                             f"got {len(v)}")
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":

@@ -619,6 +619,41 @@ def in_cone(v, matrix: IntegerMatrix) -> bool:
     return _cone_solution(v, matrix) is not None
 
 
+@dataclass(frozen=True)
+class PairDecision:
+    """A three-valued gluability answer with its evidence."""
+
+    gluable: bool | None
+    pair: tuple | None
+    u: Vector | None
+    witness_a: Vector | None
+    witness_b: Vector | None
+    reason: str
+
+
+def decide_on_line(a: SemigroupGens, b: SemigroupGens,
+                   report: NecessaryReport, kmax: int) -> PairDecision:
+    """Decide a pair whose column spaces meet in a line, from its report.
+
+    True with the smallest coprime pair among the report's witnesses;
+    False when the lattice point misses either rational cone, since a
+    multiple in a semigroup lies in its cone; otherwise None.
+    """
+    u = report.u
+    found = report.coprime_pair
+    if found is not None:
+        return PairDecision(True, (found.k1, found.k2), u, found.c, found.d,
+                            "coprime multiples of the lattice point lie in "
+                            "both semigroups")
+    for name, gens in (("first", a), ("second", b)):
+        if not in_cone(u, gens.matrix):
+            return PairDecision(False, None, u, None, None,
+                                f"the lattice point {u} misses the cone of "
+                                f"the {name} semigroup")
+    return PairDecision(None, None, u, None, None,
+                        f"no coprime pair found up to {kmax}")
+
+
 @dataclass(frozen=True, eq=False)
 class ChainAudit:
     """The implication chain for a pair, each link three-valued.
@@ -656,16 +691,16 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
     if not rc.ok:
         return ChainAudit(rc, None, False, None, None, None, None, None, ())
     mult = True if nr.ok else (False if nr.definitive else None)
+    # The cones can meet on the line only along u: -u has a negative
+    # coordinate, and the generators are nonnegative.
     common = None
-    for z in (u, tuple(-x for x in u)):
-        sol_a = _cone_solution(z, a.matrix)
-        sol_b = sol_a and _cone_solution(z, b.matrix)
-        if sol_b:
-            (ea, na), (eb, nb) = sol_a, sol_b
-            common = tuple(na * nb * x for x in z)
-            assert a.matrix.matvec(tuple(nb * e for e in ea)) == common
-            assert b.matrix.matvec(tuple(na * e for e in eb)) == common
-            break
+    sol_a = _cone_solution(u, a.matrix)
+    sol_b = sol_a and _cone_solution(u, b.matrix)
+    if sol_b:
+        (ea, na), (eb, nb) = sol_a, sol_b
+        common = tuple(na * nb * x for x in u)
+        assert a.matrix.matvec(tuple(nb * e for e in ea)) == common
+        assert b.matrix.matvec(tuple(na * e for e in eb)) == common
     cone_meet = common is not None
     pair = None
     glue: bool | None = None

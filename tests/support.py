@@ -176,11 +176,53 @@ def brute_members(gens, coeff_bound):
     return out
 
 
+# -- random generators ------------------------------------------------------
+
 def random_gens(rng, ambient, count, entry_bound, prefix="x"):
     """Return random generators: distinct nonzero columns with small entries."""
+    if count > (entry_bound + 1) ** ambient - 1:
+        raise ValueError(f"fewer than {count} distinct nonzero columns have "
+                         f"{ambient} entries in 0..{entry_bound}")
     cols = set()
     while len(cols) < count:
         c = tuple(rng.randrange(entry_bound + 1) for _ in range(ambient))
         if any(c):
             cols.add(c)
+    return SemigroupGens.from_columns(sorted(cols), prefix)
+
+
+def random_rank2_gens(rng, prefix):
+    """Return 2 to 4 distinct points spanning at most a plane, or None."""
+    for _ in range(40):
+        base = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(2)]
+        cols = set()
+        for s, t in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (1, 3)):
+            col = tuple(s * x + t * y for x, y in zip(*base))
+            if any(col):
+                cols.add(col)
+        if len(cols) >= 2:
+            chosen = sorted(cols)[:rng.randrange(2, min(4, len(cols)) + 1)]
+            return SemigroupGens.from_columns(chosen, prefix)
+    return None
+
+
+def random_ray_gens(rng, prefix):
+    """Return one or two distinct multiples of a plane direction."""
+    direction = tuple(rng.randrange(4) for _ in range(2))
+    if not any(direction):
+        direction = (1, 2)
+    scales = sorted({rng.randrange(1, 5) for _ in range(2)})
+    cols = [tuple(s * x for x in direction) for s in scales]
+    return SemigroupGens.from_columns(cols, prefix)
+
+
+def random_plane_gens(rng, prefix):
+    """Return 2 or 3 distinct nonzero plane points, or None."""
+    cols = set()
+    for _ in range(rng.randrange(2, 4)):
+        col = (rng.randrange(5), rng.randrange(5))
+        if any(col):
+            cols.add(col)
+    if len(cols) < 2:
+        return None
     return SemigroupGens.from_columns(sorted(cols), prefix)

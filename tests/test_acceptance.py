@@ -22,7 +22,6 @@ from semiglue import (
     Monomial,
     MonomialOrder,
     PlaneHomogeneousGens,
-    SemigroupGens,
     check_rank_conditions,
     embed,
     embed_and_glue,
@@ -51,6 +50,9 @@ from support import (
     linear_binomial_pair,
     monomial_curves_pair,
     random_gens,
+    random_plane_gens,
+    random_rank2_gens,
+    random_ray_gens,
     shared_column_pair,
     shared_factor_pair,
     twisted_bad_pair,
@@ -345,54 +347,17 @@ def test_bounded_oracle_matches_the_toric_ideal():
     assert accepted >= 100
 
 
-def _random_rank2_gens(rng, prefix):
-    """Return 2 to 4 distinct points spanning at most a plane, or None."""
-    for _ in range(40):
-        base = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(2)]
-        cols = set()
-        for s, t in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (1, 3)):
-            col = tuple(s * x + t * y for x, y in zip(*base))
-            if any(col):
-                cols.add(col)
-        if len(cols) >= 2:
-            chosen = sorted(cols)[:rng.randrange(2, min(4, len(cols)) + 1)]
-            return SemigroupGens.from_columns(chosen, prefix)
-    return None
-
-
-def _random_ray_gens(rng, prefix):
-    """Return one or two distinct multiples of a plane direction."""
-    direction = tuple(rng.randrange(4) for _ in range(2))
-    if not any(direction):
-        direction = (1, 2)
-    scales = sorted({rng.randrange(1, 5) for _ in range(2)})
-    cols = [tuple(s * x for x in direction) for s in scales]
-    return SemigroupGens.from_columns(cols, prefix)
-
-
-def _random_plane_gens(rng, prefix):
-    """Return 2 or 3 distinct nonzero plane points, or None."""
-    cols = set()
-    for _ in range(rng.randrange(2, 4)):
-        col = (rng.randrange(5), rng.randrange(5))
-        if any(col):
-            cols.add(col)
-    if len(cols) < 2:
-        return None
-    return SemigroupGens.from_columns(sorted(cols), prefix)
-
-
 def test_implication_chain_holds_on_random_pairs():
     rng = random.Random(SEED)
     accepted = attempts = violations = 0
     while accepted < 200 and attempts < 3000:
         attempts += 1
         if attempts % 2:
-            a = _random_rank2_gens(rng, "x")
-            b = _random_rank2_gens(rng, "y")
+            a = random_rank2_gens(rng, "x")
+            b = random_rank2_gens(rng, "y")
         else:
-            a = _random_plane_gens(rng, "x")
-            b = _random_ray_gens(rng, "y")
+            a = random_plane_gens(rng, "x")
+            b = random_ray_gens(rng, "y")
         if a is None or b is None or not check_rank_conditions(a, b).ok:
             continue
         audit = implication_chain_audit(a, b, kmax=12)

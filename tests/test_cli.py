@@ -82,6 +82,29 @@ def test_find_gluing_output(capsys):
     assert "no coprime pair within bound 50: inconclusive" in out
 
 
+def test_find_gluing_proves_no_when_the_lattice_point_misses_a_cone(
+        capsys, tmp_path):
+    # No multiple of (2, 1) lies in the first semigroup, so no scalings
+    # glue the pair, although no cheap obstruction proves it.
+    f = tmp_path / "cone_miss.txt"
+    f.write_text("A:\n0 4\n4 3\nB:\n2 1\n")
+    detail = "the lattice point (2, 1) misses the cone of the first semigroup"
+    code, out, _ = run(capsys, "find-gluing", f)
+    assert code == 1
+    assert out == f"no gluing for any scalings: {detail}\n"
+    code, out, _ = run(capsys, "find-gluing", f, "--json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result == {"found": False, "detail": detail,
+                      "u": [2, 1],
+                      "rank": {"rank_a": 2, "rank_b": 1, "rank_joint": 2,
+                               "ambient": 2, "ok": True}}
+    code, out, _ = run(capsys, "audit", f)
+    assert code == 0
+    assert "gluing for some scalings: no" in out
+    assert "cones meet: no" in out
+
+
 def test_check_gluing_output(capsys):
     code, out, _ = run(capsys, "check-gluing",
                        CORPUS / "shared_column_glue.txt")
@@ -439,6 +462,25 @@ def test_input_errors_hold_under_optimization(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_embed_glue_input_checks_hold_under_optimization(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cubic = "B:\n3 0\n1 2\n0 3\ni: 1\n"
+    negative = tmp_path / "negative.txt"
+    negative.write_text("A:\n4 0\n5 -1\n0 4\n" + cubic)
+    unordered = tmp_path / "unordered.txt"
+    unordered.write_text("A:\n4 0\n2 2\n3 1\n0 4\n" + cubic)
+    for path in (negative, unordered):
+        for flags in ((), ("-O",)):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "semiglue", "embed-glue",
+                 str(path)], env=env, capture_output=True, text=True,
+                timeout=60)
+            assert done.returncode == 2, (path.name, flags, done.stdout)
+            assert done.stderr.startswith("error: steps "), done.stderr
+            assert "Traceback" not in done.stderr
+
+
 def corpus_command(text):
     """Return the CLI command for a corpus file: its keys pick it."""
     keys = {line.split(":")[0].strip()
@@ -462,7 +504,9 @@ def test_every_corpus_file_answers_the_same_under_optimization():
             subprocess.run([sys.executable, *flags, *argv], env=env,
                            capture_output=True, timeout=120)
             for flags in ((), ("-O",)))
-        assert plain.returncode in (0, 1, 3), (path.name, plain.stderr)
+        # The name says the answer: *noglue is a proven or open "no".
+        expected = (1, 3) if path.stem.endswith("noglue") else (0,)
+        assert plain.returncode in expected, (path.name, plain.stderr)
         assert optimized.returncode == plain.returncode, path.name
         assert optimized.stdout == plain.stdout, path.name
         json.loads(plain.stdout)

@@ -28,11 +28,11 @@ def test_plane_gens_columns():
 
 
 def test_plane_gens_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         PlaneHomogeneousGens(3, (2, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="strictly between 0 and"):
         PlaneHomogeneousGens(3, (0, 1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 1"):
         PlaneHomogeneousGens(0, ())
 
 

@@ -1,6 +1,10 @@
 """Exact integer linear algebra, checked against Fraction recomputations."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +102,25 @@ def test_primitive_normalizes():
     assert primitive((2, -3)) == (2, -3)
     with pytest.raises(ZeroVector):
         primitive((0, 0, 0))
+
+
+def test_matvec_length_is_checked_under_optimization(tmp_path):
+    with pytest.raises(ValueError, match="the vector needs 4 entries, got 3"):
+        CUBIC.matvec((1, 1, 5))
+    script = tmp_path / "short_exponents.py"
+    script.write_text(
+        "from semiglue import SemigroupGens\n"
+        "gens = SemigroupGens.from_columns([(1, 2), (2, 1)])\n"
+        "for exponents in ((3,), (1, 1, 5)):\n"
+        "    try:\n"
+        "        print('accepted:', gens.adegree(exponents))\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: the vector needs 2 entries, got 1\n"
+        "refused: the vector needs 2 entries, got 3\n")

@@ -1,6 +1,7 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
 import gc
+import json
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from semiglue import (
     is_member,
     level,
     multiples_in_semigroup,
+    n2_gluable,
     necessary_conditions,
     rank,
     verify_gluing,
@@ -39,6 +41,8 @@ from support import (
     linear_binomial_pair,
     monomial_curves_pair,
     random_gens,
+    random_plane_gens,
+    random_ray_gens,
     shared_column_pair,
     shared_factor_pair,
     twisted_bad_pair,
@@ -370,6 +374,34 @@ def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
     assert cli.main(["find-gluing", str(corpus / "twisted_glue.txt")]) == 0
     capsys.readouterr()
     assert sides == ["x1", "y1"]
+
+
+def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
+    # The audit, the plane helper and find-gluing share one rule.  The
+    # first pair's lattice point (2, 1) misses the cone of <(0,4), (4,3)>
+    # although no cheap obstruction rules its multiples out.
+    rng = random.Random(20260823)
+    pairs = [(SemigroupGens.from_columns([(0, 4), (4, 3)], "x"),
+              SemigroupGens.from_columns([(2, 1)], "y"))]
+    while len(pairs) < 201:
+        a = random_plane_gens(rng, "x")
+        b = random_ray_gens(rng, "y")
+        if a is not None and check_rank_conditions(a, b).ok:
+            pairs.append((a, b))
+    doc = tmp_path / "pair.json"
+    exit_codes = {True: 0, False: 1, None: 3}
+    cone_misses = 0
+    for a, b in pairs:
+        cols = (a.matrix.columns(), b.matrix.columns())
+        audit = implication_chain_audit(a, b, kmax=12)
+        doc.write_text(json.dumps({"a": cols[0], "b": cols[1], "kmax": 12}))
+        assert cli.main(["find-gluing", str(doc)]) == \
+            exit_codes[audit.gluing], cols
+        capsys.readouterr()
+        assert n2_gluable(a, b, kmax=12).gluable == audit.gluing, cols
+        if audit.gluing is False:
+            cone_misses += not necessary_conditions(a, b, 12).definitive
+    assert cone_misses >= 1
 
 
 def test_verify_gluing_takes_the_meeting_line_once(monkeypatch):

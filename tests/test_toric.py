@@ -293,6 +293,15 @@ def test_fiber_degree_length_is_checked_under_optimization(tmp_path):
         "refused: the degree needs 2 entries, got 3\n")
 
 
+def test_random_gens_refuses_a_count_it_cannot_reach():
+    rng = random.Random(5)
+    assert len(random_gens(rng, 1, 4, 4).matrix.columns()) == 4
+    with pytest.raises(ValueError, match="fewer than 5 distinct nonzero"):
+        random_gens(rng, 1, 5, 4)
+    with pytest.raises(ValueError, match="fewer than 9 distinct nonzero"):
+        random_gens(rng, 2, 9, 2)
+
+
 def test_toric_ideal_of_matrix_accepts_repeated_columns():
     fat = SemigroupGens.from_columns([(2, 1), (1, 2)], "x")
     cand = GluingCandidate(fat, SemigroupGens.from_columns([(2, 1)], "y"))
