@@ -48,13 +48,12 @@ from .gluing import (
     NotInIdeal,
     RankConditionsFail,
     check_rank_conditions,
-    find_coprime_pair,
+    decide_pair,
     gluable_lattice_point,
     implication_chain_audit,
     is_member,
     level,
     multiples_in_semigroup,
-    necessary_conditions,
     verify_gluing,
 )
 from .homology import (

@@ -29,10 +29,9 @@ from .gluing import (
     GluingCandidate,
     RankConditionsFail,
     _meeting_line,
-    decide_on_line,
+    decide_pair,
     implication_chain_audit,
     is_member,
-    necessary_conditions,
     verify_gluing,
 )
 from .homology import BettiSequence, glued_betti
@@ -348,12 +347,10 @@ def cmd_check_gluing(args) -> int:
     b = _gens(doc, "b", "check-gluing")
     k1 = args.k1 if args.k1 is not None else doc.k1
     k2 = args.k2 if args.k2 is not None else doc.k2
-    k1 = 1 if k1 is None else k1
-    k2 = 1 if k2 is None else k2
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be positive")
+    cand = GluingCandidate(a, b, 1 if k1 is None else k1,
+                           1 if k2 is None else k2)
     work_limit = _work_limit(args, doc)
-    report = verify_gluing(GluingCandidate(a, b, k1, k2), work_limit)
+    report = verify_gluing(cand, work_limit)
     _emit(args, "check-gluing", doc, {"work_limit": work_limit},
           _check_result(report), _check_lines(report))
     return 0 if report.is_gluing else 1
@@ -366,26 +363,27 @@ def cmd_find_gluing(args) -> int:
     kmax = _kmax(args, doc)
     work_limit = _work_limit(args, doc)
     bounds = {"kmax": kmax, "work_limit": work_limit}
-    nr = necessary_conditions(a, b, kmax)
-    u = None if nr.u is None else list(nr.u)
-    # A definitive "no" from the necessary conditions needs no cone test.
-    decision = (None if nr.definitive and not nr.ok
-                else decide_on_line(a, b, nr, kmax))
-    if decision is None or decision.gluable is False:
-        detail = nr.detail if decision is None else decision.reason
+    d = decide_pair(a, b, kmax)
+    u = None if d.u is None else list(d.u)
+    if d.gluable is False:
+        # Name the proof: the obstruction to multiples, or the missed cone.
+        detail = d.detail if d.multiples is False else d.reason
         result = {"found": False, "detail": detail,
-                  "rank": _rankdict(nr.rank), "u": u}
+                  "rank": _rankdict(d.rank), "u": u}
         _emit(args, "find-gluing", doc, bounds, result,
               [f"no gluing for any scalings: {detail}"])
         return 1
-    if decision.gluable is None:
-        result = {"found": None, "detail": nr.detail, "u": u}
+    if d.gluable is None:
+        result = {"found": None, "detail": d.detail, "u": u}
         _emit(args, "find-gluing", doc, bounds, result,
               [f"no coprime pair within bound {kmax}: inconclusive"])
         return 3
-    k1, k2 = decision.pair
+    k1, k2 = d.pair
     report = verify_gluing(GluingCandidate(a, b, k1, k2), work_limit)
-    assert report.is_gluing
+    # A self-check; explicit so that -O keeps it.
+    if not report.is_gluing:
+        raise AssertionError(f"coprime scalings k1={k1} k2={k2} failed "
+                             f"verification: {report.detail}")
     result = _check_result(report)
     result["found"] = True
     _emit(args, "find-gluing", doc, bounds, result,

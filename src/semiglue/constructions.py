@@ -4,13 +4,15 @@ The main construction embeds two homogeneous plane semigroups into one
 higher space so that they glue: the first is padded to make one of its
 generators a multiple of the meeting direction, the second is lifted to
 a parallel hyperplane, and the resulting extra binomial is linear in
-one variable of each block.  The helpers settle gluability questions
-that are special to ambient rank one or two.
+one variable of each block.  The helpers ``n2_gluable`` and
+``rank1_gluable`` answer the gluability question of the earlier plane
+and rank-one results through ``gluing.decide_pair``; each adds only
+its precondition: the plane's rank failure, or a full side and a ray.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .binomial import Binomial
@@ -22,12 +24,9 @@ from .gluing import (
     GluingCandidate,
     NotCoprime,
     PairDecision,
-    _meeting_line,
     _mixed_binomial,
-    _necessary_on_line,
-    decide_on_line,
+    decide_pair,
     gluable_lattice_point,
-    necessary_conditions,
 )
 from .toric import SemigroupGens
 
@@ -145,16 +144,23 @@ def embed_and_glue(p: PlaneHomogeneousGens, q: PlaneHomogeneousGens,
     c = p.degree
     m = -(-c // step)
     r = m * step - c
-    assert m >= 2
+    # Self-checks of the construction; explicit so that -O keeps them.
+    if m < 2:
+        raise AssertionError(f"padding multiplier {m} below 2 for step "
+                             f"{step} of degree {c}")
     a_cols = [(x + r, y, 0) for x, y in p.columns()]
     b_cols = [((m - 1) * d, x, y) for x, y in q.columns()]
     a_prime = SemigroupGens.from_columns(a_cols, "x")
     b_prime = SemigroupGens.from_columns(b_cols, "y")
     cand = GluingCandidate(a_prime, b_prime, k1=d, k2=step)
     shared = tuple(d * x for x in a_cols[index])
-    assert shared == tuple(step * x for x in b_cols[0])
+    lifted = tuple(step * x for x in b_cols[0])
+    if shared != lifted:
+        raise AssertionError(f"the scaled columns {shared} and {lifted} "
+                             "differ")
     u = gluable_lattice_point(a_prime, b_prime)
-    assert u == (m - 1, 1, 0)
+    if u != (m - 1, 1, 0):
+        raise AssertionError(f"lattice point {u}, expected {(m - 1, 1, 0)}")
     pa = a_prime.count
     e_x = tuple(int(t == index) for t in range(pa))
     e_y = tuple(int(t == 0) for t in range(b_prime.count))
@@ -168,21 +174,20 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
     """Decide whether some scalings glue two plane semigroups.
 
     In the plane the rank conditions force one side onto a ray, and the
-    meeting line is that ray.  Definitive answers come from the rank
-    conditions, from the ray missing the other cone, or from a found
-    coprime pair; otherwise the bounded search is inconclusive.
+    meeting line is that ray.  The answer is decide_pair's, with the
+    plane's rank failure named in ``detail`` and so in ``reason``.
     """
     assert a.ambient == 2 and b.ambient == 2
-    report = necessary_conditions(a, b, kmax)
-    rc = report.rank
-    if not rc.ok:
-        if rc.rank_a == rc.rank_b == 2:
-            reason = "both sides span the plane, so the meeting is not a line"
-        else:
-            reason = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
-                      f"rank {rc.rank_joint} + 1")
-        return PairDecision(False, None, None, None, None, reason)
-    return decide_on_line(a, b, report, kmax)
+    d = decide_pair(a, b, kmax)
+    rc = d.rank
+    if rc.ok:
+        return d
+    if rc.rank_a == rc.rank_b == 2:
+        detail = "both sides span the plane, so the meeting is not a line"
+    else:
+        detail = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
+                  f"rank {rc.rank_joint} + 1")
+    return replace(d, detail=detail)
 
 
 def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
@@ -194,8 +199,8 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
     everything reduces to multiples of its primitive direction.
     """
     n = a.ambient
-    rc, u = _meeting_line(a, b)
-    if rc.rank_a != n or rc.rank_b != 1:
-        raise RankMismatch(
-            f"need rank {n} and rank 1, got {rc.rank_a} and {rc.rank_b}")
-    return decide_on_line(a, b, _necessary_on_line(a, b, rc, u, kmax), kmax)
+    d = decide_pair(a, b, kmax)
+    if d.rank.rank_a != n or d.rank.rank_b != 1:
+        raise RankMismatch(f"need rank {n} and rank 1, got {d.rank.rank_a} "
+                           f"and {d.rank.rank_b}")
+    return d

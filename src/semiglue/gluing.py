@@ -4,17 +4,21 @@ Two semigroups in the same ambient space, scaled by positive integers
 k1 and k2, glue when the toric ideal of the combined generators equals
 the two smaller toric ideals plus one extra binomial rho = x^c - y^d
 mixing the two variable blocks.  This module computes the lattice point
-that any such rho must live over, checks the necessary rank and
-membership conditions, searches for certifying data, and decides the
-question exactly: a positive answer comes with rho and the verified
-ideal identity, a negative answer with the invariant that rules it out.
+that any such rho must live over and decides two questions.
+``decide_pair`` asks whether some scalings glue a pair: yes with
+coprime membership witnesses, no when the ranks, an obstruction to
+membership or a rational cone rule it out, otherwise open within its
+bound.  ``verify_gluing`` decides one candidate exactly: a positive
+answer comes with rho and the verified ideal identity, a negative
+answer with the invariant that rules it out.  The implication-chain
+audit reads ``decide_pair``'s record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -71,14 +75,14 @@ class GluingCandidate:
     k2: int = 1
 
     def __post_init__(self) -> None:
+        if not all(isinstance(k, int) and k >= 1 for k in (self.k1, self.k2)):
+            raise ValueError("k1 and k2 must be positive")
         if self.a.ambient != self.b.ambient:
             raise DimensionMismatch(
                 f"ambient dimensions differ: {self.a.ambient} vs "
                 f"{self.b.ambient}")
-        assert isinstance(self.k1, int) and self.k1 >= 1
-        assert isinstance(self.k2, int) and self.k2 >= 1
-        assert not set(self.a.block.names) & set(self.b.block.names), \
-            "the two variable blocks must not share names"
+        if set(self.a.block.names) & set(self.b.block.names):
+            raise ValueError("the two variable blocks must not share names")
 
     @property
     def ambient(self) -> int:
@@ -309,97 +313,6 @@ def no_multiple_possible(u, gens: SemigroupGens) -> bool:
     return False
 
 
-class CoprimePair(NamedTuple):
-    """Coprime scalings with membership witnesses: A c = k2 u, B d = k1 u."""
-
-    k1: int
-    k2: int
-    c: Vector
-    d: Vector
-
-
-@dataclass(frozen=True)
-class NecessaryReport:
-    """Outcome of the necessary conditions for some gluing of the pair.
-
-    ``witnesses_a`` and ``witnesses_b`` list (k, exponents) for every
-    multiple k u found in each semigroup, by increasing k.
-    """
-
-    rank: RankConditions
-    u: Vector | None
-    ok: bool
-    definitive: bool
-    witnesses_a: tuple
-    witnesses_b: tuple
-    detail: str
-
-    @property
-    def coprime_pair(self) -> CoprimePair | None:
-        """Return the smallest coprime pair among the witnesses, or None.
-
-        k2 u must lie in <A> and k1 u in <B> with gcd(k1, k2) = 1; such
-        a pair makes k1 A and k2 B glue.  Pairs are ordered by k1 + k2,
-        then k1.
-        """
-        best = min(((k1 + k2, k1, k2, c, d) for k2, c in self.witnesses_a
-                    for k1, d in self.witnesses_b if gcd(k1, k2) == 1),
-                   default=None)
-        return None if best is None else CoprimePair(*best[1:])
-
-
-def necessary_conditions(a: SemigroupGens, b: SemigroupGens,
-                         kmax: int = 50) -> NecessaryReport:
-    """Check the conditions that every gluing of the pair must satisfy.
-
-    The ranks must put the column spaces in a line, and some positive
-    multiple of the lattice point must lie in each semigroup.  ``ok``
-    False with ``definitive`` False only means no witness was found
-    below the bound; with ``definitive`` True there is a proof that
-    none exists.
-    """
-    return _necessary_on_line(a, b, *_meeting_line(a, b), kmax)
-
-
-def _necessary_on_line(a: SemigroupGens, b: SemigroupGens,
-                       rc: RankConditions, u: Vector | None,
-                       kmax: int) -> NecessaryReport:
-    """Return the necessary-conditions report from the pair's meeting line."""
-    if not rc.ok:
-        return NecessaryReport(rc, None, False, True, (), (),
-                               "the column spaces do not meet in a line")
-    wa = tuple(sorted(multiples_in_semigroup(u, a, kmax).items()))
-    wb = tuple(sorted(multiples_in_semigroup(u, b, kmax).items()))
-    if wa and wb:
-        return NecessaryReport(rc, u, True, True, wa, wb,
-                               "multiples of the lattice point lie in "
-                               "both semigroups")
-    empty = [(nm, gens) for nm, got, gens in
-             (("first", wa, a), ("second", wb, b)) if not got]
-    proven = [nm for nm, gens in empty if no_multiple_possible(u, gens)]
-    if proven:
-        detail = (f"no positive multiple of {u} can ever lie in the "
-                  f"{' or '.join(proven)} semigroup")
-        return NecessaryReport(rc, u, False, True, wa, wb, detail)
-    names = " or ".join(nm for nm, _ in empty)
-    return NecessaryReport(rc, u, False, False, wa, wb,
-                           f"no multiple of {u} found in the {names} "
-                           f"semigroup up to {kmax}")
-
-
-def find_coprime_pair(a: SemigroupGens, b: SemigroupGens,
-                      kmax: int = 50):
-    """Return the smallest coprime pair (k1, k2) certifying a gluing.
-
-    The pair is ``coprime_pair`` of the necessary conditions: None when
-    no pair exists below the bound, RankConditionsFail when the column
-    spaces do not meet in a line.
-    """
-    report = necessary_conditions(a, b, kmax)
-    report.rank.require_line()
-    return report.coprime_pair
-
-
 def level(w: Binomial, cand: GluingCandidate) -> int:
     """Return the level of a mixed binomial over the gluing candidate.
 
@@ -500,10 +413,9 @@ def verify_gluing(cand: GluingCandidate,
     dim_c = rc.rank_joint
     codim_c = cand.c_matrix.cols - dim_c
     if ic.mu == codim_c:
-        hom = HomologySummary(dim=dim_c, pd=codim_c, depth=dim_c, ci=True,
-                              cm=True, gorenstein=True, mu=ic.mu)
+        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=ic.mu)
     else:
-        hom = HomologySummary(dim=dim_c, ci=False, mu=ic.mu)
+        hom = HomologySummary.make(dim_c, ci=False, mu=ic.mu)
     base = dict(candidate=cand, rank=rc, mu_a=ia.mu, mu_b=ib.mu, mu_c=ic.mu,
                 ideal_a=ia, ideal_b=ib, ideal_c=ic,
                 shared_columns=cand.shared_columns, homology=hom)
@@ -619,39 +531,134 @@ def in_cone(v, matrix: IntegerMatrix) -> bool:
     return _cone_solution(v, matrix) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairDecision:
-    """A three-valued gluability answer with its evidence."""
+    """Whether some scalings glue a pair, with the evidence for each step.
 
-    gluable: bool | None
-    pair: tuple | None
-    u: Vector | None
-    witness_a: Vector | None
-    witness_b: Vector | None
-    reason: str
-
-
-def decide_on_line(a: SemigroupGens, b: SemigroupGens,
-                   report: NecessaryReport, kmax: int) -> PairDecision:
-    """Decide a pair whose column spaces meet in a line, from its report.
-
-    True with the smallest coprime pair among the report's witnesses;
-    False when the lattice point misses either rational cone, since a
-    multiple in a semigroup lies in its cone; otherwise None.
+    ``witnesses_a`` and ``witnesses_b`` list (k, exponents) for every
+    multiple k u up to kmax in each semigroup.  ``multiples`` is True
+    when both lists are nonempty, False when the column spaces do not
+    meet in a line or a cheap obstruction proves that no multiple of u
+    lies in some side, and None otherwise; ``detail`` says which.
+    ``pair`` is the smallest coprime (k1, k2) among the witnesses,
+    ordered by k1 + k2 and then k1, with A witness_a = k2 u and
+    B witness_b = k1 u; such a pair makes k1 A and k2 B glue.
     """
-    u = report.u
-    found = report.coprime_pair
-    if found is not None:
-        return PairDecision(True, (found.k1, found.k2), u, found.c, found.d,
-                            "coprime multiples of the lattice point lie in "
-                            "both semigroups")
-    for name, gens in (("first", a), ("second", b)):
-        if not in_cone(u, gens.matrix):
-            return PairDecision(False, None, u, None, None,
-                                f"the lattice point {u} misses the cone of "
-                                f"the {name} semigroup")
-    return PairDecision(None, None, u, None, None,
-                        f"no coprime pair found up to {kmax}")
+
+    a: SemigroupGens
+    b: SemigroupGens
+    kmax: int
+    rank: RankConditions
+    u: Vector | None
+    witnesses_a: tuple
+    witnesses_b: tuple
+    multiples: bool | None
+    detail: str
+    pair: tuple | None = None
+    witness_a: Vector | None = None
+    witness_b: Vector | None = None
+
+    @cached_property
+    def cone_solutions(self) -> tuple:
+        """Return u's cone solutions (exponents, multiplier) in A and B.
+
+        None marks a side whose rational cone u misses; B is solved only
+        when A's cone holds u.  The cones can meet on the line only along
+        u: -u has a negative coordinate, and the generators are
+        nonnegative.
+        """
+        if self.u is None:
+            return None, None
+        sol_a = _cone_solution(self.u, self.a.matrix)
+        return sol_a, sol_a and _cone_solution(self.u, self.b.matrix)
+
+    @property
+    def common_element(self) -> Vector | None:
+        """Return a nonzero element of both semigroups, or None.
+
+        Such an element exists exactly when both cones hold u.
+        """
+        sol_a, sol_b = self.cone_solutions
+        if sol_b is None:
+            return None
+        (ea, na), (eb, nb) = sol_a, sol_b
+        common = tuple(na * nb * x for x in self.u)
+        # Self-checks of the cone solutions; explicit so that -O keeps them.
+        for name, gens, exps, mult in (("first", self.a, ea, nb),
+                                       ("second", self.b, eb, na)):
+            if gens.matrix.matvec(tuple(mult * e for e in exps)) != common:
+                raise AssertionError(f"the {name} cone solution misses "
+                                     f"the common element {common}")
+        return common
+
+    @property
+    def gluable(self) -> bool | None:
+        """Return True with a coprime pair, False when none can exist.
+
+        No pair exists when multiples are ruled out or u misses either
+        cone, since a multiple in a semigroup lies in its cone; otherwise
+        the bounded search is inconclusive and the answer is None.
+        """
+        if self.pair is not None:
+            return True
+        if self.multiples is False or None in self.cone_solutions:
+            return False
+        return None
+
+    @property
+    def reason(self) -> str:
+        """Return the sentence that justifies ``gluable``.
+
+        A proven obstruction to multiples is named by the cone it
+        implies u misses; the ranks' failure by ``detail``.
+        """
+        if self.pair is not None:
+            return ("coprime multiples of the lattice point lie in both "
+                    "semigroups")
+        if not self.rank.ok:
+            return self.detail
+        for name, sol in zip(("first", "second"), self.cone_solutions):
+            if sol is None:
+                return (f"the lattice point {self.u} misses the cone of the "
+                        f"{name} semigroup")
+        return f"no coprime pair found up to {self.kmax}"
+
+
+def decide_pair(a: SemigroupGens, b: SemigroupGens,
+                kmax: int = 50) -> PairDecision:
+    """Decide whether some scalings k1, k2 make k1 A and k2 B glue.
+
+    One integer kernel of [A|B] gives the ranks and the lattice point u,
+    and one membership sweep per side finds the multiples of u up to
+    kmax.  Every gluing needs the column spaces to meet in a line and a
+    multiple of u in each semigroup; coprime multiples suffice.  The
+    cone solutions of u are solved only when read.
+    """
+    rc, u = _meeting_line(a, b)
+    if not rc.ok:
+        return PairDecision(a, b, kmax, rc, None, (), (), False,
+                            "the column spaces do not meet in a line")
+    wa = tuple(sorted(multiples_in_semigroup(u, a, kmax).items()))
+    wb = tuple(sorted(multiples_in_semigroup(u, b, kmax).items()))
+    if wa and wb:
+        best = min(((k1 + k2, k1, k2, c, d) for k2, c in wa for k1, d in wb
+                    if gcd(k1, k2) == 1), default=None)
+        found = {} if best is None else dict(
+            pair=best[1:3], witness_a=best[3], witness_b=best[4])
+        return PairDecision(a, b, kmax, rc, u, wa, wb, True,
+                            "multiples of the lattice point lie in both "
+                            "semigroups", **found)
+    empty = [(nm, gens) for nm, got, gens in
+             (("first", wa, a), ("second", wb, b)) if not got]
+    proven = [nm for nm, gens in empty if no_multiple_possible(u, gens)]
+    if proven:
+        return PairDecision(a, b, kmax, rc, u, wa, wb, False,
+                            f"no positive multiple of {u} can ever lie in "
+                            f"the {' or '.join(proven)} semigroup")
+    names = " or ".join(nm for nm, _ in empty)
+    return PairDecision(a, b, kmax, rc, u, wa, wb, None,
+                        f"no multiple of {u} found in the {names} semigroup "
+                        f"up to {kmax}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -681,42 +688,23 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
                             kmax: int = 50, try_pairs=()) -> ChainAudit:
     """Evaluate the implication chain on one pair of semigroups.
 
-    The gluing link is searched via coprime membership witnesses up to
-    kmax plus any explicitly supplied (k1, k2) pairs, which are then
-    fully verified.  A nonzero common semigroup element is constructed
-    whenever the cones meet, making the last equivalence concrete.
+    The gluing link is decide_pair's verdict; without a coprime pair,
+    any explicitly supplied (k1, k2) pairs are fully verified.  A
+    nonzero common semigroup element is constructed whenever the cones
+    meet, making the last equivalence concrete.
     """
-    nr = necessary_conditions(a, b, kmax)
-    rc, u = nr.rank, nr.u
-    if not rc.ok:
-        return ChainAudit(rc, None, False, None, None, None, None, None, ())
-    mult = True if nr.ok else (False if nr.definitive else None)
-    # The cones can meet on the line only along u: -u has a negative
-    # coordinate, and the generators are nonnegative.
-    common = None
-    sol_a = _cone_solution(u, a.matrix)
-    sol_b = sol_a and _cone_solution(u, b.matrix)
-    if sol_b:
-        (ea, na), (eb, nb) = sol_a, sol_b
-        common = tuple(na * nb * x for x in u)
-        assert a.matrix.matvec(tuple(nb * e for e in ea)) == common
-        assert b.matrix.matvec(tuple(na * e for e in eb)) == common
+    d = decide_pair(a, b, kmax)
+    if not d.rank.ok:
+        return ChainAudit(d.rank, None, False, None, None, None, None, None,
+                          ())
+    mult, common = d.multiples, d.common_element
     cone_meet = common is not None
-    pair = None
-    glue: bool | None = None
-    cp = nr.coprime_pair
-    if cp is not None:
-        pair = (cp.k1, cp.k2)
-        glue = True
-    else:
+    glue, pair = d.gluable, d.pair
+    if pair is None:
         for k1, k2 in try_pairs:
-            report = verify_gluing(GluingCandidate(a, b, k1, k2))
-            if report.is_gluing:
-                pair = (k1, k2)
-                glue = True
+            if verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing:
+                glue, pair = True, (k1, k2)
                 break
-    if glue is None and (mult is False or not cone_meet):
-        glue = False
     violations = []
     if glue is True and mult is False:
         violations.append("a gluing exists but provably no multiple of the "
@@ -724,5 +712,5 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
     if mult is True and not cone_meet:
         violations.append("multiples lie in both semigroups but the cones "
                           "meet only at the origin")
-    return ChainAudit(rc, u, glue, mult, cone_meet, cone_meet, pair, common,
-                      tuple(violations))
+    return ChainAudit(d.rank, d.u, glue, mult, cone_meet, cone_meet, pair,
+                      common, tuple(violations))

@@ -23,10 +23,10 @@ from semiglue import (
     MonomialOrder,
     PlaneHomogeneousGens,
     check_rank_conditions,
+    decide_pair,
     embed,
     embed_and_glue,
     enumerate_oracle,
-    find_coprime_pair,
     glued_betti,
     gluable_lattice_point,
     ideal_equal,
@@ -36,7 +36,6 @@ from semiglue import (
     kernel_lattice_basis,
     level,
     multiples_in_semigroup,
-    necessary_conditions,
     normal_form,
     primitive,
     rank,
@@ -126,13 +125,13 @@ def test_twisted_pair_glues_by_the_recorded_quadric():
 def test_skewed_pair_is_refused_definitively():
     a, bad = twisted_bad_pair()
     report = verify_gluing(GluingCandidate(a, bad))
-    nec = necessary_conditions(a, bad)
-    ok = (not report.is_gluing and not nec.ok and nec.definitive
+    nec = decide_pair(a, bad)
+    ok = (not report.is_gluing and nec.multiples is False
           and nec.witnesses_a != () and nec.witnesses_b == ())
     _verdict("skewed pair refused; no multiple of u ever enters "
              "the second semigroup", ok)
     assert not report.is_gluing
-    assert not nec.ok and nec.definitive
+    assert nec.multiples is False
     assert nec.witnesses_a != () and nec.witnesses_b == ()
     assert nec.detail == ("no positive multiple of (1, 2, 0) can ever lie "
                           "in the second semigroup")
@@ -186,15 +185,15 @@ def test_recorded_levels_of_the_skewed_pair_completers():
 def test_monomial_curve_pair_glues_at_three_two():
     a, b = monomial_curves_pair()
     u = gluable_lattice_point(a, b)
-    found = find_coprime_pair(a, b)
+    found = decide_pair(a, b)
     report = verify_gluing(GluingCandidate(a, b, 3, 2))
     unit = verify_gluing(GluingCandidate(a, b))
     mus = (unit.mu_a, unit.mu_b, unit.mu_c)
-    ok = (u == (1, 1, 2) and (found.k1, found.k2) == (3, 2)
+    ok = (u == (1, 1, 2) and found.pair == (3, 2)
           and report.is_gluing and not unit.is_gluing and mus == (3, 2, 8))
     _verdict("monomial curve pair glues at (3, 2) and not at (1, 1)", ok)
     assert u == (1, 1, 2)
-    assert (found.k1, found.k2) == (3, 2)
+    assert found.pair == (3, 2)
     assert report.is_gluing
     assert not unit.is_gluing
     assert mus == (3, 2, 8)
@@ -239,7 +238,7 @@ def test_recorded_cubic_completer_for_the_glued_monomial_curves():
 def test_shared_ray_pair_has_no_coprime_scalings():
     a, b = shared_factor_pair()
     u = gluable_lattice_point(a, b)
-    found = find_coprime_pair(a, b, kmax=50)
+    found = decide_pair(a, b, kmax=50).pair
     mults = sorted(multiples_in_semigroup(u, a, 9))
     ok = found is None and mults == [3, 6, 9]
     _verdict("shared-ray pair has no coprime scalings up to 50", ok)

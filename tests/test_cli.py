@@ -311,12 +311,12 @@ def test_nonpositive_scaling_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt",
                        "--k1", "0")
     assert code == 2
-    assert "must be positive" in err
+    assert err == "error: k1 and k2 must be positive\n"
     f = tmp_path / "zero.txt"
     f.write_text("A:\n1 0 0\n0 1 0\n0 0 1\nB:\n1 1 1\nk1: 0\n")
     code, out, err = run(capsys, "check-gluing", f)
     assert code == 2
-    assert "must be positive" in err
+    assert err == "error: k1 and k2 must be positive\n"
     assert out == ""
     code, _, err = run(capsys, "audit", CORPUS / "twisted_glue.txt",
                        "--k1", "-1", "--k2", "1")
@@ -454,6 +454,7 @@ def test_input_errors_hold_under_optimization(tmp_path):
     plane.write_text("A:\n1 0\n0 1\n1 1\n")
     for argv in (("membership", long_v), ("find-gluing", zero_kmax),
                  ("betti-glue", betti), ("check-gluing", twice),
+                 ("check-gluing", CORPUS / "twisted_glue.txt", "--k2", "-3"),
                  ("toric", plane, "--degree-bound", "5 5 5")):
         done = subprocess.run(
             [sys.executable, "-O", "-m", "semiglue", *map(str, argv)],
@@ -479,6 +480,34 @@ def test_embed_glue_input_checks_hold_under_optimization(tmp_path):
             assert done.returncode == 2, (path.name, flags, done.stdout)
             assert done.stderr.startswith("error: steps "), done.stderr
             assert "Traceback" not in done.stderr
+
+
+def test_find_gluing_self_check_holds_under_optimization(tmp_path):
+    # verify_gluing is replaced by one that refuses every candidate, so
+    # the coprime pair that find-gluing found fails its self-check.
+    script = tmp_path / "refuse.py"
+    script.write_text(
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from semiglue import cli\n"
+        "real = cli.verify_gluing\n"
+        "cli.verify_gluing = lambda cand, limit: replace(\n"
+        "    real(cand, limit), is_gluing=False)\n"
+        "try:\n"
+        "    cli.main(['find-gluing', sys.argv[1]])\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-O", str(script), str(CORPUS / "twisted_glue.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(
+        "refused: coprime scalings k1=3 k2=2 failed verification"), \
+        done.stdout
 
 
 def corpus_command(text):

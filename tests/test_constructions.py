@@ -1,5 +1,10 @@
 """Ready-made gluing constructions and low-dimensional deciders."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from semiglue import (
@@ -107,6 +112,29 @@ def test_embed_and_glue_argument_checks():
     with pytest.raises(NotCoprime):
         embed_and_glue(PlaneHomogeneousGens(4, (2,)),
                        PlaneHomogeneousGens(2, (1,)), index=1)
+
+
+def test_embed_and_glue_self_checks_hold_under_optimization(tmp_path):
+    # The lattice point is replaced by a wrong one, which the
+    # construction's own check must refuse.
+    script = tmp_path / "wrong_point.py"
+    script.write_text(
+        "from semiglue import PlaneHomogeneousGens, constructions\n"
+        "constructions.gluable_lattice_point = lambda a, b: (1, 1, 1)\n"
+        "cubic = PlaneHomogeneousGens(3, (1, 2))\n"
+        "try:\n"
+        "    constructions.embed_and_glue(cubic, cubic, 2)\n"
+        "except AssertionError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused: lattice point (1, 1, 1), expected " \
+                          "(1, 1, 0)\n"
 
 
 def test_n2_gluable_positive():

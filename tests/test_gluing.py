@@ -23,15 +23,15 @@ from semiglue import (
     RankConditionsFail,
     SemigroupGens,
     check_rank_conditions,
-    find_coprime_pair,
+    decide_pair,
     gluable_lattice_point,
     implication_chain_audit,
     is_member,
     level,
     multiples_in_semigroup,
     n2_gluable,
-    necessary_conditions,
     rank,
+    rank1_gluable,
     verify_gluing,
 )
 from semiglue import cli, gluing
@@ -42,6 +42,7 @@ from support import (
     monomial_curves_pair,
     random_gens,
     random_plane_gens,
+    random_rank2_gens,
     random_ray_gens,
     shared_column_pair,
     shared_factor_pair,
@@ -83,6 +84,38 @@ def test_rank_conditions_need_equal_ambient():
         check_rank_conditions(a, plane)
     with pytest.raises(DimensionMismatch):
         GluingCandidate(a, plane)
+
+
+def test_gluing_candidate_rejects_bad_scalings_and_shared_blocks(
+        tmp_path):
+    a, b = twisted_pair()
+    for k1, k2 in ((-3, 2), (2, 0)):
+        with pytest.raises(ValueError, match="k1 and k2 must be positive"):
+            GluingCandidate(a, b, k1, k2)
+    with pytest.raises(ValueError, match="must not share names"):
+        GluingCandidate(a, a)
+    script = tmp_path / "candidates.py"
+    script.write_text(
+        "from semiglue.gluing import GluingCandidate\n"
+        "from support import twisted_pair\n"
+        "a, b = twisted_pair()\n"
+        "for args in ((a, b, -3, 2), (a, a)):\n"
+        "    try:\n"
+        "        GluingCandidate(*args)\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("refused: k1 and k2 must be positive\n"
+                           "refused: the two variable blocks must not share "
+                           "names\n")
 
 
 def test_lattice_points_of_the_fixtures():
@@ -292,9 +325,7 @@ def test_coprime_witness_checks_hold_under_optimization(tmp_path):
 def test_kmax_must_be_positive():
     for kmax in (0, -3):
         with pytest.raises(ValueError, match="kmax must be positive"):
-            necessary_conditions(*twisted_pair(), kmax=kmax)
-        with pytest.raises(ValueError, match="kmax must be positive"):
-            find_coprime_pair(*twisted_pair(), kmax=kmax)
+            decide_pair(*twisted_pair(), kmax=kmax)
 
 
 def test_multiples_in_the_twisted_pair():
@@ -316,46 +347,49 @@ def test_no_multiple_possible_detects_the_skewed_cubic():
     assert sorted(multiples_in_semigroup(u, a, 12)) == [4, 8, 12]
 
 
-def test_necessary_conditions_on_the_fixtures():
-    rep = necessary_conditions(*twisted_pair())
-    assert rep.ok and rep.definitive
+def test_decide_pair_multiples_on_the_fixtures():
+    rep = decide_pair(*twisted_pair())
+    assert rep.multiples is True
     assert rep.u == (1, 1, 0)
     assert rep.witnesses_a and rep.witnesses_b
     assert rep.detail == ("multiples of the lattice point lie in both "
                           "semigroups")
 
-    rep = necessary_conditions(*twisted_bad_pair())
-    assert not rep.ok and rep.definitive
+    rep = decide_pair(*twisted_bad_pair())
+    assert rep.multiples is False
     assert rep.detail == ("no positive multiple of (1, 2, 0) can ever lie "
                           "in the second semigroup")
 
-    rep = necessary_conditions(*shared_factor_pair(), kmax=8)
-    assert not rep.ok and not rep.definitive
+    rep = decide_pair(*shared_factor_pair(), kmax=8)
+    assert rep.multiples is None
     assert rep.detail == ("no multiple of (1, 1, 2) found in the second "
                           "semigroup up to 8")
 
-    rep = necessary_conditions(*crossing_plane_pair())
-    assert not rep.ok and rep.definitive
+    rep = decide_pair(*crossing_plane_pair())
+    assert rep.multiples is False
     assert rep.u is None
     assert rep.detail == "the column spaces do not meet in a line"
 
 
-def test_find_coprime_pair():
-    found = find_coprime_pair(*twisted_pair())
-    assert (found.k1, found.k2) == (3, 2)
-    assert found.c == (0, 0, 1, 0)
-    assert found.d == (1, 0, 0, 0)
+def test_decide_pair_finds_the_smallest_coprime_pair():
+    found = decide_pair(*twisted_pair())
+    assert found.pair == (3, 2)
+    assert found.witness_a == (0, 0, 1, 0)
+    assert found.witness_b == (1, 0, 0, 0)
 
-    found = find_coprime_pair(*monomial_curves_pair())
-    assert (found.k1, found.k2) == (3, 2)
+    found = decide_pair(*monomial_curves_pair())
+    assert found.pair == (3, 2)
     a, b = monomial_curves_pair()
-    assert a.matrix.matvec(found.c) == (2, 2, 4)
-    assert b.matrix.matvec(found.d) == (3, 3, 6)
+    assert a.matrix.matvec(found.witness_a) == (2, 2, 4)
+    assert b.matrix.matvec(found.witness_b) == (3, 3, 6)
 
-    assert find_coprime_pair(*shared_factor_pair()) is None
-    assert find_coprime_pair(*twisted_bad_pair()) is None
+    assert decide_pair(*shared_factor_pair()).pair is None
+    assert decide_pair(*twisted_bad_pair()).pair is None
+    crossing = decide_pair(*crossing_plane_pair())
+    assert crossing.pair is None and crossing.gluable is False
+    assert not crossing.rank.ok
     with pytest.raises(RankConditionsFail):
-        find_coprime_pair(*crossing_plane_pair())
+        crossing.rank.require_line()
 
 
 def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
@@ -377,9 +411,10 @@ def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
 
 
 def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
-    # The audit, the plane helper and find-gluing share one rule.  The
-    # first pair's lattice point (2, 1) misses the cone of <(0,4), (4,3)>
-    # although no cheap obstruction rules its multiples out.
+    # The audit, the plane and ray helpers and find-gluing read one
+    # decide_pair record.  The first pair's lattice point (2, 1) misses
+    # the cone of <(0,4), (4,3)> although no cheap obstruction rules its
+    # multiples out.
     rng = random.Random(20260823)
     pairs = [(SemigroupGens.from_columns([(0, 4), (4, 3)], "x"),
               SemigroupGens.from_columns([(2, 1)], "y"))]
@@ -388,20 +423,52 @@ def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
         b = random_ray_gens(rng, "y")
         if a is not None and check_rank_conditions(a, b).ok:
             pairs.append((a, b))
+    while len(pairs) < 401:
+        a = random_rank2_gens(rng, "x")
+        b = random_rank2_gens(rng, "y")
+        if a is not None and b is not None and check_rank_conditions(a, b).ok:
+            pairs.append((a, b))
     doc = tmp_path / "pair.json"
     exit_codes = {True: 0, False: 1, None: 3}
-    cone_misses = 0
+    cone_misses = ray_helpers = 0
     for a, b in pairs:
         cols = (a.matrix.columns(), b.matrix.columns())
         audit = implication_chain_audit(a, b, kmax=12)
         doc.write_text(json.dumps({"a": cols[0], "b": cols[1], "kmax": 12}))
-        assert cli.main(["find-gluing", str(doc)]) == \
+        assert cli.main(["find-gluing", str(doc), "--json"]) == \
             exit_codes[audit.gluing], cols
-        capsys.readouterr()
-        assert n2_gluable(a, b, kmax=12).gluable == audit.gluing, cols
-        if audit.gluing is False:
-            cone_misses += not necessary_conditions(a, b, 12).definitive
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["u"] == list(audit.u), cols
+        detail = result["detail"]
+        if audit.gluing:
+            assert detail == "glued by coprime membership witnesses", cols
+        elif audit.gluing is None and audit.multiples:
+            assert detail == ("multiples of the lattice point lie in both "
+                              "semigroups"), cols
+        elif audit.gluing is None:
+            assert detail.startswith(f"no multiple of {audit.u} found in "
+                                     "the "), cols
+            assert detail.endswith(" semigroup up to 12"), cols
+        elif audit.multiples is False:
+            assert detail.startswith(f"no positive multiple of {audit.u} "
+                                     "can ever lie in the "), cols
+        else:
+            assert detail.startswith(f"the lattice point {audit.u} misses "
+                                     "the cone of the "), cols
+            cone_misses += 1
+        helpers = []
+        if a.ambient == 2:
+            helpers.append(n2_gluable(a, b, kmax=12))
+        if rank(a.matrix) == a.ambient and rank(b.matrix) == 1:
+            helpers.append(rank1_gluable(a, b, kmax=12))
+            ray_helpers += 1
+        for decision in helpers:
+            assert decision.gluable == audit.gluing, cols
+            assert (decision.pair, decision.u) == (audit.pair, audit.u), cols
+            if audit.gluing is False and audit.multiples is not False:
+                assert decision.reason == detail, cols
     assert cone_misses >= 1
+    assert ray_helpers >= 100
 
 
 def test_verify_gluing_takes_the_meeting_line_once(monkeypatch):

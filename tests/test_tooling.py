@@ -1,9 +1,13 @@
 """The measurement harness under perfbench/ still fits the package."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from semiglue import toric
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +23,27 @@ def test_perfbench_spans_find_every_wrapped_name():
          "Recorder().install()"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_chain_and_corpus_answers_match_the_recording(monkeypatch):
+    # A change that alters one recorded answer of the two decision
+    # workloads fails here, not first in a benchmark run.
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    for name in ("chain_sweep", "corpus_cli"):
+        record = expected["workloads"][name]
+        pool = workloads.build_pool(name, expected)
+        assert workloads.pool_fingerprint(name, pool) == \
+            record["fingerprint"], name
+        op, answer = workloads.WORKLOADS[name]
+        for i, item in enumerate(pool):
+            if name in workloads.CLEAR_CACHE_PER_OP:
+                toric.toric_ideal_of_matrix.cache_clear()
+            problem, _decided, got = answer(item, op(item))
+            assert problem is None, (name, i, problem)
+            assert got == record["answers"][i], (name, i)
