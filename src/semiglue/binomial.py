@@ -24,6 +24,13 @@ terms, and that lcm's order key.  ``(lcm key, i, j)`` is unique, so the
 smallest record is the next pair to process and the lcm itself is never
 compared; it is stored so that the Gebauer-Moeller update reads it
 instead of recomputing it for every surviving pair.
+
+A ``BinomialIdeal`` keeps one cache, order to raw reduced basis, and
+builds ``Binomial`` values only when ``groebner`` is read.  Membership
+and equality take no order: any Groebner basis reduces exactly the
+members to zero, and each order gives one reduced basis per ideal.  So
+``contains`` and ``ideal_equal`` use the first basis already held, and
+only an ideal that holds none computes one, under unit weights.
 """
 
 from __future__ import annotations
@@ -111,7 +118,13 @@ class Binomial:
         minus = tuple(b - c for b, c in zip(minus, common))
         if plus == minus:
             raise ValueError("the two monomials are equal: zero binomial")
-        return cls(Monomial(block, plus), Monomial(block, minus))
+        return cls.from_pair(block, (plus, minus))
+
+    @classmethod
+    def from_pair(cls, block: VariableBlock, pair: RawBinomial) -> "Binomial":
+        """Return x^u - x^v for the raw pair (u, v), exponents as given."""
+        u, v = pair
+        return cls(Monomial(block, u), Monomial(block, v))
 
     @property
     def block(self) -> VariableBlock:
@@ -136,25 +149,22 @@ def _canonical_key(b: Binomial) -> tuple:
 class MonomialOrder:
     """A term order given by positive weights plus reverse lexicographic ties.
 
-    ``weighted-degrevlex`` compares weighted degrees first and breaks
-    ties reverse lexicographically; ``cheapest`` picks which variable is
-    smallest (by default the last one).
+    The order compares weighted degrees first and breaks ties reverse
+    lexicographically; ``cheapest`` picks which variable is smallest (by
+    default the last one).
     """
 
-    kind: str
     weights: tuple[int, ...]
     cheapest: int | None = None
 
     def __post_init__(self) -> None:
-        assert self.kind == "weighted-degrevlex"
         assert len(self.weights) > 0
         assert all(isinstance(w, int) and w > 0 for w in self.weights)
         assert self.cheapest is None or 0 <= self.cheapest < len(self.weights)
 
     @classmethod
     def degrevlex(cls, weights, cheapest: int | None = None) -> "MonomialOrder":
-        return cls("weighted-degrevlex", tuple(int(w) for w in weights),
-                   cheapest=cheapest)
+        return cls(tuple(int(w) for w in weights), cheapest)
 
     def key_function(self):
         """Return a function mapping exponents to a sortable key.
@@ -380,8 +390,7 @@ def buchberger(generators, order: MonomialOrder) -> tuple[Binomial, ...]:
     assert len(order.weights) == block.size
     key = order.key_function()
     gb = _buchberger([g.as_pair() for g in gens], key)
-    return tuple(Binomial(Monomial(block, u), Monomial(block, v))
-                 for u, v in gb)
+    return tuple(Binomial.from_pair(block, g) for g in gb)
 
 
 def normal_form(f, basis, order: MonomialOrder):
@@ -398,8 +407,7 @@ def normal_form(f, basis, order: MonomialOrder):
     r = _reduce_pair(f.as_pair(), raw, key)
     if r is None:
         return None
-    block = f.block
-    return Binomial(Monomial(block, r[0]), Monomial(block, r[1]))
+    return Binomial.from_pair(f.block, r)
 
 
 @dataclass(frozen=True)
@@ -408,8 +416,7 @@ class BinomialIdeal:
 
     block: VariableBlock
     generators: tuple[Binomial, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _reducers: dict = field(default_factory=dict, compare=False, repr=False)
+    _bases: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         assert all(isinstance(g, Binomial) and g.block == self.block
@@ -417,54 +424,60 @@ class BinomialIdeal:
         canon = tuple(sorted(set(self.generators), key=_canonical_key))
         object.__setattr__(self, "generators", canon)
 
+    @classmethod
+    def from_basis(cls, block: VariableBlock, order: MonomialOrder,
+                   basis) -> "BinomialIdeal":
+        """Return the ideal of a raw reduced basis under order, holding it."""
+        basis = tuple(basis)
+        ideal = cls(block, tuple(Binomial.from_pair(block, g) for g in basis))
+        ideal._bases[order] = basis
+        return ideal
+
+    def spanned_by(self, generators) -> "BinomialIdeal":
+        """Return this ideal generated by a spanning subset, bases kept."""
+        return BinomialIdeal(self.block, tuple(generators),
+                             _bases=dict(self._bases))
+
+    def _basis(self, order: MonomialOrder) -> tuple[RawBinomial, ...]:
+        basis = self._bases.get(order)
+        if basis is None:
+            assert len(order.weights) == self.block.size
+            basis = self._bases[order] = _buchberger(
+                [g.as_pair() for g in self.generators], order.key_function())
+        return basis
+
     def groebner(self, order: MonomialOrder) -> tuple[Binomial, ...]:
         """Return the reduced Groebner basis under the given order."""
-        return self._groebner(order, None)
+        return tuple(Binomial.from_pair(self.block, g)
+                     for g in self._basis(order))
 
-    def _groebner(self, order: MonomialOrder, key) -> tuple[Binomial, ...]:
-        assert len(order.weights) == self.block.size
-        cached = self._cache.get(order)
-        if cached is None:
-            gb = _buchberger([g.as_pair() for g in self.generators],
-                             key or order.key_function())
-            cached = tuple(Binomial(Monomial(self.block, u),
-                                    Monomial(self.block, v)) for u, v in gb)
-            self._cache[order] = cached
-        return cached
-
-    def contains(self, f: Binomial, weights=None) -> bool:
+    def contains(self, f: Binomial) -> bool:
         """Return whether the binomial f lies in the ideal.
 
-        The reduced basis and order key for the weights are built on the
-        first call and reused by later ones.
+        Both monomials of f reduce to one normal form exactly when f is a
+        member, under any Groebner basis; the first one held is used.
         """
-        if weights is not None:
-            weights = tuple(weights)
-        reducer = self._reducers.get(weights)
-        if reducer is None:
-            order = _default_order(self.block, weights)
-            key = order.key_function()
-            raw = [g.as_pair() for g in self._groebner(order, key)]
-            reducer = self._reducers[weights] = (raw, key)
-        raw, key = reducer
-        return _reduce_pair(f.as_pair(), raw, key) is None
+        basis = next(iter(self._bases.values()), None)
+        if basis is None:
+            basis = self._basis(_unit_order(self.block))
+        u, v = f.as_pair()
+        return _nf_mono(u, basis) == _nf_mono(v, basis)
 
 
-def _default_order(block: VariableBlock, weights) -> MonomialOrder:
-    if weights is None:
-        weights = (1,) * block.size
-    return MonomialOrder.degrevlex(tuple(int(w) for w in weights))
+def _unit_order(block: VariableBlock) -> MonomialOrder:
+    return MonomialOrder.degrevlex((1,) * block.size)
 
 
-def ideal_equal(a: BinomialIdeal, b: BinomialIdeal, weights=None) -> bool:
+def ideal_equal(a: BinomialIdeal, b: BinomialIdeal) -> bool:
     """Return whether two binomial ideals over the same block are equal.
 
-    Decided by comparing reduced Groebner bases under one shared order,
-    which are unique per ideal.
+    Decided by comparing reduced Groebner bases, which are unique per
+    ideal, under one shared order: the first that either ideal already
+    holds, else unit weights.
     """
     assert a.block == b.block
-    order = _default_order(a.block, weights)
-    return a.groebner(order) == b.groebner(order)
+    order = next(iter(a._bases or b._bases), None) or _unit_order(a.block)
+    return a._basis(order) == b._basis(order)
 
 
 def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdeal:
@@ -490,14 +503,14 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
     else:
         idx = [block.index(nm) for nm in variables]
     sat = _saturate_raw(pairs, weights, idx)
-    key = MonomialOrder.degrevlex(weights).key_function()
+    order = MonomialOrder.degrevlex(weights)
+    key = order.key_function()
     if idx is None:
         # The last sweep ran under this order and left a Groebner basis.
         final = _interreduce(sat, key)
     else:
         final = _buchberger(sat, key)
-    return BinomialIdeal(block, tuple(
-        Binomial(Monomial(block, u), Monomial(block, v)) for u, v in final))
+    return BinomialIdeal.from_basis(block, order, final)
 
 
 def embed(b: Binomial, target_block: VariableBlock, offset: int) -> Binomial:
@@ -505,12 +518,9 @@ def embed(b: Binomial, target_block: VariableBlock, offset: int) -> Binomial:
     size = b.block.size
     assert 0 <= offset and offset + size <= target_block.size
     assert target_block.names[offset:offset + size] == b.block.names
-
-    def lift(m: Monomial) -> Monomial:
-        pad = (0,) * (target_block.size - offset - size)
-        return Monomial(target_block, (0,) * offset + m.exponents + pad)
-
-    return Binomial(lift(b.plus), lift(b.minus))
+    head, pad = (0,) * offset, (0,) * (target_block.size - offset - size)
+    return Binomial.from_pair(target_block,
+                              tuple(head + m + pad for m in b.as_pair()))
 
 
 def binomial_from_vector(block: VariableBlock, v) -> Binomial:
@@ -521,4 +531,4 @@ def binomial_from_vector(block: VariableBlock, v) -> Binomial:
         raise ValueError("the zero vector gives the zero binomial")
     plus = tuple(x if x > 0 else 0 for x in v)
     minus = tuple(-x if x < 0 else 0 for x in v)
-    return Binomial(Monomial(block, plus), Monomial(block, minus))
+    return Binomial.from_pair(block, (plus, minus))

@@ -401,7 +401,11 @@ def cmd_audit(args) -> int:
     k2 = args.k2 if args.k2 is not None else doc.k2
     if (k1 is not None and k1 < 1) or (k2 is not None and k2 < 1):
         raise ValueError("k1 and k2 must be positive")
-    try_pairs = [(k1, k2)] if k1 is not None and k2 is not None else []
+    if (k1 is None) != (k2 is None):
+        missing = "k2" if k2 is None else "k1"
+        raise ValueError(f"audit tries scalings only as a pair: {missing} "
+                         "is missing")
+    try_pairs = [] if k1 is None else [(k1, k2)]
     audit = implication_chain_audit(a, b, kmax, try_pairs)
     result = {
         "gluing": audit.gluing,

@@ -24,6 +24,8 @@ from .gluing import (
     GluingCandidate,
     NotCoprime,
     PairDecision,
+    _decide_on_line,
+    _meeting_line,
     _mixed_binomial,
     decide_pair,
     gluable_lattice_point,
@@ -176,8 +178,12 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
     In the plane the rank conditions force one side onto a ray, and the
     meeting line is that ray.  The answer is decide_pair's, with the
     plane's rank failure named in ``detail`` and so in ``reason``.
+    Raises ValueError unless both semigroups lie in the plane.
     """
-    assert a.ambient == 2 and b.ambient == 2
+    # Explicit so that -O keeps it: outside the plane the answer is wrong.
+    if a.ambient != 2 or b.ambient != 2:
+        raise ValueError(f"n2_gluable needs two plane semigroups, got "
+                         f"ambient dimensions {a.ambient} and {b.ambient}")
     d = decide_pair(a, b, kmax)
     rc = d.rank
     if rc.ok:
@@ -195,12 +201,13 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
     """Decide gluability when the second semigroup lies on a single ray.
 
     Requires the first side to span the ambient space and the second to
-    have rank one, else RankMismatch.  The meeting line is the ray, so
-    everything reduces to multiples of its primitive direction.
+    have rank one, else RankMismatch, raised before any membership
+    search.  The meeting line is the ray, so everything reduces to
+    multiples of its primitive direction.
     """
     n = a.ambient
-    d = decide_pair(a, b, kmax)
-    if d.rank.rank_a != n or d.rank.rank_b != 1:
-        raise RankMismatch(f"need rank {n} and rank 1, got {d.rank.rank_a} "
-                           f"and {d.rank.rank_b}")
-    return d
+    rc, u = _meeting_line(a, b)
+    if rc.rank_a != n or rc.rank_b != 1:
+        raise RankMismatch(f"need rank {n} and rank 1, got {rc.rank_a} "
+                           f"and {rc.rank_b}")
+    return _decide_on_line(a, b, kmax, rc, u)

@@ -23,13 +23,7 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .binomial import (
-    Binomial,
-    BinomialIdeal,
-    Monomial,
-    embed,
-    ideal_equal,
-)
+from .binomial import Binomial, BinomialIdeal, embed, ideal_equal
 from .exactlin import (
     IntegerMatrix,
     independent_suffix,
@@ -357,18 +351,9 @@ def _level(w: Binomial, cand: GluingCandidate, u: Vector | None) -> int:
 
 def _mixed_binomial(cand: GluingCandidate, c: Vector, d: Vector) -> Binomial:
     """Return x^c - y^d over the combined block."""
-    block = cand.c_block
     pa, pb = cand.a.count, cand.b.count
-    return Binomial(Monomial(block, tuple(c) + (0,) * pb),
-                    Monomial(block, (0,) * pa + tuple(d)))
-
-
-def _joined_generators(cand: GluingCandidate, ia: GradedBinomialSet,
-                       ib: GradedBinomialSet) -> list:
-    block = cand.c_block
-    gens = [embed(g, block, 0) for g in ia.ideal.generators]
-    gens += [embed(g, block, cand.a.count) for g in ib.ideal.generators]
-    return gens
+    return Binomial.from_pair(cand.c_block, (tuple(c) + (0,) * pb,
+                                             (0,) * pa + tuple(d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,12 +413,14 @@ def verify_gluing(cand: GluingCandidate,
             u=u, is_gluing=False, rho=None, rho_level=None,
             detail=(f"generator counts rule it out: {ic.mu} != "
                     f"{ia.mu} + {ib.mu} + 1"), **base)
-    weights_c = tuple(sum(c) for c in cand.c_matrix.columns())
-    joined = _joined_generators(cand, ia, ib)
+    joined = tuple(embed(g, cand.c_block, 0) for g in ia.ideal.generators)
+    joined += tuple(embed(g, cand.c_block, cand.a.count)
+                    for g in ib.ideal.generators)
 
     def completes(rho: Binomial) -> bool:
-        glued = BinomialIdeal(cand.c_block, tuple(joined) + (rho,))
-        return ideal_equal(glued, ic.ideal, weights_c)
+        # Compared under the order whose basis ic already holds.
+        return ideal_equal(BinomialIdeal(cand.c_block, joined + (rho,)),
+                           ic.ideal)
 
     if gcd(cand.k1, cand.k2) == 1:
         c_wit = is_member(tuple(cand.k2 * x for x in u), cand.a)
@@ -451,30 +438,22 @@ def verify_gluing(cand: GluingCandidate,
             return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
                                 detail="glued by coprime membership "
                                        "witnesses", **base)
+    # Each x^c - y^d comes up once: c fixes deg = k1 A c, and a fiber
+    # lists distinct vectors.  A binomial of degree zero would be zero,
+    # so neither c nor d is.
     degrees = sorted(set(ic.adegrees.values()), key=lambda d: (sum(d), d))
-    tried = set()
     for deg in degrees:
-        if any(x % cand.k1 for x in deg):
-            xs: tuple = ()
-        else:
-            xs = fiber_monomials(cand.a.matrix,
-                                 tuple(x // cand.k1 for x in deg), work_limit)
-        if not xs:
+        if any(x % cand.k1 or x % cand.k2 for x in deg):
             continue
-        if any(x % cand.k2 for x in deg):
+        xs = fiber_monomials(cand.a.matrix,
+                             tuple(x // cand.k1 for x in deg), work_limit)
+        if not xs:
             continue
         ys = fiber_monomials(cand.b.matrix,
                              tuple(x // cand.k2 for x in deg), work_limit)
         for c in xs:
-            if all(x == 0 for x in c):
-                continue
             for d in ys:
-                if all(x == 0 for x in d):
-                    continue
                 rho = _mixed_binomial(cand, c, d)
-                if rho in tried:
-                    continue
-                tried.add(rho)
                 if completes(rho):
                     try:
                         lev = _level(rho, cand, u)
@@ -634,7 +613,12 @@ def decide_pair(a: SemigroupGens, b: SemigroupGens,
     multiple of u in each semigroup; coprime multiples suffice.  The
     cone solutions of u are solved only when read.
     """
-    rc, u = _meeting_line(a, b)
+    return _decide_on_line(a, b, kmax, *_meeting_line(a, b))
+
+
+def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
+                    rc: RankConditions, u: Vector | None) -> PairDecision:
+    """Return decide_pair's record, given the pair's ``_meeting_line``."""
     if not rc.ok:
         return PairDecision(a, b, kmax, rc, None, (), (), False,
                             "the column spaces do not meet in a line")

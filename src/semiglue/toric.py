@@ -128,12 +128,10 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     are completed up to degree d; the ideal is homogeneous, so the basis
     then decides membership in degree d exactly.  A kept generator joins
     the basis in its reduced form, with its pairs.  The kept set spans
-    the same ideal as all the generators, so it shares their reduced
-    Groebner basis.
+    the same ideal as all the generators, so it keeps the Groebner bases
+    that their ideal holds.
     """
-    block = gset.ideal.block
-    order = MonomialOrder.degrevlex(gset.weights)
-    key = order.key_function()
+    key = MonomialOrder.degrevlex(gset.weights).key_function()
     gens = sorted(gset.ideal.generators,
                   key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
                                  _canonical_key(g)))
@@ -149,8 +147,7 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
         kept.append(g)
         basis.append(r)
         _gm_update(basis, pairs, len(basis) - 1, key)
-    ideal = BinomialIdeal(block, tuple(kept))
-    ideal._cache[order] = gset.ideal.groebner(order)
+    ideal = gset.ideal.spanned_by(kept)
     return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
                              gset.weights)
 
@@ -229,7 +226,6 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
     # The last sweep already leaves a Groebner basis under this order.
     sweeps = _sweep_variables(basis, matrix.cols)
     gb = _interreduce(_saturate_raw(pairs, weights, sweeps), key)
-    gens = []
     for u, v in gb:
         # Self-checks of the saturation; explicit so that -O keeps them.
         if not _coprime(u, v):
@@ -238,10 +234,8 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
         if matrix.matvec(u) != matrix.matvec(v):
             raise AssertionError(
                 f"toric Groebner element {u} - {v} is not homogeneous")
-        gens.append(Binomial(Monomial(block, u), Monomial(block, v)))
-    ideal = BinomialIdeal(block, tuple(gens))
-    ideal._cache[order] = tuple(gens)
-    adegrees = {g: matrix.matvec(g.plus.exponents) for g in gens}
+    ideal = BinomialIdeal.from_basis(block, order, gb)
+    adegrees = {g: matrix.matvec(g.plus.exponents) for g in ideal.generators}
     return minimal_generators(GradedBinomialSet(ideal, adegrees, weights))
 
 

@@ -107,23 +107,61 @@ def test_membership_separates_curve_from_complete_intersection():
     assert not CURVE.contains(b4((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
-def test_contains_builds_its_reducer_once(monkeypatch):
-    real = MonomialOrder.key_function
-    calls = []
+def _count_buchberger(monkeypatch) -> list:
+    runs = []
+    real = binomial._buchberger
 
-    def counted(order):
-        calls.append(order)
-        return real(order)
+    def counted(pairs, key):
+        runs.append(len(pairs))
+        return real(pairs, key)
 
-    monkeypatch.setattr(MonomialOrder, "key_function", counted)
+    monkeypatch.setattr(binomial, "_buchberger", counted)
+    return runs
+
+
+def test_contains_runs_buchberger_once_on_a_fresh_ideal(monkeypatch):
+    runs = _count_buchberger(monkeypatch)
     curve = BinomialIdeal(X4, CURVE.generators)
     probes = [G_MIX, b4((1, 0, 0, 0), (0, 1, 0, 0))] * 25
     answers = [curve.contains(f) for f in probes]
     assert answers == [True, False] * 25
-    assert calls == [ORDER]
-    curve.contains(G_MIX, weights=[2, 1, 1, 1])
-    curve.contains(G_MIX, weights=(2, 1, 1, 1))
-    assert calls == [ORDER, MonomialOrder.degrevlex((2, 1, 1, 1))]
+    assert len(runs) == 1
+    # It computed the basis under unit weights, which groebner now reads.
+    assert list(curve._bases) == [ORDER]
+    assert set(curve.groebner(ORDER)) == set(CURVE.generators)
+    assert len(runs) == 1
+
+
+def test_contains_and_ideal_equal_use_a_basis_already_held(monkeypatch):
+    heavy = MonomialOrder.degrevlex((2, 1, 1, 1))
+    curve = BinomialIdeal(X4, CURVE.generators)
+    curve.groebner(heavy)
+    runs = _count_buchberger(monkeypatch)
+    assert curve.contains(G_MIX)
+    assert not curve.contains(b4((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert runs == []
+    # The other ideal gets a basis under the order the first one holds.
+    ci = BinomialIdeal(X4, CURVE_CI.generators)
+    assert not ideal_equal(curve, ci)
+    assert len(runs) == 1
+    assert list(ci._bases) == [heavy]
+
+
+def test_from_basis_keeps_the_basis_it_is_given(monkeypatch):
+    gb = tuple(g.as_pair() for g in CURVE.groebner(ORDER))
+    ideal = BinomialIdeal.from_basis(X4, ORDER, gb)
+    runs = _count_buchberger(monkeypatch)
+    assert ideal == CURVE
+    assert ideal.groebner(ORDER) == CURVE.groebner(ORDER)
+    kept = ideal.spanned_by(CURVE.generators)
+    assert kept.contains(G_MIX) and ideal_equal(kept, CURVE)
+    assert runs == []
+
+
+def test_binomial_from_pair_inverts_as_pair():
+    assert Binomial.from_pair(X4, G_MIX.as_pair()) == G_MIX
+    assert Binomial.from_pair(X4, ((1, 1, 0, 0), (1, 0, 1, 0))) == \
+        b4((1, 1, 0, 0), (1, 0, 1, 0))
 
 
 def test_normal_form_zero_exactly_on_members():
@@ -191,7 +229,7 @@ def test_saturate_requires_homogeneous_generators():
     with pytest.raises(ValueError):
         saturate(ideal)
     sat = saturate(ideal, weights=(2, 1, 1, 1))
-    assert ideal_equal(sat, ideal, weights=(2, 1, 1, 1))
+    assert ideal_equal(sat, ideal)
 
 
 def test_embed_pads_with_zeros():

@@ -323,6 +323,24 @@ def test_nonpositive_scaling_is_an_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_audit_needs_both_scalings_or_neither(capsys, tmp_path):
+    noglue = CORPUS / "shared_factor_noglue.txt"
+    for flag, missing in (("--k1", "k2"), ("--k2", "k1")):
+        code, out, err = run(capsys, "audit", noglue, flag, "2")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: audit tries scalings only as a pair: "
+                       f"{missing} is missing\n")
+    f = tmp_path / "lone_k1.txt"
+    f.write_text(noglue.read_text() + "k1: 2\n")
+    code, out, err = run(capsys, "audit", f)
+    assert code == 2
+    assert err == ("error: audit tries scalings only as a pair: k2 is "
+                   "missing\n")
+    code, _, _ = run(capsys, "audit", f, "--k2", "3")
+    assert code == 0
+
+
 def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
     for command in ("find-gluing", "audit"):
         for kmax in ("0", "-3"):

@@ -19,6 +19,7 @@ from semiglue import (
     verify_gluing,
 )
 from semiglue import constructions, exactlin, gluing
+from support import twisted_pair
 
 CUBIC = PlaneHomogeneousGens(3, (1, 2))
 STEEP = PlaneHomogeneousGens(5, (1, 4))
@@ -148,6 +149,33 @@ def test_n2_gluable_positive():
     assert b.matrix.matvec(decision.witness_b) == (1, 1)
 
 
+def test_n2_gluable_refuses_a_pair_outside_the_plane():
+    a, b = twisted_pair()
+    with pytest.raises(ValueError, match="ambient dimensions 3 and 3"):
+        n2_gluable(a, b)
+
+
+def test_n2_gluable_domain_check_holds_under_optimization(tmp_path):
+    script = tmp_path / "twisted_n2.py"
+    script.write_text(
+        "from semiglue import n2_gluable\n"
+        "from support import twisted_pair\n"
+        "try:\n"
+        "    d = n2_gluable(*twisted_pair())\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    print('answered', d.gluable, d.pair)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("refused: n2_gluable needs two plane semigroups, "
+                           "got ambient dimensions 3 and 3\n")
+
+
 def test_n2_gluable_rejects_two_full_planes():
     a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
     b = SemigroupGens.from_columns([(1, 1), (1, 2)], "y")
@@ -201,6 +229,26 @@ def test_rank1_gluable_requires_the_rank_profile():
     full = SemigroupGens.from_columns([(1, 0), (0, 1)], "y")
     with pytest.raises(RankMismatch):
         rank1_gluable(ray, full)
+
+
+def test_rank1_gluable_checks_the_ranks_before_any_membership(monkeypatch):
+    searched = []
+    real = gluing.is_member
+
+    def counted(v, gens):
+        searched.append(v)
+        return real(v, gens)
+
+    monkeypatch.setattr(gluing, "is_member", counted)
+    # Rank 2 and rank 2 in three dimensions, meeting in a line.
+    a, b = twisted_pair()
+    with pytest.raises(RankMismatch, match="need rank 3 and rank 1"):
+        rank1_gluable(a, b)
+    assert searched == []
+    ray = SemigroupGens.from_columns([(1, 1, 0), (2, 2, 0)], "y")
+    full = SemigroupGens.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)], "x")
+    assert rank1_gluable(full, ray).gluable is True
+    assert searched
 
 
 def test_rank1_gluable_rejects_a_missed_cone():

@@ -25,9 +25,9 @@ def test_perfbench_spans_find_every_wrapped_name():
     assert done.returncode == 0, done.stderr
 
 
-def test_chain_and_corpus_answers_match_the_recording(monkeypatch):
-    # A change that alters one recorded answer of the two decision
-    # workloads fails here, not first in a benchmark run.
+def test_workload_answers_match_the_recording(monkeypatch):
+    # A change that alters one recorded answer of any workload fails
+    # here, not first in a benchmark run.
     monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
@@ -35,7 +35,8 @@ def test_chain_and_corpus_answers_match_the_recording(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
-    for name in ("chain_sweep", "corpus_cli"):
+    for name in ("chain_sweep", "toric_ideals", "oracle_check",
+                 "corpus_cli"):
         record = expected["workloads"][name]
         pool = workloads.build_pool(name, expected)
         assert workloads.pool_fingerprint(name, pool) == \

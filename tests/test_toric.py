@@ -27,7 +27,7 @@ from semiglue import (
     normal_form,
     toric_ideal,
 )
-from semiglue import toric
+from semiglue import binomial, toric
 from semiglue.binomial import _interreduce, _saturate_raw
 from semiglue.exactlin import kernel_lattice_basis
 from semiglue.toric import (
@@ -77,7 +77,7 @@ def test_plane_cubic_ideal():
         mk(block, (0, 0, 2, 0), (0, 1, 0, 1)),
         mk(block, (0, 1, 1, 0), (1, 0, 0, 1)),
     ))
-    assert ideal_equal(t.ideal, want, PLANE_CUBIC.weights())
+    assert ideal_equal(t.ideal, want)
     for g in t.ideal.generators:
         assert t.adegrees[g] == PLANE_CUBIC.adegree(g.plus.exponents)
         assert t.adegrees[g] == PLANE_CUBIC.adegree(g.minus.exponents)
@@ -93,7 +93,7 @@ def test_monomial_curve_ideals_match_known_generators():
         mk(xb, (0, 2, 0, 0), (1, 0, 1, 0)),
         mk(xb, (0, 1, 2, 0), (1, 0, 0, 1)),
     ))
-    assert ideal_equal(ta.ideal, want_a, a.weights())
+    assert ideal_equal(ta.ideal, want_a)
     tb = toric_ideal(b)
     assert tb.mu == 2
     yb = b.block
@@ -101,7 +101,7 @@ def test_monomial_curve_ideals_match_known_generators():
         mk(yb, (0, 1, 2, 0), (0, 0, 0, 1)),
         mk(yb, (0, 5, 0, 0), (3, 0, 2, 0)),
     ))
-    assert ideal_equal(tb.ideal, want_b, b.weights())
+    assert ideal_equal(tb.ideal, want_b)
 
 
 def test_free_semigroup_has_zero_ideal():
@@ -118,8 +118,7 @@ def test_union_with_shared_column_needs_thirteen_generators():
     assert t.mu == 13
     linear = mk(cand.c_block,
                 (0, 0, 0, 0, 1) + (0,) * 5, (0,) * 5 + (0, 0, 0, 0, 1))
-    weights = tuple(sum(c) for c in cand.c_matrix.columns())
-    assert t.ideal.contains(linear, weights)
+    assert t.ideal.contains(linear)
     assert linear in t.ideal.generators or linear.negated() in t.ideal.generators
 
 
@@ -140,17 +139,65 @@ def test_fiber_work_limit_raises():
 
 def test_oracle_agrees_with_the_computed_ideal():
     t = toric_ideal(PLANE_CUBIC)
-    weights = PLANE_CUBIC.weights()
     found = enumerate_oracle(PLANE_CUBIC, (6, 6))
     assert found
     for f in found:
         assert PLANE_CUBIC.adegree(f.plus.exponents) == \
             PLANE_CUBIC.adegree(f.minus.exponents)
-        assert t.ideal.contains(f, weights)
+        assert t.ideal.contains(f)
     for g in t.ideal.generators:
         deg = t.adegrees[g]
         assert all(x <= 6 for x in deg)
         assert g in found or g.negated() in found
+
+
+def test_contains_reads_the_basis_a_toric_ideal_holds(monkeypatch):
+    t = toric_ideal(PLANE_CUBIC)
+    block = PLANE_CUBIC.block
+    runs = []
+    real = binomial._buchberger
+
+    def counted(pairs, key):
+        runs.append(len(pairs))
+        return real(pairs, key)
+
+    monkeypatch.setattr(binomial, "_buchberger", counted)
+    found = enumerate_oracle(PLANE_CUBIC, (6, 6))
+    stranger = mk(block, (1, 0, 0, 0), (0, 1, 0, 0))
+    probes = list(found) + [stranger] * (50 - len(found))
+    answers = [t.ideal.contains(f) for f in probes]
+    assert answers == [f in found for f in probes]
+    assert answers.count(False) == 50 - len(found) > 0
+    assert runs == []
+
+
+def test_contains_agrees_on_fresh_and_toric_ideals():
+    # A toric ideal holds its basis under its own weights; a fresh copy
+    # of its generators computes one under unit weights.
+    rng = random.Random(20261018)
+    members = strangers = 0
+    for _ in range(30):
+        gens = random_gens(rng, rng.randrange(1, 4), rng.randrange(2, 6), 5)
+        t = toric_ideal(gens)
+        fresh = BinomialIdeal(gens.block, t.ideal.generators)
+        bound = tuple(sum(row) for row in gens.matrix.entries)
+        try:
+            oracle = enumerate_oracle(gens, bound, work_limit=50_000)
+        except BoundTooLarge:
+            oracle = ()
+        probes = list(oracle[:100])
+        for _ in range(10):
+            u = tuple(rng.randrange(3) for _ in range(gens.count))
+            v = tuple(rng.randrange(3) for _ in range(gens.count))
+            if u != v:
+                probes.append(mk(gens.block, u, v))
+        for f in probes:
+            want = gens.adegree(f.plus.exponents) == \
+                gens.adegree(f.minus.exponents)
+            assert t.ideal.contains(f) == fresh.contains(f) == want, f
+            members += want
+            strangers += not want
+    assert members > 100 and strangers > 100
 
 
 def test_oracle_empty_under_zero_bound():
@@ -462,8 +509,7 @@ def test_skipped_sweeps_give_the_same_toric_ideal():
         full = _interreduce(_saturate_raw(pairs, weights), key) if pairs else []
         gens = tuple(mk(block, u, v) for u, v in full)
         assert t.ideal.groebner(order) == gens, m
-        ideal = BinomialIdeal(block, gens)
-        ideal._cache[order] = gens
+        ideal = BinomialIdeal.from_basis(block, order, full)
         want = minimal_generators(GradedBinomialSet(
             ideal, {g: m.matvec(g.plus.exponents) for g in gens}, weights))
         assert t.ideal.generators == want.ideal.generators, m
