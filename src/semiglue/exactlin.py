@@ -82,11 +82,6 @@ class IntegerMatrix:
         assert k != 0
         return IntegerMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
 
-    def restrict_rows(self, keep) -> "IntegerMatrix":
-        keep = tuple(keep)
-        assert keep, "must keep at least one row"
-        return IntegerMatrix(tuple(self.entries[i] for i in keep))
-
 
 def rank(m: IntegerMatrix) -> int:
     """Return the rank of m, computed fraction-free."""

@@ -4,12 +4,14 @@ Two semigroups in the same ambient space, scaled by positive integers
 k1 and k2, glue when the toric ideal of the combined generators equals
 the two smaller toric ideals plus one extra binomial rho = x^c - y^d
 mixing the two variable blocks.  This module computes the lattice point
-that any such rho must live over and decides two questions.
+u that any such rho must live over and decides two questions.
 ``decide_pair`` asks whether some scalings glue a pair: yes with
 coprime membership witnesses, no when the ranks, an obstruction to
 membership or a rational cone rule it out, otherwise open within its
-bound.  ``verify_gluing`` decides one candidate exactly: a positive
-answer comes with rho and the verified ideal identity, a negative
+bound.  ``verify_gluing`` decides one candidate exactly by Rosales'
+lattice criterion (Semigroup Forum 55, 1997): the column spaces meet
+in a line, and the least multiple L u in both scaled groups lies in
+both scaled semigroups.  A positive answer comes with rho, a negative
 answer with the invariant that rules it out.  The implication-chain
 audit reads ``decide_pair``'s record.
 """
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .binomial import Binomial, BinomialIdeal, embed, ideal_equal
+from .binomial import Binomial, ideal_equal  # noqa: F401  (perfbench wraps it)
 from .exactlin import (
     IntegerMatrix,
     independent_suffix,
@@ -33,7 +35,6 @@ from .exactlin import (
 )
 from .homology import HomologySummary
 from .toric import (
-    GradedBinomialSet,
     SemigroupGens,
     fiber_monomials,
     toric_ideal,
@@ -113,10 +114,6 @@ class RankConditions:
     def ok(self) -> bool:
         """Return whether the two column spaces meet in a line."""
         return self.rank_a + self.rank_b == self.rank_joint + 1
-
-    @property
-    def full_dimensional(self) -> bool:
-        return self.rank_joint == self.ambient
 
     def require_line(self) -> None:
         """Raise RankConditionsFail unless the column spaces meet in a line."""
@@ -313,19 +310,16 @@ def level(w: Binomial, cand: GluingCandidate) -> int:
     Writing w = x^p y^q - x^r y^s, the x-exponent drop alpha = p - r
     satisfies A alpha = k2 * l * u for an integer l, and the y-exponent
     drop on the other side matches it; the level is |l|.  Raises
+    ValueError unless w is written over the candidate's block,
     NotCoprime unless gcd(k1, k2) = 1, and NotInIdeal when w is not
     homogeneous for the glued grading.
     """
-    return _level(w, cand, None)
-
-
-def _level(w: Binomial, cand: GluingCandidate, u: Vector | None) -> int:
-    """Return the level of w, given the meeting point u if already known."""
-    assert w.block == cand.c_block
+    if w.block != cand.c_block:
+        raise ValueError(f"the binomial is over {w.block.names}, not the "
+                         f"candidate's block {cand.c_block.names}")
     if gcd(cand.k1, cand.k2) != 1:
         raise NotCoprime(f"scalings {cand.k1}, {cand.k2} share a factor")
-    if u is None:
-        u = gluable_lattice_point(cand.a, cand.b)
+    u = gluable_lattice_point(cand.a, cand.b)
     pa = cand.a.count
     pe, me = w.plus.exponents, w.minus.exponents
     alpha = tuple(x - y for x, y in zip(pe[:pa], me[:pa]))
@@ -356,6 +350,17 @@ def _mixed_binomial(cand: GluingCandidate, c: Vector, d: Vector) -> Binomial:
                                              (0,) * pa + tuple(d)))
 
 
+def _line_index(gens: SemigroupGens, u: Vector) -> int:
+    """Return m such that ZA and Ru meet in m Zu, for u in the span RA.
+
+    A kernel vector (alpha, t) of [A | -u] has A alpha = t u, so the
+    last coordinates of a kernel lattice basis generate the ideal mZ.
+    """
+    column = IntegerMatrix.from_columns([tuple(-x for x in u)])
+    basis = kernel_lattice_basis(gens.matrix.hstack(column))
+    return gcd(*(d[-1] for d in basis))
+
+
 @dataclass(frozen=True, eq=False)
 class GluingReport:
     """Everything verify_gluing found out about one candidate."""
@@ -369,9 +374,6 @@ class GluingReport:
     mu_a: int
     mu_b: int
     mu_c: int
-    ideal_a: GradedBinomialSet
-    ideal_b: GradedBinomialSet
-    ideal_c: GradedBinomialSet
     shared_columns: tuple
     homology: HomologySummary
     detail: str
@@ -381,90 +383,65 @@ def verify_gluing(cand: GluingCandidate,
                   work_limit: int = 10 ** 6) -> GluingReport:
     """Decide whether the candidate is a gluing, with certificates.
 
-    The decision is exact.  A gluing needs the rank conditions and the
-    generator count identity mu(C) = mu(A) + mu(B) + 1; both are
-    necessary, so failing either is a definitive no.  When they hold,
-    any single binomial completing the two ideals must be a minimal
-    generator of the glued ideal, so trying every mixed binomial over
-    the minimal generator degrees is a complete search: the first one
-    generating the glued ideal is returned as rho, and if none does the
-    candidate is definitively not a gluing.
+    The decision is exact and needs only lattice data (Rosales, "On
+    presentations of subsemigroups of N^n", Semigroup Forum 55, 1997):
+    k1 A and k2 B glue iff the column spaces meet in a line through u
+    and L u lies in both k1<A> and k2<B>, where Ru meets ZA in m_A Zu
+    and ZB in m_B Zu, and L = lcm(k1 m_A, k2 m_B).  Every binomial
+    x^c - y^d of degree L u then completes the two ideals.  With coprime
+    scalings and L = k1 k2, rho comes from the two membership witnesses;
+    otherwise from the first vector of each fiber over L u, and
+    work_limit bounds only that walk.  A gluing has mu(C) = mu(A) + mu(B) + 1; only a
+    negative answer computes the glued ideal, whose generator count
+    says whether mu already rules the candidate out.
     """
     ia = toric_ideal(cand.a)
     ib = toric_ideal(cand.b)
-    ic = toric_ideal_of_matrix(cand.c_matrix, cand.c_block)
     rc, u = _meeting_line(cand.a, cand.b)
+    k1, k2 = cand.k1, cand.k2
+    rho = lev = d = None
+    if rc.ok:
+        ell = lcm(k1 * _line_index(cand.a, u), k2 * _line_index(cand.b, u))
+        va = tuple(ell // k1 * x for x in u)
+        vb = tuple(ell // k2 * x for x in u)
+        c = is_member(va, cand.a)
+        d = None if c is None else is_member(vb, cand.b)
+    if d is not None:
+        coprime = gcd(k1, k2) == 1
+        if coprime and ell == k1 * k2:
+            detail = "glued by coprime membership witnesses"
+        else:
+            # Any pair over L u completes; the first of each fiber is rho.
+            c = fiber_monomials(cand.a.matrix, va, work_limit)[0]
+            d = fiber_monomials(cand.b.matrix, vb, work_limit)[0]
+            detail = "glued by a mixed minimal generator"
+        # Self-checks of rho's degree; explicit so that -O keeps them.
+        for name, gens, e, v in (("first", cand.a, c, va),
+                                 ("second", cand.b, d, vb)):
+            if gens.matrix.matvec(e) != v:
+                raise AssertionError(f"the {name} exponents {e} of rho "
+                                     f"miss the degree {v}")
+        rho = _mixed_binomial(cand, c, d)
+        lev = ell // (k1 * k2) if coprime else None
+        mu_c = ia.mu + ib.mu + 1
+    else:
+        mu_c = toric_ideal_of_matrix(cand.c_matrix, cand.c_block).mu
+        if not rc.ok:
+            detail = "the column spaces do not meet in a line"
+        elif mu_c != ia.mu + ib.mu + 1:
+            detail = (f"generator counts rule it out: {mu_c} != "
+                      f"{ia.mu} + {ib.mu} + 1")
+        else:
+            detail = "no single mixed binomial completes the two ideals"
     # Scaling the two blocks does not change the rank of [A|B].
     dim_c = rc.rank_joint
     codim_c = cand.c_matrix.cols - dim_c
-    if ic.mu == codim_c:
-        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=ic.mu)
+    if mu_c == codim_c:
+        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=mu_c)
     else:
-        hom = HomologySummary.make(dim_c, ci=False, mu=ic.mu)
-    base = dict(candidate=cand, rank=rc, mu_a=ia.mu, mu_b=ib.mu, mu_c=ic.mu,
-                ideal_a=ia, ideal_b=ib, ideal_c=ic,
-                shared_columns=cand.shared_columns, homology=hom)
-    if not rc.ok:
-        return GluingReport(u=None, is_gluing=False, rho=None, rho_level=None,
-                            detail="the column spaces do not meet in a line",
-                            **base)
-    if ic.mu != ia.mu + ib.mu + 1:
-        return GluingReport(
-            u=u, is_gluing=False, rho=None, rho_level=None,
-            detail=(f"generator counts rule it out: {ic.mu} != "
-                    f"{ia.mu} + {ib.mu} + 1"), **base)
-    joined = tuple(embed(g, cand.c_block, 0) for g in ia.ideal.generators)
-    joined += tuple(embed(g, cand.c_block, cand.a.count)
-                    for g in ib.ideal.generators)
-
-    def completes(rho: Binomial) -> bool:
-        # Compared under the order whose basis ic already holds.
-        return ideal_equal(BinomialIdeal(cand.c_block, joined + (rho,)),
-                           ic.ideal)
-
-    if gcd(cand.k1, cand.k2) == 1:
-        c_wit = is_member(tuple(cand.k2 * x for x in u), cand.a)
-        d_wit = is_member(tuple(cand.k1 * x for x in u), cand.b)
-        if c_wit is not None and d_wit is not None:
-            rho = _mixed_binomial(cand, c_wit, d_wit)
-            # Self-checks of the witnesses; explicit so that -O keeps them.
-            if not completes(rho):
-                raise AssertionError(
-                    "coprime membership witnesses always give a gluing")
-            lev = _level(rho, cand, u)
-            if lev != 1:
-                raise AssertionError(
-                    f"coprime membership witnesses give level {lev}, not 1")
-            return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
-                                detail="glued by coprime membership "
-                                       "witnesses", **base)
-    # Each x^c - y^d comes up once: c fixes deg = k1 A c, and a fiber
-    # lists distinct vectors.  A binomial of degree zero would be zero,
-    # so neither c nor d is.
-    degrees = sorted(set(ic.adegrees.values()), key=lambda d: (sum(d), d))
-    for deg in degrees:
-        if any(x % cand.k1 or x % cand.k2 for x in deg):
-            continue
-        xs = fiber_monomials(cand.a.matrix,
-                             tuple(x // cand.k1 for x in deg), work_limit)
-        if not xs:
-            continue
-        ys = fiber_monomials(cand.b.matrix,
-                             tuple(x // cand.k2 for x in deg), work_limit)
-        for c in xs:
-            for d in ys:
-                rho = _mixed_binomial(cand, c, d)
-                if completes(rho):
-                    try:
-                        lev = _level(rho, cand, u)
-                    except NotCoprime:
-                        lev = None
-                    return GluingReport(
-                        u=u, is_gluing=True, rho=rho, rho_level=lev,
-                        detail="glued by a mixed minimal generator", **base)
-    return GluingReport(u=u, is_gluing=False, rho=None, rho_level=None,
-                        detail="no single mixed binomial completes the two "
-                               "ideals", **base)
+        hom = HomologySummary.make(dim_c, ci=False, mu=mu_c)
+    return GluingReport(cand, rc, u, rho is not None, rho, lev, ia.mu, ib.mu,
+                        mu_c, cand.shared_columns, hom, detail)
 
 
 def _cone_solution(v, matrix: IntegerMatrix):

@@ -157,5 +157,7 @@ def propagate(a: HomologySummary, b: HomologySummary,
 
 def cm_type_product(type_a: int, type_b: int) -> int:
     """Return the Cohen-Macaulay type of a glued ring: the product."""
-    assert type_a >= 1 and type_b >= 1
+    if type_a < 1 or type_b < 1:
+        raise ValueError(f"Cohen-Macaulay types are positive, got {type_a} "
+                         f"and {type_b}")
     return type_a * type_b

@@ -4,13 +4,30 @@ The fixture pairs are small affine semigroups in N^3 with known gluing
 behaviour; each constructor documents the facts the tests rely on.  The
 oracles recompute ranks, solvability and membership from first
 principles over Fraction or by brute force, so agreement with the
-package is evidence rather than circularity.
+package is evidence rather than circularity.  ``ideal_identity_gluing``
+decides a gluing by the ideal identity itself, with the Groebner
+engine.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from random import Random
 
-from semiglue import SemigroupGens
+from semiglue import (
+    BinomialIdeal,
+    GluingCandidate,
+    HomologySummary,
+    NotCoprime,
+    SemigroupGens,
+    check_rank_conditions,
+    embed,
+    ideal_equal,
+    is_member,
+    level,
+)
+from semiglue.gluing import GluingReport, _meeting_line, _mixed_binomial
+from semiglue.toric import fiber_monomials, toric_ideal, toric_ideal_of_matrix
 
 
 # -- fixture pairs ----------------------------------------------------------
@@ -226,3 +243,112 @@ def random_plane_gens(rng, prefix):
     if len(cols) < 2:
         return None
     return SemigroupGens.from_columns(sorted(cols), prefix)
+
+
+def chain_pairs(count, seed=20260823):
+    """Return the first rank-compatible pairs of the implication sweep.
+
+    Attempts alternate between two rank-two semigroups in N^3 and a
+    plane semigroup with a ray, as the acceptance sweep draws them.
+    """
+    rng = Random(seed)
+    pairs = []
+    attempts = 0
+    while len(pairs) < count:
+        attempts += 1
+        if attempts % 2:
+            a = random_rank2_gens(rng, "x")
+            b = random_rank2_gens(rng, "y")
+        else:
+            a = random_plane_gens(rng, "x")
+            b = random_ray_gens(rng, "y")
+        if a is not None and b is not None and (
+                check_rank_conditions(a, b).ok):
+            pairs.append((a, b))
+    return pairs
+
+
+# -- the ideal identity -----------------------------------------------------
+
+def ideal_identity_holds(cand: GluingCandidate, rho) -> bool:
+    """Return whether I_C = I_A + I_B + (rho) for the candidate."""
+    joined = tuple(embed(g, cand.c_block, 0)
+                   for g in toric_ideal(cand.a).ideal.generators)
+    joined += tuple(embed(g, cand.c_block, cand.a.count)
+                    for g in toric_ideal(cand.b).ideal.generators)
+    ic = toric_ideal_of_matrix(cand.c_matrix, cand.c_block)
+    return ideal_equal(BinomialIdeal(cand.c_block, joined + (rho,)), ic.ideal)
+
+
+def ideal_identity_gluing(cand: GluingCandidate,
+                          work_limit: int = 10 ** 6) -> GluingReport:
+    """Decide a gluing by I_C = I_A + I_B + (rho), with the Groebner engine.
+
+    When the rank conditions and mu(C) = mu(A) + mu(B) + 1 hold, any
+    single binomial completing the two ideals is a minimal generator of
+    the glued ideal, so trying every mixed binomial over the minimal
+    generator degrees is a complete search; coprime membership witnesses
+    are tried first.  This is the package's decision before it moved to
+    the lattice criterion, kept as the tests' reference.
+    """
+    ia = toric_ideal(cand.a)
+    ib = toric_ideal(cand.b)
+    ic = toric_ideal_of_matrix(cand.c_matrix, cand.c_block)
+    rc, u = _meeting_line(cand.a, cand.b)
+    dim_c = rc.rank_joint
+    codim_c = cand.c_matrix.cols - dim_c
+    if ic.mu == codim_c:
+        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=ic.mu)
+    else:
+        hom = HomologySummary.make(dim_c, ci=False, mu=ic.mu)
+    base = dict(candidate=cand, rank=rc, mu_a=ia.mu, mu_b=ib.mu, mu_c=ic.mu,
+                shared_columns=cand.shared_columns, homology=hom)
+    if not rc.ok:
+        return GluingReport(u=None, is_gluing=False, rho=None, rho_level=None,
+                            detail="the column spaces do not meet in a line",
+                            **base)
+    if ic.mu != ia.mu + ib.mu + 1:
+        return GluingReport(
+            u=u, is_gluing=False, rho=None, rho_level=None,
+            detail=(f"generator counts rule it out: {ic.mu} != "
+                    f"{ia.mu} + {ib.mu} + 1"), **base)
+    if gcd(cand.k1, cand.k2) == 1:
+        c_wit = is_member(tuple(cand.k2 * x for x in u), cand.a)
+        d_wit = is_member(tuple(cand.k1 * x for x in u), cand.b)
+        if c_wit is not None and d_wit is not None:
+            rho = _mixed_binomial(cand, c_wit, d_wit)
+            assert ideal_identity_holds(cand, rho), (
+                "coprime membership witnesses always give a gluing")
+            lev = level(rho, cand)
+            assert lev == 1, (
+                f"coprime membership witnesses give level {lev}, not 1")
+            return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
+                                detail="glued by coprime membership "
+                                       "witnesses", **base)
+    # Each x^c - y^d comes up once: c fixes deg = k1 A c, and a fiber
+    # lists distinct vectors.  A binomial of degree zero would be zero,
+    # so neither c nor d is.
+    degrees = sorted(set(ic.adegrees.values()), key=lambda d: (sum(d), d))
+    for deg in degrees:
+        if any(x % cand.k1 or x % cand.k2 for x in deg):
+            continue
+        xs = fiber_monomials(cand.a.matrix,
+                             tuple(x // cand.k1 for x in deg), work_limit)
+        if not xs:
+            continue
+        ys = fiber_monomials(cand.b.matrix,
+                             tuple(x // cand.k2 for x in deg), work_limit)
+        for c in xs:
+            for d in ys:
+                rho = _mixed_binomial(cand, c, d)
+                if ideal_identity_holds(cand, rho):
+                    try:
+                        lev = level(rho, cand)
+                    except NotCoprime:
+                        lev = None
+                    return GluingReport(
+                        u=u, is_gluing=True, rho=rho, rho_level=lev,
+                        detail="glued by a mixed minimal generator", **base)
+    return GluingReport(u=u, is_gluing=False, rho=None, rho_level=None,
+                        detail="no single mixed binomial completes the two "
+                               "ideals", **base)

@@ -15,7 +15,6 @@ from math import gcd
 from semiglue import (
     BettiSequence,
     Binomial,
-    BinomialIdeal,
     BoundTooLarge,
     GluingCandidate,
     IntegerMatrix,
@@ -24,7 +23,6 @@ from semiglue import (
     PlaneHomogeneousGens,
     check_rank_conditions,
     decide_pair,
-    embed,
     embed_and_glue,
     enumerate_oracle,
     glued_betti,
@@ -46,6 +44,7 @@ from semiglue import (
 from semiglue.binomial import buchberger
 from semiglue.toric import toric_ideal_of_matrix
 from support import (
+    ideal_identity_holds,
     linear_binomial_pair,
     monomial_curves_pair,
     random_gens,
@@ -79,21 +78,6 @@ def _c_ideal(cand):
     return toric_ideal_of_matrix(cand.c_matrix, cand.c_block)
 
 
-def _union_plus(cand, rho):
-    """Return the ideal generated by both sides' toric ideals and rho."""
-    block = cand.c_block
-    gens = tuple(embed(g, block, 0)
-                 for g in toric_ideal(cand.a).ideal.generators)
-    gens += tuple(embed(g, block, cand.a.block.size)
-                  for g in toric_ideal(cand.b).ideal.generators)
-    return BinomialIdeal(block, gens + (rho,))
-
-
-def _completes(cand, rho):
-    """Return whether both toric ideals plus rho give the union's ideal."""
-    return ideal_equal(_union_plus(cand, rho), _c_ideal(cand).ideal)
-
-
 # -- fixture pairs -----------------------------------------------------------
 
 def test_lattice_points_of_the_twisted_pairs():
@@ -110,7 +94,7 @@ def test_twisted_pair_glues_by_the_recorded_quadric():
     report = verify_gluing(cand)
     quadric = _mixed(cand, (0, 0, 0, 0, 2, 0, 0, 0),
                      (1, 0, 0, 2, 0, 0, 0, 0))
-    same = _completes(cand, quadric)
+    same = ideal_identity_holds(cand, quadric)
     _verdict("twisted pair glues at (1, 1); y1^2 - x1*x4^2 completes",
              report.is_gluing and same)
     assert report.is_gluing
@@ -212,7 +196,7 @@ def test_recorded_cubic_completer_for_the_glued_monomial_curves():
                     (0, 0, 0, 0, 0, 0, 0, 1))
     degrees = (cand.c_matrix.matvec(linear.plus.exponents),
                cand.c_matrix.matvec(linear.minus.exponents))
-    same = _completes(cand, linear)
+    same = ideal_identity_holds(cand, linear)
     cubic = ((0, 0, 0, 3, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 2))
     unscaled = GluingCandidate(a, b).c_matrix
     cubic_unscaled = unscaled.matvec(cubic[0]) == unscaled.matvec(cubic[1])
@@ -246,7 +230,7 @@ def test_shared_column_pair_glues_by_a_linear_completer():
     report = verify_gluing(cand)
     linear = _mixed(cand, (0, 0, 0, 1, 0, 0, 0, 0),
                     (0, 0, 0, 0, 0, 0, 0, 1))
-    same = _completes(cand, linear)
+    same = ideal_identity_holds(cand, linear)
     _verdict("shared-column pair glues at (2, 1); x4 - y4 completes",
              report.is_gluing and same)
     assert report.is_gluing

@@ -36,7 +36,6 @@ def test_matvec_stack_scale_restrict():
     assert m.matvec((0, 0)) == (0, 0)
     wide = m.hstack(m.scaled(2))
     assert wide.columns() == ((1, 3), (2, 4), (2, 6), (4, 8))
-    assert wide.restrict_rows((0,)).entries == ((1, 2, 2, 4),)
 
 
 def test_rank_fixed_values():

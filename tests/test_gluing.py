@@ -22,6 +22,7 @@ from semiglue import (
     NotInIdeal,
     RankConditionsFail,
     SemigroupGens,
+    VariableBlock,
     check_rank_conditions,
     decide_pair,
     gluable_lattice_point,
@@ -38,6 +39,9 @@ from semiglue import cli, gluing
 from semiglue.gluing import _cone_solution, in_cone, no_multiple_possible
 from support import (
     brute_members,
+    chain_pairs,
+    ideal_identity_gluing,
+    ideal_identity_holds,
     linear_binomial_pair,
     monomial_curves_pair,
     random_gens,
@@ -71,7 +75,6 @@ def test_rank_conditions_on_fixtures():
         rc = check_rank_conditions(*pair)
         assert (rc.rank_a, rc.rank_b, rc.rank_joint) == (2, 2, 3)
         assert rc.ok
-        assert rc.full_dimensional
     rc = check_rank_conditions(*crossing_plane_pair())
     assert not rc.ok
     assert (rc.rank_a, rc.rank_b, rc.rank_joint) == (2, 2, 2)
@@ -296,7 +299,7 @@ def test_membership_of_large_targets():
 
 def test_coprime_witness_checks_hold_under_optimization(tmp_path):
     # is_member is replaced by one that answers for twice the target, so
-    # rho lands at level 2 and cannot complete the two ideals.
+    # A c is 4 u instead of (L / k1) u = 2 u, with L = 6 and k1 = 3.
     script = tmp_path / "doubled.py"
     script.write_text(
         "from semiglue import gluing\n"
@@ -318,8 +321,8 @@ def test_coprime_witness_checks_hold_under_optimization(tmp_path):
     done = subprocess.run([sys.executable, "-O", str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == ("refused: coprime membership witnesses always "
-                           "give a gluing\n")
+    assert done.stdout == ("refused: the first exponents (0, 1, 0, 1) of rho "
+                           "miss the degree (2, 2, 0)\n")
 
 
 def test_kmax_must_be_positive():
@@ -489,6 +492,18 @@ def test_verify_gluing_takes_the_meeting_line_once(monkeypatch):
         assert calls == [(a.block, b.block)]
 
 
+def test_a_yes_computes_no_glued_ideal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a yes needs no glued toric ideal")
+
+    monkeypatch.setattr(gluing, "toric_ideal_of_matrix", refuse)
+    monkeypatch.setattr(gluing, "ideal_equal", refuse)
+    a, b = twisted_pair()
+    # coprime witnesses, a mixed generator, and non-coprime scalings
+    for k1, k2 in ((3, 2), (1, 1), (2, 2)):
+        assert verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing
+
+
 # -- levels ------------------------------------------------------------------
 
 def test_level_of_the_twisted_gluing_binomial():
@@ -514,22 +529,23 @@ def test_level_requires_coprime_scalings():
 
 
 def test_level_checks_hold_under_optimization(tmp_path):
-    # A wrong meeting point u: the drop 6 * (1, 1, 0) of the twisted
-    # gluing binomial is off the line through (1, 2, 0), and its level
-    # over (4, 4, 0) would be 3/2.
+    # A wrong meeting point u, planted in gluable_lattice_point: the drop
+    # 6 * (1, 1, 0) of the twisted gluing binomial is off the line
+    # through (1, 2, 0), and its level over (4, 4, 0) would be 3/2.
     script = tmp_path / "wrong_point.py"
     script.write_text(
-        "from semiglue import Binomial, Monomial\n"
-        "from semiglue.gluing import GluingCandidate, _level\n"
+        "from semiglue import Binomial, Monomial, gluing\n"
+        "from semiglue.gluing import GluingCandidate, level\n"
         "from support import twisted_pair\n"
         "cand = GluingCandidate(*twisted_pair())\n"
         "block = cand.c_block\n"
         "w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),\n"
         "             Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))\n"
-        "print(_level(w, cand, (1, 1, 0)))\n"
+        "print(level(w, cand))\n"
         "for u in ((1, 2, 0), (4, 4, 0)):\n"
+        "    gluing.gluable_lattice_point = lambda a, b, u=u: u\n"
         "    try:\n"
-        "        _level(w, cand, u)\n"
+        "        level(w, cand)\n"
         "    except AssertionError as exc:\n"
         "        print('refused:', exc)\n"
         "    else:\n"
@@ -547,6 +563,37 @@ def test_level_checks_hold_under_optimization(tmp_path):
         "meeting line\n"
         "refused: the glued-homogeneous drop (-6, -6, 0) has level -3/2, "
         "not an integer\n")
+
+
+def test_level_requires_the_candidates_block(tmp_path):
+    # The twisted gluing binomial, written over a z block instead.
+    cand = GluingCandidate(*twisted_pair())
+    block = VariableBlock.prefixed("z", 8)
+    w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),
+                 Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="not the candidate's block"):
+        level(w, cand)
+    script = tmp_path / "wrong_block.py"
+    script.write_text(
+        "from semiglue import Binomial, Monomial, VariableBlock\n"
+        "from semiglue.gluing import GluingCandidate, level\n"
+        "from support import twisted_pair\n"
+        "cand = GluingCandidate(*twisted_pair())\n"
+        "block = VariableBlock.prefixed('z', 8)\n"
+        "w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),\n"
+        "             Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))\n"
+        "try:\n"
+        "    print(level(w, cand))\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', type(exc).__name__)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused: ValueError\n"
 
 
 def test_level_rejects_inhomogeneous_binomials():
@@ -638,6 +685,38 @@ def test_crossing_planes_fail_on_rank():
     assert not report.is_gluing
     assert report.u is None
     assert report.detail == "the column spaces do not meet in a line"
+
+
+def test_lattice_criterion_agrees_with_the_ideal_identity():
+    # The chain sweep's first 100 pairs at seeded scalings, and five
+    # fixtures at every scaling up to (4, 1), against the Groebner
+    # engine's decision; every yes is checked by the ideal identity.
+    scalings = ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3), (3, 2), (2, 3),
+                (2, 2), (4, 1), (1, 4))
+    rng = random.Random(20261018)
+    cands = [GluingCandidate(a, b, *rng.choice(scalings))
+             for a, b in chain_pairs(100)]
+    cands += [GluingCandidate(*pair(), k1, k2)
+              for pair in (twisted_pair, twisted_bad_pair,
+                           monomial_curves_pair, shared_factor_pair,
+                           shared_column_pair)
+              for k1, k2 in scalings]
+    cands.append(GluingCandidate(*linear_binomial_pair()))
+    mixed_yes = shared_yes = 0
+    for cand in cands:
+        got = verify_gluing(cand)
+        want = ideal_identity_gluing(cand)
+        assert ((got.is_gluing, str(got.rho), got.rho_level, got.detail,
+                 got.mu_c, got.homology)
+                == (want.is_gluing, str(want.rho), want.rho_level,
+                    want.detail, want.mu_c, want.homology)), cand
+        if got.is_gluing:
+            assert ideal_identity_holds(cand, got.rho), cand
+            mixed_yes += got.detail == "glued by a mixed minimal generator"
+            shared_yes += gcd(cand.k1, cand.k2) > 1
+    assert len(cands) == 151
+    assert mixed_yes >= 30
+    assert shared_yes >= 1
 
 
 # -- cones and the implication chain ----------------------------------------

@@ -1,5 +1,10 @@
 """Betti numbers and homological bookkeeping across a gluing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from semiglue import (
@@ -113,5 +118,23 @@ def test_propagate_refuses_without_a_gluing():
 def test_cm_type_product():
     assert cm_type_product(1, 1) == 1
     assert cm_type_product(2, 3) == 6
-    with pytest.raises(AssertionError):
-        cm_type_product(0, 1)
+    for bad in ((0, 1), (-2, 3)):
+        with pytest.raises(ValueError, match="types are positive"):
+            cm_type_product(*bad)
+
+
+def test_cm_type_product_checks_hold_under_optimization():
+    script = ("from semiglue import cm_type_product\n"
+              "for bad in ((0, 1), (-2, 3)):\n"
+              "    try:\n"
+              "        print(cm_type_product(*bad))\n"
+              "    except ValueError as exc:\n"
+              "        print('refused:', exc)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: Cohen-Macaulay types are positive, got 0 and 1\n"
+        "refused: Cohen-Macaulay types are positive, got -2 and 3\n")
