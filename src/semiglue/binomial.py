@@ -10,15 +10,38 @@ variable), reduced Groebner bases with the Gebauer-Moeller pair
 criteria, normal forms, ideal equality, and saturation with respect to
 variables.
 
-Internally all Groebner machinery works on raw exponent pairs and never
-cancels a common monomial factor: dividing an element by a variable can
-change the ideal, so cancellation is reserved for the saturation loop,
-where it is exactly the point.  The public ``Binomial.make`` constructor
-does cancel common factors, which is the right behaviour at input
-boundaries; building a ``Binomial`` directly keeps the exponents as
-given.
+The Groebner machinery never cancels a common monomial factor: dividing
+an element by a variable can change the ideal, so cancellation is
+reserved for the saturation loop, where it is exactly the point.  The
+public ``Binomial.make`` constructor does cancel common factors, which
+is the right behaviour at input boundaries; building a ``Binomial``
+directly keeps the exponents as given.
 
-Buchberger's algorithm keeps its live critical pairs as records
+Within one run under one order each monomial is one packed int, as in
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors" (CASC 2007).  P(m) holds wdeg(m) in its
+top field and one W-bit field per exponent below it: the order's
+cheapest variable most significant, then the rest in its reverse
+lexicographic tie order.  P is linear, so a reduction step adds
+P(tail) - P(lead), stored once per basis element, and an S-polynomial
+side is P(lcm) plus that step.  With G the top (guard) bit of every
+field, lead | m exactly when ((P(m) | G) - P(lead)) & G == G: no borrow
+crosses a guard bit.  The int P - 2 (P & mask) orders monomials exactly
+as ``MonomialOrder.key_function`` does and is injective, so pair
+selection, reductions and reduced bases are those of the tuple engine
+it replaced.  An lcm is a fieldwise max through the guard bits, its
+weighted degree the middle field of its product with the reversed
+weights; two leads are coprime exactly when their lcm is their sum.
+
+Nothing wraps.  Weights are positive, so no exponent exceeds the
+weighted degree, and no reduction raises that: the largest in a run is
+the largest among its inputs and its lcms.  The fields start with room
+for 4 times the inputs' largest degree; an explicit test (not an
+assert) checks each new lcm against that limit, and a run that would
+pass it restarts, wider.  ``_buchberger``, ``_interreduce`` and
+``_saturate_raw`` still take and return raw tuples of exponent pairs.
+
+Buchberger's algorithm keeps its live critical pairs as packed records
 ``(lcm key, i, j, lcm)``: basis indices i < j, the lcm of their leading
 terms, and that lcm's order key.  ``(lcm key, i, j)`` is unique, so the
 smallest record is the next pair to process and the lcm itself is never
@@ -26,17 +49,19 @@ compared; it is stored so that the Gebauer-Moeller update reads it
 instead of recomputing it for every surviving pair.
 
 A ``BinomialIdeal`` keeps one cache, order to raw reduced basis, and
-builds ``Binomial`` values only when ``groebner`` is read.  Membership
-and equality take no order: any Groebner basis reduces exactly the
-members to zero, and each order gives one reduced basis per ideal.  So
-``contains`` and ``ideal_equal`` use the first basis already held, and
-only an ideal that holds none computes one, under unit weights.
+builds ``Binomial`` values only when ``groebner`` is read; ``contains``
+packs a held basis once, and again only for a monomial past its limit.
+Membership and equality take no order: any Groebner basis reduces
+exactly the members to zero, and each order gives one reduced basis per
+ideal.  So ``contains`` and ``ideal_equal`` use the first basis already
+held, and only an ideal that holds none computes one, under unit
+weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import itemgetter, mul, neg
 
 Exponents = tuple[int, ...]
 RawBinomial = tuple[Exponents, Exponents]
@@ -77,8 +102,10 @@ class Monomial:
     exponents: Exponents
 
     def __post_init__(self) -> None:
-        assert len(self.exponents) == self.block.size
-        assert all(isinstance(e, int) and e >= 0 for e in self.exponents)
+        e = self.exponents
+        assert len(e) == self.block.size
+        # a list comprehension, not all() over a generator: no call per item
+        assert not [x for x in e if not isinstance(x, int) or x < 0]
 
     @property
     def degree(self) -> int:
@@ -166,25 +193,28 @@ class MonomialOrder:
     def degrevlex(cls, weights, cheapest: int | None = None) -> "MonomialOrder":
         return cls(tuple(int(w) for w in weights), cheapest)
 
+    def _tie_order(self) -> tuple[int, ...]:
+        """Return the variables as reverse lexicographic ties read them."""
+        p, j = len(self.weights), self.cheapest
+        rest = tuple(i for i in range(p - 1, -1, -1) if i != j)
+        return rest if j is None else (j,) + rest
+
     def key_function(self):
         """Return a function mapping exponents to a sortable key.
 
         Larger key means larger monomial; the key is injective, so equal
-        keys mean equal monomials.
+        keys mean equal monomials.  The function's ``order`` attribute is
+        this order.
         """
         w = self.weights
-        p = len(w)
-        if self.cheapest is None:
-            tail = tuple(range(p - 1, -1, -1))
-        else:
-            j = self.cheapest
-            tail = (j,) + tuple(i for i in range(p - 1, -1, -1) if i != j)
+        tail = self._tie_order()
         # itemgetter of one index returns the item, not a 1-tuple
-        pick = itemgetter(*tail) if p > 1 else (lambda m: (m[0],))
+        pick = itemgetter(*tail) if len(w) > 1 else (lambda m: (m[0],))
 
         def key(m, _w=w, _pick=pick):
             return (sum(map(mul, _w, m)), *map(neg, _pick(m)))
 
+        key.order = self
         return key
 
 
@@ -192,156 +222,221 @@ class MonomialOrder:
 # raw engine
 
 
-def _divides(d: Exponents, m: Exponents) -> bool:
-    return all(map(le, d, m))
-
-
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 def _coprime(a: Exponents, b: Exponents) -> bool:
     # exponents are nonnegative, so a zero minimum means one side is zero
     return not any(map(min, a, b))
 
 
-def _orient(pair: RawBinomial, key) -> RawBinomial | None:
-    u, v = pair
-    if u == v:
-        return None
-    return (u, v) if key(u) > key(v) else (v, u)
+class _Packing:
+    """Exponent vectors packed into ints for one order at one field width.
+
+    P(m) holds wdeg(m) above one ``width``-bit field per variable, in the
+    order's tie order from the most significant field down.  A monomial
+    of weighted degree at most ``limit`` leaves each field's top bit, its
+    guard bit, clear.
+    """
+
+    def __init__(self, order: MonomialOrder, width: int):
+        w, self.order, self.width = order.weights, order, width
+        self.top = top = len(w) * width
+        self.mask, self.field = (1 << top) - 1, (1 << width) - 1
+        # mask // field has a one at the bottom of every field
+        self.guard = self.mask // self.field << (width - 1)
+        shifts, units, rev = [0] * len(w), [0] * len(w), 0
+        # the last variable the ties read gets the least significant field
+        for i, s in zip(reversed(order._tie_order()), range(0, top, width)):
+            shifts[i] = s
+            units[i] = (w[i] << top) + (1 << s)
+            # the weights reversed: E * rev holds wdeg in the field below top
+            rev += w[i] << (top - width - s)
+        self.shifts, self.units, self.rev = shifts, units, rev
+        # Exponents stay below 2^(W-1).  An lcm of two monomials within
+        # the limit has degree at most 2 limit, so every field of its
+        # product with rev is at most 2 limit max(w) < 2^W: no carry.
+        self.limit = self.field // (2 * max(w))
+
+    def pack(self, m: Exponents) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, x: int) -> Exponents:
+        field = self.field
+        return tuple([(x >> s) & field for s in self.shifts])
+
+    def key(self, x: int) -> int:
+        """Return the order key: weighted degree, then the fields negated."""
+        return x - ((x & self.mask) << 1)
 
 
-def _spoly(f: RawBinomial, g: RawBinomial) -> RawBinomial | None:
-    (u1, v1), (u2, v2) = f, g
-    big = _lcm(u1, u2)
-    a = tuple(map(sub, map(add, v1, big), u1))
-    b = tuple(map(sub, map(add, v2, big), u2))
-    if a == b:
-        return None
-    return (a, b)
+def _widening(order: MonomialOrder, pairs, run):
+    """Return (packing, run(packing)), widening while run returns None.
+
+    The first packing has room for 4 times the raw pairs' largest degree.
+    """
+    w = order.weights
+    degree = max((sum(map(mul, w, m)) for pr in pairs for m in pr),
+                 default=0) or 1
+    width = (8 * max(w) * degree).bit_length()
+    while (out := run(pk := _Packing(order, width))) is None:
+        width += 2
+    return pk, out
 
 
-def _nf_mono(m: Exponents, basis) -> Exponents:
-    """Reduce the monomial m by the leading terms of basis until stable.
+def _packed(pk: _Packing, raw) -> list:
+    """Return raw pairs (u, v) as packed (lead, tail - lead) elements."""
+    pack = pk.pack
+    return [(a := pack(u), pack(v) - a) for u, v in raw]
 
-    Each step uses the first element, in basis order, whose leading term
-    divides m.
+
+def _nf_mono(m: int, basis, guard: int) -> int:
+    """Reduce the packed monomial m by basis until stable.
+
+    ``basis`` holds packed (lead, tail - lead) pairs; each step uses the
+    first element, in basis order, whose lead divides m.
     """
     while True:
-        for lu, lv in basis:
-            if all(map(le, lu, m)):
-                m = tuple(map(add, map(sub, m, lu), lv))
+        g = m | guard
+        for lead, step in basis:
+            # no borrow crosses a guard bit; each stays set iff lead <= m
+            if (g - lead) & guard == guard:
+                m += step
                 break
         else:
             return m
 
 
-def _reduce_pair(pair: RawBinomial, basis, key) -> RawBinomial | None:
-    u = _nf_mono(pair[0], basis)
-    v = _nf_mono(pair[1], basis)
-    if u == v:
+def _reduce_pair(pk: _Packing, basis, a: int, b: int):
+    """Return a - b reduced by basis as packed (lead, tail - lead), or None."""
+    a = _nf_mono(a, basis, pk.guard)
+    b = _nf_mono(b, basis, pk.guard)
+    if a == b:
         return None
-    return _orient((u, v), key)
+    return (a, b - a) if pk.key(a) > pk.key(b) else (b, a - b)
 
 
-def _gm_update(basis, pairs, t: int, key) -> None:
+def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
     """Add the pairs for the new element basis[t], pruned Gebauer-Moeller style.
 
     ``pairs`` holds live critical pairs as (lcm key, i, j, lcm) with
-    i < j; it is filtered and extended in place.
+    i < j; it is filtered and extended in place.  Returns False, and the
+    run must restart wider, when an lcm passes the packing's limit.
     """
-    leads = [g[0] for g in basis]
-    lt = leads[t]
-    lcms = [tuple(map(max, lead, lt)) for lead in leads[:t]]
+    guard, mask, rev, limit = pk.guard, pk.mask, pk.rev, pk.limit
+    top, low, field, key = pk.top, pk.width - 1, pk.field, pk.key
+    lt = basis[t][0]
+    lcms = []
+    for lead, _ in basis[:t]:
+        # fieldwise max: a guard bit survives where lead >= lt, and
+        # spreads to a mask of the field below it
+        ge = ((lead | guard) - lt) & guard
+        e = (lt ^ ((lead ^ lt) & (ge - (ge >> low)))) & mask
+        d = (e * rev >> (top - pk.width)) & field
+        if d > limit:  # an explicit check, so that -O keeps it
+            return False
+        lcms.append((d << top) | e)
     # drop old pairs whose S-polynomial the new element now takes care of
     survivors = []
     for entry in pairs:
         _, i, j, lij = entry
-        if all(map(le, lt, lij)) and lcms[i] != lij and lcms[j] != lij:
+        if (((lij | guard) - lt) & guard == guard and lcms[i] != lij
+                and lcms[j] != lij):
             continue
         survivors.append(entry)
     # among the new pairs keep only minimal lcms, one per value, and
     # finally discard those with coprime leading terms
-    chosen: list[Exponents] = []
+    chosen: list[int] = []
     for k, i in sorted([(key(lij), i) for i, lij in enumerate(lcms)]):
         lij = lcms[i]
-        if _coprime(leads[i], lt):
+        if lij == basis[i][0] + lt:  # coprime: the lcm is the product
             chosen.append(lij)
             continue
-        if any(all(map(le, c, lij)) for c in chosen):
+        g = lij | guard
+        if any((g - c) & guard == guard for c in chosen):
             continue
         chosen.append(lij)
         survivors.append((k, i, t, lij))
     pairs[:] = survivors
+    return True
 
 
 def _buchberger(raw_gens, key) -> tuple[RawBinomial, ...]:
-    """Return the reduced Groebner basis of the given raw binomials."""
-    basis: list[RawBinomial] = []
-    pairs: list[tuple] = []
-    seed = []
-    seen = set()
-    for pr in raw_gens:
-        o = _orient(pr, key)
-        if o is not None and o not in seen:
-            seen.add(o)
-            seed.append(o)
-    seed.sort(key=lambda g: (key(g[0]), key(g[1])))
-    for g in seed:
-        basis.append(g)
-        _gm_update(basis, pairs, len(basis) - 1, key)
-    _complete(basis, pairs, key)
-    return _interreduce(basis, key)
+    """Return the reduced Groebner basis of the given raw binomials.
+
+    ``key`` comes from ``MonomialOrder.key_function``; the run packs its
+    monomials under that order.
+    """
+    raw_gens = list(raw_gens)
+
+    def run(pk):
+        k = pk.key
+        seed = set()
+        for a, b in (map(pk.pack, pr) for pr in raw_gens):
+            if a != b:
+                seed.add((a, b) if k(a) > k(b) else (b, a))
+        basis: list = []
+        pairs: list = []
+        for u, v in sorted(seed, key=lambda g: (k(g[0]), k(g[1]))):
+            basis.append((u, v - u))
+            if not _gm_update(pk, basis, pairs, len(basis) - 1):
+                return None
+        return basis if _complete(pk, basis, pairs) else None
+
+    return _reduced(*_widening(key.order, raw_gens, run))
 
 
-def _complete(basis, pairs, key, upto: int | None = None) -> None:
+def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     """Process critical pairs, smallest lcm first, extending basis in place.
 
     With ``upto`` given, stop once every remaining pair has an lcm of
     weighted degree above it.  For a homogeneous ideal the basis is then
     a Groebner basis up to that degree: every element of the ideal of
-    weighted degree at most ``upto`` reduces to zero.
+    weighted degree at most ``upto`` reduces to zero.  Returns False when
+    the run must restart wider.
     """
+    # a key above upto << top is exactly a weighted degree above upto
+    bound = None if upto is None else upto << pk.top
     while pairs:
         entry = min(pairs)
-        if upto is not None and entry[0][0] > upto:
-            return
+        if bound is not None and entry[0] > bound:
+            return True
         pairs.remove(entry)
-        _, i, j, _ = entry
-        s = _spoly(basis[i], basis[j])
-        if s is None:
+        _, i, j, lij = entry
+        if basis[i][1] == basis[j][1]:
             continue
-        r = _reduce_pair(s, basis, key)
+        # each side of the S-polynomial is lcm - lead + tail
+        r = _reduce_pair(pk, basis, lij + basis[i][1], lij + basis[j][1])
         if r is None:
             continue
         basis.append(r)
-        _gm_update(basis, pairs, len(basis) - 1, key)
+        if not _gm_update(pk, basis, pairs, len(basis) - 1):
+            return False
+    return True
+
+
+def _reduced(pk: _Packing, basis) -> tuple[RawBinomial, ...]:
+    """Return the raw reduced Groebner basis given any packed one."""
+    k, guard = pk.key, pk.guard
+    minimal: list = []
+    for lead, step in sorted(basis, key=lambda g: (k(g[0]), k(g[0] + g[1]))):
+        g = lead | guard
+        if not any((g - c) & guard == guard for c, _ in minimal):
+            minimal.append((lead, step))
+    reduced = []
+    for lead, step in minimal:
+        tail = _nf_mono(lead + step, minimal, guard)
+        assert tail != lead
+        reduced.append((k(lead), lead, tail))
+    reduced.sort()
+    return tuple((pk.unpack(u), pk.unpack(v)) for _, u, v in reduced)
 
 
 def _interreduce(basis, key) -> tuple[RawBinomial, ...]:
-    """Return the reduced Groebner basis given any Groebner basis."""
-    if not basis:
-        return ()
-    order = sorted(range(len(basis)),
-                   key=lambda i: (key(basis[i][0]), key(basis[i][1])))
-    kept: list[int] = []
-    for i in order:
-        if any(_divides(basis[j][0], basis[i][0]) for j in kept):
-            continue
-        kept.append(i)
-    minimal = [basis[i] for i in kept]
-    reduced = []
-    for u, v in minimal:
-        v2 = _nf_mono(v, minimal)
-        assert v2 != u
-        reduced.append((u, v2))
-    reduced.sort(key=lambda g: key(g[0]))
-    return tuple(reduced)
+    """Return the reduced Groebner basis given any raw one oriented by key."""
+    return _reduced(*_widening(key.order, basis,
+                               lambda pk: _packed(pk, basis)))
 
 
 def _wdeg(m: Exponents, weights) -> int:
-    return sum(a * b for a, b in zip(weights, m))
+    return sum(map(mul, weights, m))
 
 
 def _is_homogeneous(pairs, weights) -> bool:
@@ -393,21 +488,44 @@ def buchberger(generators, order: MonomialOrder) -> tuple[Binomial, ...]:
     return tuple(Binomial.from_pair(block, g) for g in gb)
 
 
+class _HeldBasis:
+    """A raw reduced basis under one order, packed when first read."""
+
+    def __init__(self, order: MonomialOrder, raw: tuple[RawBinomial, ...]):
+        self.order, self.raw, self.packing = order, raw, None
+
+    def fit(self, monomials):
+        """Return the packing, the packed basis and the packed monomials.
+
+        The basis is packed again, wider, only for a monomial past the limit.
+        """
+        pk = self.packing
+        xs = pk and [pk.pack(m) for m in monomials]
+        # P >> top is at least the weighted degree, and equal within the limit
+        if not xs or max(xs) >> pk.top > pk.limit:
+            pk, self.packed = _widening(self.order, (*self.raw, monomials),
+                                        lambda q: _packed(q, self.raw))
+            self.packing, xs = pk, [pk.pack(m) for m in monomials]
+        return pk, self.packed, xs
+
+
 def normal_form(f, basis, order: MonomialOrder):
     """Return the normal form of f modulo a Groebner basis, None if zero.
 
     f may be a Binomial or a Monomial; a monomial always has a nonzero
     (monomial) normal form.
     """
-    raw = [g.as_pair() for g in basis]
-    key = order.key_function()
+    held = _HeldBasis(order, tuple(g.as_pair() for g in basis))
     if isinstance(f, Monomial):
-        return Monomial(f.block, _nf_mono(f.exponents, raw))
+        pk, packed, (m,) = held.fit([f.exponents])
+        return Monomial(f.block, pk.unpack(_nf_mono(m, packed, pk.guard)))
     assert isinstance(f, Binomial)
-    r = _reduce_pair(f.as_pair(), raw, key)
+    pk, packed, (a, b) = held.fit(f.as_pair())
+    r = _reduce_pair(pk, packed, a, b)
     if r is None:
         return None
-    return Binomial.from_pair(f.block, r)
+    return Binomial.from_pair(f.block, (pk.unpack(r[0]),
+                                        pk.unpack(r[0] + r[1])))
 
 
 @dataclass(frozen=True)
@@ -430,7 +548,7 @@ class BinomialIdeal:
         """Return the ideal of a raw reduced basis under order, holding it."""
         basis = tuple(basis)
         ideal = cls(block, tuple(Binomial.from_pair(block, g) for g in basis))
-        ideal._bases[order] = basis
+        ideal._bases[order] = _HeldBasis(order, basis)
         return ideal
 
     def spanned_by(self, generators) -> "BinomialIdeal":
@@ -438,18 +556,18 @@ class BinomialIdeal:
         return BinomialIdeal(self.block, tuple(generators),
                              _bases=dict(self._bases))
 
-    def _basis(self, order: MonomialOrder) -> tuple[RawBinomial, ...]:
-        basis = self._bases.get(order)
-        if basis is None:
+    def _basis(self, order: MonomialOrder) -> _HeldBasis:
+        held = self._bases.get(order)
+        if held is None:
             assert len(order.weights) == self.block.size
-            basis = self._bases[order] = _buchberger(
-                [g.as_pair() for g in self.generators], order.key_function())
-        return basis
+            held = self._bases[order] = _HeldBasis(order, _buchberger(
+                [g.as_pair() for g in self.generators], order.key_function()))
+        return held
 
     def groebner(self, order: MonomialOrder) -> tuple[Binomial, ...]:
         """Return the reduced Groebner basis under the given order."""
         return tuple(Binomial.from_pair(self.block, g)
-                     for g in self._basis(order))
+                     for g in self._basis(order).raw)
 
     def contains(self, f: Binomial) -> bool:
         """Return whether the binomial f lies in the ideal.
@@ -457,11 +575,11 @@ class BinomialIdeal:
         Both monomials of f reduce to one normal form exactly when f is a
         member, under any Groebner basis; the first one held is used.
         """
-        basis = next(iter(self._bases.values()), None)
-        if basis is None:
-            basis = self._basis(_unit_order(self.block))
-        u, v = f.as_pair()
-        return _nf_mono(u, basis) == _nf_mono(v, basis)
+        held = next(iter(self._bases.values()), None)
+        if held is None:
+            held = self._basis(_unit_order(self.block))
+        pk, packed, (a, b) = held.fit(f.as_pair())
+        return _nf_mono(a, packed, pk.guard) == _nf_mono(b, packed, pk.guard)
 
 
 def _unit_order(block: VariableBlock) -> MonomialOrder:
@@ -477,7 +595,7 @@ def ideal_equal(a: BinomialIdeal, b: BinomialIdeal) -> bool:
     """
     assert a.block == b.block
     order = next(iter(a._bases or b._bases), None) or _unit_order(a.block)
-    return a._basis(order) == b._basis(order)
+    return a._basis(order).raw == b._basis(order).raw
 
 
 def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdeal:

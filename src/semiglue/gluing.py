@@ -35,6 +35,7 @@ from .exactlin import (
 )
 from .homology import HomologySummary
 from .toric import (
+    BoundTooLarge,
     SemigroupGens,
     fiber_monomials,
     toric_ideal,
@@ -193,7 +194,7 @@ def _member_plan(matrix: IntegerMatrix) -> _MemberPlan:
                        tail, shift)
 
 
-def is_member(v, gens: SemigroupGens):
+def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
     """Return exponents e with gens.matrix * e == v, or None.
 
     Of all solutions e >= 0 the result is the lexicographically largest
@@ -206,7 +207,9 @@ def is_member(v, gens: SemigroupGens):
     intersected with one residue class modulo D; the largest is found in
     at most D steps.  Only the columns before that are searched, each
     coefficient in decreasing order, with memoization on the remaining
-    target.
+    target.  Every state the search enters, a memoized one or the tail
+    included, counts against work_limit, and the search raises
+    ``BoundTooLarge`` when their number passes it.
     """
     v = tuple(int(x) for x in v)
     if len(v) != gens.ambient:
@@ -244,8 +247,14 @@ def is_member(v, gens: SemigroupGens):
         return None
 
     memo: dict = {}
+    spent = 0
 
     def solve(j: int, rem: Vector):
+        nonlocal spent
+        spent += 1
+        if spent > work_limit:
+            raise BoundTooLarge(f"membership search passed {work_limit} "
+                                "states")
         if j >= free:  # the free column, or the tail when there is none
             return last(rem)
         state = (j, rem)
@@ -390,10 +399,11 @@ def verify_gluing(cand: GluingCandidate,
     and ZB in m_B Zu, and L = lcm(k1 m_A, k2 m_B).  Every binomial
     x^c - y^d of degree L u then completes the two ideals.  With coprime
     scalings and L = k1 k2, rho comes from the two membership witnesses;
-    otherwise from the first vector of each fiber over L u, and
-    work_limit bounds only that walk.  A gluing has mu(C) = mu(A) + mu(B) + 1; only a
-    negative answer computes the glued ideal, whose generator count
-    says whether mu already rules the candidate out.
+    otherwise from the first vector of each fiber over L u.  work_limit
+    bounds the two membership searches and that walk.  A gluing has
+    mu(C) = mu(A) + mu(B) + 1; only a negative answer computes the glued
+    ideal, whose generator count says whether mu already rules the
+    candidate out.
     """
     ia = toric_ideal(cand.a)
     ib = toric_ideal(cand.b)
@@ -404,8 +414,8 @@ def verify_gluing(cand: GluingCandidate,
         ell = lcm(k1 * _line_index(cand.a, u), k2 * _line_index(cand.b, u))
         va = tuple(ell // k1 * x for x in u)
         vb = tuple(ell // k2 * x for x in u)
-        c = is_member(va, cand.a)
-        d = None if c is None else is_member(vb, cand.b)
+        c = is_member(va, cand.a, work_limit)
+        d = None if c is None else is_member(vb, cand.b, work_limit)
     if d is not None:
         coprime = gcd(k1, k2) == 1
         if coprime and ell == k1 * k2:

@@ -39,7 +39,7 @@ from .binomial import (
     _interreduce,
     _reduce_pair,
     _saturate_raw,
-    _wdeg,
+    _widening,
 )
 from .exactlin import IntegerMatrix, kernel_lattice_basis
 
@@ -131,22 +131,30 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     the same ideal as all the generators, so it keeps the Groebner bases
     that their ideal holds.
     """
-    key = MonomialOrder.degrevlex(gset.weights).key_function()
     gens = sorted(gset.ideal.generators,
                   key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
                                  _canonical_key(g)))
-    kept: list[Binomial] = []
-    basis: list = []
-    pairs: list = []
-    for g in gens:
-        d = _wdeg(g.plus.exponents, gset.weights)
-        _complete(basis, pairs, key, upto=d)
-        r = _reduce_pair(g.as_pair(), basis, key)
-        if r is None:
-            continue
-        kept.append(g)
-        basis.append(r)
-        _gm_update(basis, pairs, len(basis) - 1, key)
+    pairs_of = [g.as_pair() for g in gens]
+
+    def scan(pk):
+        kept: list[Binomial] = []
+        basis: list = []
+        pairs: list = []
+        for g, (u, v) in zip(gens, pairs_of):
+            u, v = pk.pack(u), pk.pack(v)
+            if not _complete(pk, basis, pairs, upto=u >> pk.top):
+                return None
+            r = _reduce_pair(pk, basis, u, v)
+            if r is None:
+                continue
+            kept.append(g)
+            basis.append(r)
+            if not _gm_update(pk, basis, pairs, len(basis) - 1):
+                return None
+        return kept
+
+    order = MonomialOrder.degrevlex(gset.weights)
+    _, kept = _widening(order, pairs_of, scan)
     ideal = gset.ideal.spanned_by(kept)
     return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
                              gset.weights)

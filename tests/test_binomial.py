@@ -1,7 +1,11 @@
 """Binomials, term orders, Groebner bases and saturation."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from semiglue import binomial
 from semiglue import (
     Binomial,
     BinomialIdeal,
+    IntegerMatrix,
     Monomial,
     MonomialOrder,
     VariableBlock,
@@ -16,6 +21,7 @@ from semiglue import (
     buchberger,
     embed,
     ideal_equal,
+    kernel_lattice_basis,
     normal_form,
     saturate,
 )
@@ -52,6 +58,14 @@ def test_monomial_degree_and_str():
     assert m.degree == 3
     assert str(m) == "x1^2*x3"
     assert str(Monomial(X4, (0, 0, 0, 0))) == "1"
+
+
+def test_monomial_refuses_bad_exponents():
+    # a wrong length, a negative exponent, a non-int exponent
+    for bad in ((1, 0, 0), (1, -1, 0, 0), (1, 2.0, 0, 0)):
+        with pytest.raises(AssertionError):
+            Monomial(X4, bad)
+    assert Monomial(X4, (3, 0, True, 0)).degree == 4
 
 
 def test_make_cancels_common_factors():
@@ -145,6 +159,21 @@ def test_contains_and_ideal_equal_use_a_basis_already_held(monkeypatch):
     assert not ideal_equal(curve, ci)
     assert len(runs) == 1
     assert list(ci._bases) == [heavy]
+
+
+def test_contains_packs_its_basis_again_for_a_larger_binomial():
+    line = BinomialIdeal(X4, (b4((1, 0, 0, 0), (0, 1, 0, 0)),))
+    assert line.contains(b4((2, 0, 1, 0), (0, 2, 1, 0)))
+    (held,) = line._bases.values()
+    narrow = held.packing.width
+    # degree 1000 is past the limit of the packing that fits degree 3
+    assert line.contains(b4((1000, 0, 0, 7), (0, 1000, 0, 7)))
+    assert not line.contains(b4((1000, 0, 0, 0), (0, 999, 1, 0)))
+    assert held.packing.width > narrow
+    assert line.contains(b4((2, 0, 1, 0), (0, 2, 1, 0)))
+    nf = normal_form(Monomial(X4, (1000, 0, 0, 1)), line.groebner(ORDER),
+                     ORDER)
+    assert nf == Monomial(X4, (0, 1000, 0, 1))
 
 
 def test_from_basis_keeps_the_basis_it_is_given(monkeypatch):
@@ -293,7 +322,14 @@ def textbook_groebner(gens, key):
         if r is not None:
             basis.append(r)
             todo += pairs_with(len(basis) - 1)
-    return binomial._interreduce(basis, key)
+    # interreduce: drop elements whose lead another lead divides, then
+    # reduce each tail by the rest
+    minimal = []
+    for u, v in sorted(set(basis), key=lambda g: (key(g[0]), key(g[1]))):
+        if not any(divides(lu, u) for lu, _ in minimal):
+            minimal.append((u, v))
+    return tuple(sorted(((u, nf(v, minimal)) for u, v in minimal),
+                        key=lambda g: key(g[0])))
 
 
 def random_homogeneous_binomials(rng, p):
@@ -317,13 +353,22 @@ def test_buchberger_matches_a_textbook_run(monkeypatch):
     real_update = binomial._gm_update
     checked = []
 
-    def checked_update(basis, pairs, t, key):
-        real_update(basis, pairs, t, key)
+    def checked_update(pk, basis, pairs, t):
+        fits = real_update(pk, basis, pairs, t)
+        key = pk.order.key_function()
         for lkey, i, j, lij in pairs:
             assert i < j <= t
-            assert lij == tuple(map(max, basis[i][0], basis[j][0]))
-            assert lkey == key(lij)
+            big = pk.unpack(lij)
+            assert big == tuple(map(max, pk.unpack(basis[i][0]),
+                                    pk.unpack(basis[j][0])))
+            assert lij == pk.pack(big)
+            assert lkey == pk.key(lij)
+        # packed keys order the lcms exactly as the order's own key does
+        by_packed = sorted(pairs)
+        assert [pk.unpack(e[3]) for e in by_packed] == sorted(
+            (pk.unpack(e[3]) for e in pairs), key=key)
         checked.append(len(pairs))
+        return fits
 
     monkeypatch.setattr(binomial, "_gm_update", checked_update)
     rng = random.Random(20261018)
@@ -342,3 +387,69 @@ def test_buchberger_matches_a_textbook_run(monkeypatch):
         cheapest_seen.add((p, cheapest))
     assert len(cheapest_seen) == sum(p + 1 for p in range(2, 7))
     assert sum(checked) > 0
+
+
+def wide_runs_against_the_textbook(seed, count):
+    """Return (runs that widened, runs unlike the textbook's) of a sweep.
+
+    The inputs are the lattice-basis ideals of seeded random 2 x 4
+    matrices with entries up to 9, under each choice of cheapest
+    variable.  Their Groebner bases reach several times the inputs'
+    weighted degree, so some runs pass their starting field width.
+    Nothing here asserts, so the counts mean the same under -O.
+    """
+    rng = random.Random(seed)
+    real = binomial._widening
+    attempts = []
+
+    def counted(order, pairs, run):
+        def attempt(pk):
+            attempts[-1] += 1
+            return run(pk)
+        attempts.append(0)
+        return real(order, pairs, attempt)
+
+    binomial._widening = counted
+    wrong = 0
+    try:
+        for _ in range(count):
+            columns = set()
+            while len(columns) < 4:
+                c = (rng.randint(0, 9), rng.randint(0, 9))
+                if any(c):
+                    columns.add(c)
+            m = IntegerMatrix.from_columns(sorted(columns))
+            pairs = [(tuple(max(x, 0) for x in v),
+                      tuple(max(-x, 0) for x in v))
+                     for v in kernel_lattice_basis(m)]
+            weights = tuple(sum(c) for c in m.columns())
+            for cheapest in range(4):
+                order = MonomialOrder.degrevlex(weights, cheapest)
+                got = binomial._buchberger(pairs, order.key_function())
+                want = textbook_groebner(pairs,
+                                         textbook_key(weights, cheapest))
+                wrong += got != want
+    finally:
+        binomial._widening = real
+    return sum(n > 1 for n in attempts), wrong
+
+
+def test_a_run_past_its_field_width_restarts_wider():
+    widened, wrong = wide_runs_against_the_textbook(20261019, 40)
+    assert widened > 0 and wrong == 0, (widened, wrong)
+
+
+def test_the_width_guard_holds_under_optimization(tmp_path):
+    script = tmp_path / "wide.py"
+    script.write_text(
+        "from test_binomial import wide_runs_against_the_textbook\n"
+        "print(*wide_runs_against_the_textbook(20261019, 40))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    widened, wrong = map(int, done.stdout.split())
+    assert widened > 0 and wrong == 0, (widened, wrong)

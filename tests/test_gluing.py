@@ -37,6 +37,7 @@ from semiglue import (
 )
 from semiglue import cli, gluing
 from semiglue.gluing import _cone_solution, in_cone, no_multiple_possible
+from semiglue.toric import BoundTooLarge
 from support import (
     brute_members,
     chain_pairs,
@@ -297,6 +298,20 @@ def test_membership_of_large_targets():
         assert not (b.denominator == c.denominator == 1 and b >= 0 <= c)
 
 
+def test_membership_search_stops_at_its_work_limit():
+    # (4, 4) and (1, 1) are parallel, so the exact tail is (1, 1) alone
+    # and the search runs over two columns.
+    gens = SemigroupGens.from_columns([(3, 7), (5, 2), (4, 4), (1, 1)], "x")
+    with pytest.raises(BoundTooLarge,
+                       match="membership search passed 1000 states"):
+        is_member((5000, 5000), gens, work_limit=1000)
+    assert is_member((1000, 1000), gens) == (102, 136, 3, 2)
+    # The search at (1000, 1000) enters exactly 2924 states.
+    assert is_member((1000, 1000), gens, 2924) == (102, 136, 3, 2)
+    with pytest.raises(BoundTooLarge):
+        is_member((1000, 1000), gens, 2923)
+
+
 def test_coprime_witness_checks_hold_under_optimization(tmp_path):
     # is_member is replaced by one that answers for twice the target, so
     # A c is 4 u instead of (L / k1) u = 2 u, with L = 6 and k1 = 3.
@@ -306,7 +321,8 @@ def test_coprime_witness_checks_hold_under_optimization(tmp_path):
         "from semiglue.gluing import GluingCandidate, verify_gluing\n"
         "from support import twisted_pair\n"
         "real = gluing.is_member\n"
-        "gluing.is_member = lambda v, g: real(tuple(2 * x for x in v), g)\n"
+        "gluing.is_member = lambda v, g, limit: real(\n"
+        "    tuple(2 * x for x in v), g, limit)\n"
         "a, b = twisted_pair()\n"
         "try:\n"
         "    verify_gluing(GluingCandidate(a, b, 3, 2))\n"
