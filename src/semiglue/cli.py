@@ -363,7 +363,7 @@ def cmd_find_gluing(args) -> int:
     kmax = _kmax(args, doc)
     work_limit = _work_limit(args, doc)
     bounds = {"kmax": kmax, "work_limit": work_limit}
-    d = decide_pair(a, b, kmax)
+    d = decide_pair(a, b, kmax, work_limit)
     u = None if d.u is None else list(d.u)
     if d.gluable is False:
         # Name the proof: the obstruction to multiples, or the missed cone.

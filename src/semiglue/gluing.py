@@ -279,7 +279,8 @@ def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
         solve = None
 
 
-def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50) -> dict:
+def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50,
+                           work_limit: int = 10 ** 6) -> dict:
     """Return {k: exponents} for every k <= kmax with k*u in the semigroup."""
     u = tuple(int(x) for x in u)
     if kmax < 1:
@@ -288,7 +289,7 @@ def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50) -> dict:
         return {}
     out = {}
     for k in range(1, kmax + 1):
-        sol = is_member(tuple(k * x for x in u), gens)
+        sol = is_member(tuple(k * x for x in u), gens, work_limit)
         if sol is not None:
             out[k] = sol
     return out
@@ -590,27 +591,28 @@ class PairDecision:
         return f"no coprime pair found up to {self.kmax}"
 
 
-def decide_pair(a: SemigroupGens, b: SemigroupGens,
-                kmax: int = 50) -> PairDecision:
+def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
+                work_limit: int = 10 ** 6) -> PairDecision:
     """Decide whether some scalings k1, k2 make k1 A and k2 B glue.
 
-    One integer kernel of [A|B] gives the ranks and the lattice point u,
-    and one membership sweep per side finds the multiples of u up to
-    kmax.  Every gluing needs the column spaces to meet in a line and a
-    multiple of u in each semigroup; coprime multiples suffice.  The
-    cone solutions of u are solved only when read.
+    One integer kernel of [A|B] gives the ranks and the lattice point u;
+    one membership sweep per side, each search within work_limit, finds
+    the multiples of u up to kmax.  A gluing needs the column spaces to
+    meet in a line and a multiple of u in each semigroup; coprime
+    multiples suffice.  The cone solutions of u are solved when read.
     """
-    return _decide_on_line(a, b, kmax, *_meeting_line(a, b))
+    return _decide_on_line(a, b, kmax, *_meeting_line(a, b), work_limit)
 
 
 def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
-                    rc: RankConditions, u: Vector | None) -> PairDecision:
+                    rc: RankConditions, u: Vector | None,
+                    work_limit: int = 10 ** 6) -> PairDecision:
     """Return decide_pair's record, given the pair's ``_meeting_line``."""
     if not rc.ok:
         return PairDecision(a, b, kmax, rc, None, (), (), False,
                             "the column spaces do not meet in a line")
-    wa = tuple(sorted(multiples_in_semigroup(u, a, kmax).items()))
-    wb = tuple(sorted(multiples_in_semigroup(u, b, kmax).items()))
+    wa = tuple(sorted(multiples_in_semigroup(u, a, kmax, work_limit).items()))
+    wb = tuple(sorted(multiples_in_semigroup(u, b, kmax, work_limit).items()))
     if wa and wb:
         best = min(((k1 + k2, k1, k2, c, d) for k2, c in wa for k1, d in wb
                     if gcd(k1, k2) == 1), default=None)

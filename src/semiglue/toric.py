@@ -4,8 +4,8 @@ The generators of a semigroup are the columns of a nonnegative integer
 matrix.  Its toric ideal is the kernel of the induced monomial map: the
 saturation, by the product of all variables, of the lattice ideal of
 the matrix kernel.  This module computes that ideal with a minimal
-generating set graded by the semigroup, and provides an independent
-brute-force enumeration of low-degree members for cross-checking.
+generating set graded by the semigroup, and an independent brute-force
+enumeration, over packed ints, of low-degree members for cross-checking.
 
 The Groebner data of each ideal is computed once.  Saturation sweeps
 only the variables that the sign pattern of the kernel basis requires
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import floordiv, sub
+from itertools import combinations, islice, repeat, starmap
+from operator import and_, lshift, rshift
 
 from .binomial import (
     Binomial,
@@ -252,69 +252,95 @@ def toric_ideal(gens: SemigroupGens) -> GradedBinomialSet:
     return toric_ideal_of_matrix(gens.matrix, gens.block)
 
 
+def _width(start) -> int:
+    """Return a walk's field width: the bit length of max(start), or 1."""
+    return max(start).bit_length() or 1
+
+
+def _unpack(xs, width: int, n: int):
+    """Return an iterator over the n fields of each x in xs, as tuples."""
+    field = repeat((1 << width) - 1)
+    return zip(*[map(and_, map(rshift, xs, repeat(s)), field)
+                 for s in range(0, n * width, width)])
+
+
+def _fits_in(fit, field: int):
+    """Return r -> how often a column fits in the packed remainder r."""
+    if len(fit) == 1:
+        (s, b), = fit
+        return lambda r: (r >> s & field) // b
+    return lambda r: min([(r >> s & field) // b for s, b in fit])
+
+
 def _walk(matrix: IntegerMatrix, start, work_limit: int,
-          exact: bool) -> tuple:
-    """Return (start - matrix * m, m) for m with matrix * m <= start, or ==.
+          exact: bool) -> list:
+    """Return packed pairs (start - matrix * m, m): matrix * m <= start, or ==.
 
-    ``start`` is nonnegative.  The exponent vectors m come in
-    lexicographic order: the leaves of a walk that takes column 0 some
-    c = 0, 1, ... times, then column 1, and so on, down to the last
-    column.  Every node of that walk, root and leaves included, counts
-    against work_limit, and the walk raises ``BoundTooLarge`` exactly
-    when their number passes it.
+    ``start`` is nonnegative.  Each vector is one int, one field of
+    ``_width(start)`` bits per entry, entry 0 least significant.  Only
+    c <= top times a column is subtracted, so no field goes negative and
+    none needs a guard bit; a column with an entry wider than a field
+    has top = 0, so its packed form, whose fields carry, is never used.
 
-    The walk runs depth first on an explicit stack, so it holds only the
-    pending siblings of its path and the output.  A node above the last
-    column with remainder r has ``top + 1`` children, where top is the
-    largest c with r - c * col >= 0; at the last column they are counted
-    at once.  Box mode keeps those nodes and builds their leaves only
-    once the walk is known to fit; exact mode keeps the one leaf whose
-    remainder is zero, c = top, if r == top * col.
+    The vectors m come in lexicographic order: the leaves of a depth
+    first walk that takes column 0 some c = 0, 1, ... times, then column
+    1, and so on; its stack holds the pending siblings of the path.  A
+    node with remainder r has top + 1 children, top the largest c with
+    r - c * col >= 0.  Every node counts against work_limit, and
+    ``BoundTooLarge`` is raised exactly when their number passes it.
+    The last column's nodes come as one run per parent and are only
+    counted: box mode builds their leaves once the walk is known to fit,
+    exact mode keeps the leaf c = top of each node with r == top * col.
     """
     cols = matrix.columns()
-    p = len(cols)
     if not all(max(col) > 0 for col in cols):
         # Such a column fits any number of times: the walk never ends.
         raise _too_large(exact, work_limit)
-    # Only the rows where a column is positive bound how often it fits.
-    fits = []
-    for col in cols:
-        rows = tuple(i for i, b in enumerate(col) if b > 0)
-        fits.append((rows, tuple(col[i] for i in rows)))
-    last = cols[-1]
-    zero = (0,) * len(start)
-    out = []
-    tails = []
-    spent = 1
-    stack = [(start, ())]
+    width = _width(start)
+    field = (1 << width) - 1
+    shifts = range(0, len(start) * width, width)
+    # Per column: how often it fits in r, the packed column, its unit in m.
+    fits = [(_fits_in([(s, b) for s, b in zip(shifts, col) if b], field),
+             sum(map(lshift, col, shifts)), 1 << j * width)
+            for j, col in enumerate(cols)]
+    last = len(cols) - 1
+    lastfit, lastcol, lastunit = fits[last]
+    out, runs, spent = [], [], 1
+
+    def enter(rems, ms):
+        nonlocal spent
+        tops = list(map(lastfit, rems))
+        spent += len(tops) + sum(tops)
+        if spent > work_limit:
+            raise _too_large(exact, work_limit)
+        if exact:
+            out.extend([(0, m + t * lastunit) for r, m, t in
+                        zip(rems, ms, tops) if r == t * lastcol])
+        else:
+            runs.append((rems, ms, tops))
+
+    root = sum(map(lshift, start, shifts))
+    stack = [(root, 0, 0)] if last else []
+    if not last:
+        enter((root,), (0,))
     while stack:
-        rem, prefix = stack.pop()
-        j = len(prefix)
-        rows, vals = fits[j]
-        top = min(map(floordiv, map(rem.__getitem__, rows), vals))
+        rem, m, j = stack.pop()
+        fit, col, unit = fits[j]
+        top = fit(rem)
         spent += top + 1
         if spent > work_limit:
             raise _too_large(exact, work_limit)
-        if j == p - 1:
-            if not exact:
-                tails.append((rem, prefix, top))
-            elif all(x == top * b for x, b in zip(rem, last)):
-                out.append((zero, prefix + (top,)))
-            continue
-        children = _steps(rem, prefix, cols[j], top)
-        children.reverse()
-        stack += children
-    for rem, prefix, top in tails:
-        out += _steps(rem, prefix, last, top)
-    return tuple(out)
-
-
-def _steps(rem, prefix, col, top: int) -> list:
-    """Return [(rem - c * col, prefix + (c,)) for c = 0, ..., top]."""
-    out = [(rem, prefix + (0,))]
-    for c in range(1, top + 1):
-        rem = tuple(map(sub, rem, col))
-        out.append((rem, prefix + (c,)))
+        rems = range(rem, rem - (top + 1) * col, -col)
+        ms = range(m, m + (top + 1) * unit, unit)
+        if j + 1 < last:
+            # deepest sibling on top: c = 0 is popped first
+            stack += zip(reversed(rems), reversed(ms), repeat(j + 1))
+        else:
+            enter(rems, ms)
+    for rems, ms, tops in runs:
+        for r, m, t in zip(rems, ms, tops):
+            out += zip(range(r, r - (t + 1) * lastcol, -lastcol),
+                       range(m, m + (t + 1) * lastunit, lastunit))
     return out
 
 
@@ -337,14 +363,15 @@ def fiber_monomials(matrix: IntegerMatrix, degree,
                          f"got {len(degree)}")
     if any(x < 0 for x in degree):
         return ()
-    return tuple(m for _, m in _walk(matrix, degree, work_limit, exact=True))
+    ms = [m for _, m in _walk(matrix, degree, work_limit, exact=True)]
+    return tuple(_unpack(ms, _width(degree), matrix.cols))
 
 
 def _monomials_in_box(matrix: IntegerMatrix, bound,
-                      work_limit: int) -> tuple:
+                      work_limit: int) -> list:
     """Return (bound - matrix * m, m) for each m with matrix * m <= bound.
 
-    The bound is nonnegative; the pairs come as ``_walk`` returns them.
+    The bound is nonnegative; the packed pairs come as ``_walk`` returns them.
     """
     return _walk(matrix, tuple(int(x) for x in bound), work_limit,
                  exact=False)
@@ -358,11 +385,12 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
     monomials whose degree fits under the componentwise bound, bucket
     them by degree, and pair up each bucket.  A monomial's degree is the
     bound minus the remainder that the box walk returns with it, so the
-    buckets are keyed by remainder.  Each bucket is sorted once by the
-    term order, so each pair is oriented with its larger monomial first;
-    the binomials come sorted by ``_canonical_key``.  Useful as an
-    oracle for the algebra in this package, not as a way to compute
-    with it.
+    buckets are keyed by remainder.  The weights are the column sums, so
+    the term order ranks a bucket by its ties alone, where the last
+    variable, packed most significant, leads: ascending ints are
+    descending monomials.  The binomials, larger monomial first, come
+    sorted by ``_canonical_key``.  Useful as an oracle for the algebra
+    in this package, not as a way to compute with it.
     """
     bound = tuple(int(x) for x in degree_bound)
     if len(bound) != gens.ambient:
@@ -370,18 +398,18 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
                          f"got {len(bound)}")
     if any(x < 0 for x in bound):
         raise ValueError("the degree bound must be nonnegative")
-    block = gens.block
-    key = MonomialOrder.degrevlex(gens.weights()).key_function()
+    leaves = _monomials_in_box(gens.matrix, bound, work_limit)
+    # Keep each fiber's first member aside; list a fiber at its second.
+    first: dict = {}
     fibers: dict = {}
-    for rem, m in _monomials_in_box(gens.matrix, bound, work_limit):
-        fibers.setdefault(rem, []).append(m)
+    for r, m in [(r, m) for r, m in leaves if first.setdefault(r, m) != m]:
+        fibers.setdefault(r, [first[r]]).append(m)
+    groups = [sorted(ms) for ms in fibers.values()]
+    flat = [m for ms in groups for m in ms]
+    mons = map(Monomial, repeat(gens.block),
+               _unpack(flat, _width(bound), gens.count))
     out = []
-    for ms in fibers.values():
-        if len(ms) < 2:
-            continue
-        ms.sort(key=key)
-        mons = [Monomial(block, m) for m in ms]
-        out.extend(Binomial(u, v) for j, u in enumerate(mons)
-                   for v in mons[:j])
+    for ms in groups:
+        out += starmap(Binomial, combinations(islice(mons, len(ms)), 2))
     out.sort(key=_canonical_key)
     return tuple(out)

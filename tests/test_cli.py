@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semiglue import enumerate_oracle
+from semiglue import enumerate_oracle, gluing
 from semiglue.cli import InputDocument, main
 from support import twisted_pair
 
@@ -258,6 +258,31 @@ def test_work_limit_flag_gives_inconclusive(capsys):
                        "--degree-bound", "9 9 0", "--work-limit", "10")
     assert code == 3
     assert "inconclusive" in err
+
+
+def test_find_gluing_passes_its_work_limit_to_every_search(capsys,
+                                                          monkeypatch):
+    limits = []
+    real = gluing.is_member
+
+    def spy(v, gens, work_limit=10 ** 6):
+        limits.append(work_limit)
+        return real(v, gens, work_limit)
+
+    monkeypatch.setattr(gluing, "is_member", spy)
+    code, _, _ = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt",
+                     "--work-limit", "50")
+    assert code == 0
+    assert len(limits) > 50 and set(limits) == {50}
+
+
+def test_find_gluing_sweep_within_a_small_limit_is_inconclusive(capsys):
+    # The pair's coprime scalings verify within 10 states; the sweep for
+    # the multiples of its lattice point does not.
+    code, _, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt",
+                       "--work-limit", "10")
+    assert code == 3
+    assert err == "inconclusive: membership search passed 10 states\n"
 
 
 # -- input errors ------------------------------------------------------------

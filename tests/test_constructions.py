@@ -235,9 +235,9 @@ def test_rank1_gluable_checks_the_ranks_before_any_membership(monkeypatch):
     searched = []
     real = gluing.is_member
 
-    def counted(v, gens):
+    def counted(v, gens, work_limit=10 ** 6):
         searched.append(v)
-        return real(v, gens)
+        return real(v, gens, work_limit)
 
     monkeypatch.setattr(gluing, "is_member", counted)
     # Rank 2 and rank 2 in three dimensions, meeting in a line.

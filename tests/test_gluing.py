@@ -415,9 +415,9 @@ def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
     sides = []
     sweep = gluing.multiples_in_semigroup
 
-    def counted(u, gens, kmax=50):
+    def counted(u, gens, kmax=50, work_limit=10 ** 6):
         sides.append(gens.block.names[0])
-        return sweep(u, gens, kmax)
+        return sweep(u, gens, kmax, work_limit)
 
     monkeypatch.setattr(gluing, "multiples_in_semigroup", counted)
     implication_chain_audit(*twisted_pair())

@@ -3,11 +3,14 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 from semiglue import toric
+from support import random_gens
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +51,19 @@ def test_workload_answers_match_the_recording(monkeypatch):
             problem, _decided, got = answer(item, op(item))
             assert problem is None, (name, i, problem)
             assert got == record["answers"][i], (name, i)
+
+
+def test_box_walk_returns_one_pair_per_box_monomial():
+    # spans.py counts toric.enumeration.monomials as the length of what
+    # _monomials_in_box returns: one pair per m >= 0 with A m <= bound.
+    rng = random.Random(20261021)
+    for _ in range(30):
+        ambient = rng.randint(1, 3)
+        gens = random_gens(rng, ambient, rng.randint(1, 4), 4)
+        m = gens.matrix
+        bound = tuple(rng.randint(0, 9) for _ in range(ambient))
+        ranges = [range(min(b // x for b, x in zip(bound, col) if x) + 1)
+                  for col in m.columns()]
+        count = sum(all(d <= b for d, b in zip(m.matvec(e), bound))
+                    for e in product(*ranges))
+        assert len(toric._monomials_in_box(m, bound, 10 ** 6)) == count

@@ -241,31 +241,59 @@ def _recursive_walk(matrix, start, work_limit, exact):
     return tuple(out), spent
 
 
-def test_walk_counts_nodes_like_the_recursive_walk():
-    rng = random.Random(20261019)
-    for trial in range(300):
-        rows = rng.randint(1, 3)
-        count = min(rng.randint(1, 5), 4 ** rows - 1)
+def _fields(x, width, n):
+    """Return the n width-bit fields of x, the least significant first."""
+    return tuple(x >> (i * width) & ((1 << width) - 1) for i in range(n))
+
+
+def _walk_cases(rng, trials):
+    """Yield (matrix, start): random shapes, 1 x p and n x 1 matrices.
+
+    Entries go up to 3 or up to 40, so some columns hold an entry wider
+    than a field of the start's width; every fifth start is zero.
+    """
+    for trial in range(trials):
+        rows, count = rng.randint(1, 3), rng.randint(1, 5)
+        if trial % 3 == 1:
+            rows = 1
+        elif trial % 3 == 2:
+            rows, count = rng.randint(1, 4), 1
+        top = rng.choice((3, 40))
+        count = min(count, (top + 1) ** rows - 1)
         cols = set()
         while len(cols) < count:
-            col = tuple(rng.randint(0, 3) for _ in range(rows))
+            col = tuple(rng.randint(0, top) for _ in range(rows))
             if any(col):
                 cols.add(col)
         cols = list(cols)
         rng.shuffle(cols)
-        m = IntegerMatrix.from_columns(cols)
-        start = tuple(rng.randint(0, 11) for _ in range(rows))
+        start = tuple(0 if trial % 5 == 0 else rng.randint(0, 11)
+                      for _ in range(rows))
+        yield IntegerMatrix.from_columns(cols), start
+
+
+def test_walk_counts_nodes_like_the_recursive_walk():
+    # _walk packs each remainder and exponent vector into one int, one
+    # field per entry; unpacked, they must be the recursive walk's.
+    rng = random.Random(20261019)
+    wide = 0
+    for m, start in _walk_cases(rng, 450):
+        width = max(start).bit_length() or 1
+        wide += any(x >> width for row in m.entries for x in row)
         for exact in (False, True):
             leaves, nodes = _recursive_walk(m, start, 10 ** 7, exact)
             walked = toric._walk(m, start, nodes, exact)
-            assert tuple(x for _, x in walked) == leaves, (cols, start, exact)
-            for rem, x in walked:
-                assert rem == tuple(map(sub, start, m.matvec(x)))
+            got = tuple(_fields(x, width, m.cols) for _, x in walked)
+            assert got == leaves, (m, start, exact)
+            for (rem, _), x in zip(walked, got):
+                assert _fields(rem, width, m.rows) == \
+                    tuple(map(sub, start, m.matvec(x)))
             with pytest.raises(BoundTooLarge) as raised:
                 toric._walk(m, start, nodes - 1, exact)
             with pytest.raises(BoundTooLarge) as expected:
                 _recursive_walk(m, start, nodes - 1, exact)
             assert str(raised.value) == str(expected.value)
+    assert wide > 100
 
 
 def _brute_force_oracle(gens, bound):
@@ -338,6 +366,45 @@ def test_fiber_degree_length_is_checked_under_optimization(tmp_path):
     assert done.stdout == (
         "refused: the degree needs 2 entries, got 1\n"
         "refused: the degree needs 2 entries, got 3\n")
+
+
+def test_enumeration_answers_the_same_under_optimization(tmp_path):
+    # The packed walk must not lean on an assert: under -O it gives the
+    # same fibers and oracle binomials, in the same order.
+    script = tmp_path / "enumerate.py"
+    script.write_text(
+        "import random\n"
+        "from semiglue import BoundTooLarge, SemigroupGens\n"
+        "from semiglue.toric import enumerate_oracle, fiber_monomials\n"
+        "rng = random.Random(20261020)\n"
+        "for _ in range(30):\n"
+        "    rows, top = rng.randint(1, 3), rng.choice((3, 40))\n"
+        "    count = rng.randint(rows + 1, rows + 3)\n"
+        "    cols = set()\n"
+        "    while len(cols) < count:\n"
+        "        col = tuple(rng.randint(0, top) for _ in range(rows))\n"
+        "        if any(col):\n"
+        "            cols.add(col)\n"
+        "    gens = SemigroupGens.from_columns(sorted(cols))\n"
+        "    e = [rng.randint(0, 2) for _ in cols]\n"
+        "    bound = gens.adegree(e)\n"
+        "    try:\n"
+        "        print(fiber_monomials(gens.matrix, bound, 2_000))\n"
+        "        print([g.as_pair() for g in\n"
+        "               enumerate_oracle(gens, bound, 2_000)])\n"
+        "    except BoundTooLarge as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    outs = []
+    for flags in ([], ["-O"]):
+        done = subprocess.run([sys.executable, *flags, str(script)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert sum(line not in ("()", "[]") for line in lines) > 40
 
 
 def test_random_gens_refuses_a_count_it_cannot_reach():
