@@ -8,24 +8,31 @@ u that any such rho must live over and decides two questions.
 ``decide_pair`` asks whether some scalings glue a pair: yes with
 coprime membership witnesses, no when the ranks, an obstruction to
 membership or a rational cone rule it out, otherwise open within its
-bound.  ``verify_gluing`` decides one candidate exactly by Rosales'
-lattice criterion (Semigroup Forum 55, 1997): the column spaces meet
-in a line, and the least multiple L u in both scaled groups lies in
-both scaled semigroups.  A positive answer comes with rho, a negative
-answer with the invariant that rules it out.  The implication-chain
-audit reads ``decide_pair``'s record.
+bound.  It solves u in each rational cone once; that one subset loop
+also gives F, the columns on the smallest face of the cone that holds
+u, and the multiples k u are searched only over F and only for k in
+g N, where ZF meets Ru in g Zu.  ``verify_gluing`` decides one
+candidate exactly by Rosales' lattice criterion (Semigroup Forum 55,
+1997): the column spaces meet in a line, and the least multiple L u in
+both scaled groups lies in both scaled semigroups.  A positive answer
+comes with rho, a negative answer with the invariant that rules it
+out.  The implication-chain audit reads ``decide_pair``'s record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .binomial import Binomial, ideal_equal  # noqa: F401  (perfbench wraps it)
+from .binomial import (  # noqa: F401  (perfbench wraps ideal_equal)
+    Binomial,
+    VariableBlock,
+    ideal_equal,
+)
 from .exactlin import (
     IntegerMatrix,
     independent_suffix,
@@ -281,14 +288,24 @@ def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
 
 def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50,
                            work_limit: int = 10 ** 6) -> dict:
-    """Return {k: exponents} for every k <= kmax with k*u in the semigroup."""
+    """Return {k: exponents} for every k <= kmax with k*u in the semigroup.
+
+    Only k in m N are searched, where ZA meets Ru in m Zu
+    (``_line_index``): A e = k u puts k u in that meet, so m divides k.
+    m = 0 when u is outside the span RA, and then no multiple of u lies
+    in the semigroup.  ``decide_pair`` calls this on the face F of u,
+    whose index is g; each search runs within work_limit.
+    """
     u = tuple(int(x) for x in u)
     if kmax < 1:
         raise ValueError("kmax must be positive")
     if any(x < 0 for x in u):
         return {}
+    step = _line_index(gens, u)
+    if not step:
+        return {}
     out = {}
-    for k in range(1, kmax + 1):
+    for k in range(step, kmax + 1, step):
         sol = is_member(tuple(k * x for x in u), gens, work_limit)
         if sol is not None:
             out[k] = sol
@@ -455,35 +472,63 @@ def verify_gluing(cand: GluingCandidate,
                         mu_c, cand.shared_columns, hom, detail)
 
 
-def _cone_solution(v, matrix: IntegerMatrix):
+def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
     """Return (exponents, multiplier) with matrix*exponents == multiplier*v.
 
     The exponents are nonnegative integers and the multiplier positive,
-    so this witnesses that v lies in the rational cone of the columns.
-    None when v is outside the cone.  A column subset solves for v
-    exactly when the kernel of [subset | v] is a line whose primitive
-    generator d has d_last != 0; then the subset is independent, and
-    |d_last| is the least multiplier making the solution integral.
+    so this witnesses that v, which must be nonzero, lies in the
+    rational cone of the columns; None when it does not.  A column
+    subset solves for v exactly when the kernel of [subset | v] is a
+    line whose primitive generator d has d_last != 0; then the subset is
+    independent, and |d_last| is the least multiplier making the
+    solution integral.  Subsets grow in size, so the first solution is
+    positive on its whole subset.  Nonnegative columns cannot cancel, so
+    no column is tried when v has a negative coordinate, nor a column
+    positive where v is zero.  The loop stops at a size with no
+    independent subset left to try: every subset of an independent set
+    is independent.
+
+    With face=True the loop runs on through every basic nonnegative
+    solution of matrix * lambda = v and returns (solution, face): the
+    first solution, or None, and the indices, in order, of the columns
+    in their supports, which lie on the smallest face of the cone
+    holding v; () when v misses the cone.  A subset inside the face
+    found so far adds nothing and is skipped.
     """
     cols = matrix.columns()
-    p = len(cols)
-    r = rank(matrix)
-    for size in range(1, r + 1):
-        for subset in combinations(range(p), size):
+    zero = [i for i, x in enumerate(v) if x == 0]
+    usable = [] if min(v) < 0 else [
+        j for j, c in enumerate(cols) if all(c[i] == 0 for i in zero)]
+    first = None
+    support: set[int] = set()
+    for size in range(1, min(len(usable), matrix.rows) + 1):
+        independent = False
+        for subset in combinations(usable, size):
+            if support.issuperset(subset):
+                continue
             basis = kernel_lattice_basis(
                 IntegerMatrix.from_columns([cols[j] for j in subset] + [v]))
-            if len(basis) != 1 or basis[0][-1] == 0:
-                continue
+            if len(basis) > 1 or basis and basis[0][-1] == 0:
+                continue  # the subset is dependent
+            independent = True
+            if not basis:
+                continue  # v is outside the subset's span
             d = basis[0]
             sign = -1 if d[-1] > 0 else 1
             lam = [sign * x for x in d[:-1]]
             if any(x < 0 for x in lam):
                 continue
-            exps = [0] * p
-            for j, x in zip(subset, lam):
-                exps[j] = x
-            return tuple(exps), abs(d[-1])
-    return None
+            if first is None:
+                exps = [0] * len(cols)
+                for j, x in zip(subset, lam):
+                    exps[j] = x
+                first = tuple(exps), abs(d[-1])
+                if not face:
+                    return first
+            support.update(j for j, x in zip(subset, lam) if x)
+        if not independent:
+            break
+    return (first, tuple(sorted(support))) if face else None
 
 
 def in_cone(v, matrix: IntegerMatrix) -> bool:
@@ -503,13 +548,20 @@ class PairDecision:
     """Whether some scalings glue a pair, with the evidence for each step.
 
     ``witnesses_a`` and ``witnesses_b`` list (k, exponents) for every
-    multiple k u up to kmax in each semigroup.  ``multiples`` is True
+    multiple k u up to kmax in each semigroup, each found on the face of
+    u and padded back to the side's columns.  ``multiples`` is True
     when both lists are nonempty, False when the column spaces do not
     meet in a line or a cheap obstruction proves that no multiple of u
     lies in some side, and None otherwise; ``detail`` says which.
     ``pair`` is the smallest coprime (k1, k2) among the witnesses,
     ordered by k1 + k2 and then k1, with A witness_a = k2 u and
     B witness_b = k1 u; such a pair makes k1 A and k2 B glue.
+
+    ``cone_solutions`` holds u's first cone solutions (exponents,
+    multiplier) in A and B.  None marks a side whose rational cone u
+    misses, and B's is reported only when A's cone holds u.  The cones
+    can meet on the line only along u: -u has a negative coordinate,
+    and the generators are nonnegative.
     """
 
     a: SemigroupGens
@@ -524,20 +576,7 @@ class PairDecision:
     pair: tuple | None = None
     witness_a: Vector | None = None
     witness_b: Vector | None = None
-
-    @cached_property
-    def cone_solutions(self) -> tuple:
-        """Return u's cone solutions (exponents, multiplier) in A and B.
-
-        None marks a side whose rational cone u misses; B is solved only
-        when A's cone holds u.  The cones can meet on the line only along
-        u: -u has a negative coordinate, and the generators are
-        nonnegative.
-        """
-        if self.u is None:
-            return None, None
-        sol_a = _cone_solution(self.u, self.a.matrix)
-        return sol_a, sol_a and _cone_solution(self.u, self.b.matrix)
+    cone_solutions: tuple = (None, None)
 
     @property
     def common_element(self) -> Vector | None:
@@ -595,13 +634,50 @@ def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
                 work_limit: int = 10 ** 6) -> PairDecision:
     """Decide whether some scalings k1, k2 make k1 A and k2 B glue.
 
-    One integer kernel of [A|B] gives the ranks and the lattice point u;
-    one membership sweep per side, each search within work_limit, finds
-    the multiples of u up to kmax.  A gluing needs the column spaces to
-    meet in a line and a multiple of u in each semigroup; coprime
-    multiples suffice.  The cone solutions of u are solved when read.
+    One integer kernel of [A|B] gives the ranks and the lattice point u.
+    A gluing needs the column spaces to meet in a line and a multiple of
+    u in each semigroup; coprime multiples suffice.  Per side, one run
+    of ``_cone_solution``'s subset loop gives u's first cone solution
+    and F, the columns on the smallest face of the cone holding u; then
+    one membership sweep, each search within work_limit, finds the
+    multiples k u up to kmax over F alone and only for k in g N, where
+    ZF meets Ru in g Zu.  A side whose cone misses u is not searched.
+    The answers are those of a sweep over every k and every column:
+
+    - The solutions lambda >= 0 of A lambda = u form a polytope, since
+      A >= 0 has no zero column, so each is a convex combination of
+      basic ones, and A e = k u with e >= 0 puts e / k among them: e is
+      supported on F, and the lexicographically largest e over F,
+      padded with zeros, is the largest over A.
+    - k u = F e lies in ZF and in Ru, that is in g Zu, so g divides k.
     """
     return _decide_on_line(a, b, kmax, *_meeting_line(a, b), work_limit)
+
+
+def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
+                    work_limit: int) -> tuple:
+    """Return u's first cone solution in gens and its multiples up to kmax.
+
+    The multiples are sorted (k, exponents), searched over the face of u
+    and padded back to the columns of gens.
+    """
+    solution, face = _cone_solution(u, gens.matrix, face=True)
+    if not face:
+        return None, ()
+    cols, names = gens.matrix.columns(), gens.block.names
+    on_face = SemigroupGens(
+        IntegerMatrix.from_columns([cols[j] for j in face]),
+        VariableBlock(tuple(names[j] for j in face)))
+    found = []
+    for k, e in sorted(multiples_in_semigroup(u, on_face, kmax,
+                                              work_limit).items()):
+        at = dict(zip(face, e))
+        exps = tuple(at.get(j, 0) for j in range(gens.count))
+        # A self-check of the padding; explicit so that -O keeps it.
+        if gens.matrix.matvec(exps) != tuple(k * x for x in u):
+            raise AssertionError(f"the face witness {exps} misses {k} * {u}")
+        found.append((k, exps))
+    return solution, tuple(found)
 
 
 def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
@@ -611,8 +687,11 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
     if not rc.ok:
         return PairDecision(a, b, kmax, rc, None, (), (), False,
                             "the column spaces do not meet in a line")
-    wa = tuple(sorted(multiples_in_semigroup(u, a, kmax, work_limit).items()))
-    wb = tuple(sorted(multiples_in_semigroup(u, b, kmax, work_limit).items()))
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
+    sol_a, wa = _face_multiples(u, a, kmax, work_limit)
+    sol_b, wb = _face_multiples(u, b, kmax, work_limit)
+    cones = sol_a, sol_a and sol_b
     if wa and wb:
         best = min(((k1 + k2, k1, k2, c, d) for k2, c in wa for k1, d in wb
                     if gcd(k1, k2) == 1), default=None)
@@ -620,18 +699,19 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
             pair=best[1:3], witness_a=best[3], witness_b=best[4])
         return PairDecision(a, b, kmax, rc, u, wa, wb, True,
                             "multiples of the lattice point lie in both "
-                            "semigroups", **found)
+                            "semigroups", cone_solutions=cones, **found)
     empty = [(nm, gens) for nm, got, gens in
              (("first", wa, a), ("second", wb, b)) if not got]
     proven = [nm for nm, gens in empty if no_multiple_possible(u, gens)]
     if proven:
         return PairDecision(a, b, kmax, rc, u, wa, wb, False,
                             f"no positive multiple of {u} can ever lie in "
-                            f"the {' or '.join(proven)} semigroup")
+                            f"the {' or '.join(proven)} semigroup",
+                            cone_solutions=cones)
     names = " or ".join(nm for nm, _ in empty)
     return PairDecision(a, b, kmax, rc, u, wa, wb, None,
                         f"no multiple of {u} found in the {names} semigroup "
-                        f"up to {kmax}")
+                        f"up to {kmax}", cone_solutions=cones)
 
 
 @dataclass(frozen=True, eq=False)

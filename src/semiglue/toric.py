@@ -200,7 +200,9 @@ def _sweep_variables(basis, p: int) -> list[int]:
     return [j for j in range(p - 1) if j not in keep] + [p - 1]
 
 
-@lru_cache(maxsize=None)
+# Bounded, so that a long run does not keep every glued ideal it ever
+# computed; a seeded sweep of a few hundred matrices still fits.
+@lru_cache(maxsize=512)
 def toric_ideal_of_matrix(matrix: IntegerMatrix,
                           block: VariableBlock) -> GradedBinomialSet:
     """Return the toric ideal of any nonnegative matrix without zero columns.

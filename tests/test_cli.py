@@ -262,27 +262,38 @@ def test_work_limit_flag_gives_inconclusive(capsys):
 
 def test_find_gluing_passes_its_work_limit_to_every_search(capsys,
                                                           monkeypatch):
-    limits = []
-    real = gluing.is_member
+    searches = []   # (work_limit, whether a multiples sweep made it)
+    sweeping = []
+    real_member, real_sweep = gluing.is_member, gluing.multiples_in_semigroup
 
-    def spy(v, gens, work_limit=10 ** 6):
-        limits.append(work_limit)
-        return real(v, gens, work_limit)
+    def member(v, gens, work_limit=10 ** 6):
+        searches.append((work_limit, bool(sweeping)))
+        return real_member(v, gens, work_limit)
 
-    monkeypatch.setattr(gluing, "is_member", spy)
+    def sweep(*args):
+        sweeping.append(True)
+        try:
+            return real_sweep(*args)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(gluing, "is_member", member)
+    monkeypatch.setattr(gluing, "multiples_in_semigroup", sweep)
     code, _, _ = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt",
                      "--work-limit", "50")
     assert code == 0
-    assert len(limits) > 50 and set(limits) == {50}
+    assert {limit for limit, _ in searches} == {50}
+    # Both the sweep and the verification searched.
+    assert {in_sweep for _, in_sweep in searches} == {True, False}
 
 
 def test_find_gluing_sweep_within_a_small_limit_is_inconclusive(capsys):
-    # The pair's coprime scalings verify within 10 states; the sweep for
-    # the multiples of its lattice point does not.
+    # The pair's coprime scalings (3, 2) verify within 5 states; the
+    # sweep for the multiples of its lattice point does not.
     code, _, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt",
-                       "--work-limit", "10")
+                       "--work-limit", "5")
     assert code == 3
-    assert err == "inconclusive: membership search passed 10 states\n"
+    assert err == "inconclusive: membership search passed 5 states\n"
 
 
 # -- input errors ------------------------------------------------------------

@@ -356,6 +356,82 @@ def test_multiples_in_the_twisted_pair():
     assert multiples_in_semigroup(u, b, 10)[3] == (1, 0, 0, 0)
 
 
+def _boundary_pair(rng):
+    """Return a pair in N^3 whose lattice point lies on a face of A, or None.
+
+    The face columns vanish where u does; every other column of A is
+    positive there.  B holds one or two multiples of u.
+    """
+    support = rng.sample(range(3), rng.randrange(1, 3))
+    u = tuple(rng.randrange(1, 3) if i in support else 0 for i in range(3))
+    face = {tuple(rng.randrange(4) if i in support else 0 for i in range(3))
+            for _ in range(rng.randrange(1, 4))} - {(0, 0, 0)}
+    off = {tuple(rng.randrange(3) if i in support else rng.randrange(1, 3)
+                 for i in range(3)) for _ in range(rng.randrange(1, 4))}
+    if not face:
+        return None
+    a = SemigroupGens.from_columns(sorted(face | off), "x")
+    scales = sorted({rng.randrange(1, 4) for _ in range(2)})
+    b = SemigroupGens.from_columns([tuple(s * x for x in u) for s in scales],
+                                   "y")
+    return (a, b) if check_rank_conditions(a, b).ok else None
+
+
+def _face_indices(gens, u):
+    """Return u's face in gens, the face's index g and the index m of gens.
+
+    ZF and ZA meet Ru in g Zu and m Zu; g is None when u misses the cone.
+    """
+    face = _cone_solution(u, gens.matrix, face=True)[1]
+    m = gluing._line_index(gens, u)
+    if not face:
+        return face, None, m
+    cols = gens.matrix.columns()
+    on_face = SemigroupGens.from_columns([cols[j] for j in face], "f")
+    return face, gluing._line_index(on_face, u), m
+
+
+def test_face_sweep_matches_the_sweep_over_every_multiple():
+    # decide_pair searches u's multiples only over the face F of u and
+    # only at multiples of g.  On pairs where F is not all of A and g
+    # exceeds m, the pruned sweep must find what the per-k search over
+    # every column finds.
+    kmax = 12
+    pairs = [(a, b) for a, b in chain_pairs(600, seed=7)
+             if any(g not in (None, m) for g, m in (
+                 _face_indices(gens, gluable_lattice_point(a, b))[1:]
+                 for gens in (a, b)))]
+    rng = random.Random(20261019)
+    built = 0
+    while built < 80:
+        pair = _boundary_pair(rng)
+        if pair is not None:
+            pairs.append(pair)
+            built += 1
+    pruned = 0
+    for a, b in pairs:
+        u = gluable_lattice_point(a, b)
+        decision = decide_pair(a, b, kmax)
+        for gens, found in ((a, decision.witnesses_a),
+                            (b, decision.witnesses_b)):
+            expected = {}
+            for k in range(1, kmax + 1):
+                e = is_member(tuple(k * x for x in u), gens)
+                if e is not None:
+                    expected[k] = e
+            assert multiples_in_semigroup(u, gens, kmax) == expected
+            assert found == tuple(sorted(expected.items())), (gens, u)
+            face, g, m = _face_indices(gens, u)
+            if g is None:
+                assert not expected
+                continue
+            pruned += len(face) < gens.count and g > m
+            for k, e in expected.items():
+                assert k % g == 0, (gens, u, k, g)
+                assert all(j in face for j, x in enumerate(e) if x), (e, face)
+    assert pruned >= 20, pruned
+
+
 def test_no_multiple_possible_detects_the_skewed_cubic():
     a, b = twisted_bad_pair()
     u = gluable_lattice_point(a, b)

@@ -416,6 +416,13 @@ def test_random_gens_refuses_a_count_it_cannot_reach():
         random_gens(rng, 2, 9, 2)
 
 
+def test_toric_ideal_cache_is_bounded_above_a_sweep():
+    # A long run keeps a bounded number of ideals; the benchmark pools
+    # hold at most 400 distinct matrices, so a pass keeps all its hits.
+    maxsize = toric_ideal_of_matrix.cache_info().maxsize
+    assert maxsize is not None and 400 <= maxsize
+
+
 def test_toric_ideal_of_matrix_accepts_repeated_columns():
     fat = SemigroupGens.from_columns([(2, 1), (1, 2)], "x")
     cand = GluingCandidate(fat, SemigroupGens.from_columns([(2, 1)], "y"))
