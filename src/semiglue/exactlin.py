@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
-Everything here works over arbitrary-precision integers: ranks via
-fraction-free (Bareiss) elimination, kernels of integer matrices as
-saturated lattices with primitive basis vectors, and the longest
-independent suffix of a matrix's columns with an integer inverse over a
-common denominator.  No floating point anywhere.
+Everything here works over arbitrary-precision integers, with no
+floating point.  One fraction-free Gauss-Jordan elimination, ``_bareiss``,
+does every small exact solve: ``rank``, the inverse in
+``independent_suffix``, and ``gluing``'s meeting line and cone solutions.
+The one lattice question, a saturated kernel basis of primitive vectors,
+is ``kernel_lattice_basis``'s.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        assert len(self.entries) > 0, "matrix needs at least one row"
+        if not self.entries:  # explicit, so that -O keeps the checks
+            raise ValueError("matrix needs at least one row")
         width = len(self.entries[0])
-        assert width > 0, "matrix needs at least one column"
-        assert all(len(row) == width for row in self.entries), "ragged rows"
-        assert all(
-            isinstance(x, int) for row in self.entries for x in row
-        ), "entries must be ints"
+        if not width:
+            raise ValueError("matrix needs at least one column")
+        if any(len(row) != width for row in self.entries):
+            raise ValueError("ragged rows")
+        if not all(isinstance(x, int) for row in self.entries for x in row):
+            raise ValueError("entries must be ints")
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
@@ -73,41 +76,53 @@ class IntegerMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        assert self.rows == other.rows
+        if self.rows != other.rows:
+            raise ValueError("stacked matrices need equal row counts")
         return IntegerMatrix(
             tuple(r + s for r, s in zip(self.entries, other.entries))
         )
 
     def scaled(self, k: int) -> "IntegerMatrix":
-        assert k != 0
+        if k == 0:
+            raise ValueError("the scale must be nonzero")
         return IntegerMatrix(tuple(tuple(k * x for x in row) for row in self.entries))
 
 
-def rank(m: IntegerMatrix) -> int:
-    """Return the rank of m, computed fraction-free."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
+def _bareiss(rows) -> tuple[list[list[int]], list[int]]:
+    """Return the fraction-free reduced rows of a matrix and their pivots.
+
+    Gauss-Jordan with Bareiss steps (Math. Comp. 22, 1968): each step
+    clears the pivot column in every other row and divides exactly by
+    the previous pivot, so entries stay minors of the input.  Row i is
+    zero on every pivot column but pivots[i], where each row holds the
+    same nonzero d; divided by d, the rows are the reduced row echelon
+    form.  Zero rows are dropped.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
     prev = 1
-    for pc in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][pc]
-        for i in range(r + 1, nrows):
-            for j in range(pc + 1, ncols):
-                a[i][j] = (a[i][j] * piv - a[i][pc] * a[r][j]) // prev
-            a[i][pc] = 0
+        a[r], a[p] = a[p], a[r]
+        top = a[r]
+        piv = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
         prev = piv
-        r += 1
-        if r == nrows:
+        pivots.append(c)
+        if len(pivots) == len(a):
             break
-    return r
+    return a[:len(pivots)], pivots
+
+
+def rank(m: IntegerMatrix) -> int:
+    """Return the rank of m, its pivot count under ``_bareiss``."""
+    return len(_bareiss(m.entries)[1])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -218,45 +233,36 @@ def independent_suffix(m: IntegerMatrix) -> IndependentSuffix:
     """Return the longest independent suffix of m's columns and its inverse.
 
     Reduces the columns from the last one backwards against an echelon
-    basis, so the suffix's pivot rows come out of the same pass; the
-    echelon vectors vanish on each other's pivots, so those rows carry
-    an invertible square block.
+    basis in integers, so the suffix's pivot rows come out of the same
+    pass (scaling by nonzero integers keeps every zero of the pass over
+    Q); the echelon vectors vanish on each other's pivots, so those rows
+    carry an invertible square block, which ``_bareiss`` inverts.
     """
     cols = m.columns()
-    echelon: list[tuple[int, list[Fraction]]] = []
+    echelon: list[tuple[int, list[int]]] = []
     start = 0
     for j in range(len(cols) - 1, -1, -1):
-        w = [Fraction(x) for x in cols[j]]
+        w = list(cols[j])
         for piv, e in echelon:
             if w[piv]:
-                f = w[piv] / e[piv]
-                w = [a - f * b for a, b in zip(w, e)]
+                f, g = e[piv], w[piv]
+                w = [f * a - g * b for a, b in zip(w, e)]
         piv = next((i for i, x in enumerate(w) if x), None)
         if piv is None:
             start = j + 1
             break
-        echelon.append((piv, w))
+        g = gcd(*w)
+        echelon.append((piv, [x // g for x in w]))
     rows = tuple(sorted(piv for piv, _ in echelon))
     r = len(rows)
-    # Gauss-Jordan on [T_R | I].
-    work = [[Fraction(cols[start + k][i]) for k in range(r)]
-            + [Fraction(int(i == t)) for t in rows] for i in rows]
-    for c in range(r):
-        pivot = next(i for i in range(c, r) if work[i][c])
-        work[c], work[pivot] = work[pivot], work[c]
-        lead = work[c][c]
-        work[c] = [x / lead for x in work[c]]
-        for i in range(r):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    inv = [row[r:] for row in work]
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
-    return IndependentSuffix(start, rows, inverse, den)
+    # Gauss-Jordan on [T_R | I] leaves [d I | d T_R^-1].
+    reduced, _ = _bareiss([[cols[start + k][i] for k in range(r)]
+                           + [int(i == t) for t in rows] for i in rows])
+    d = reduced[0][0] if r else 1
+    g = gcd(d, *(x for row in reduced for x in row[r:]))
+    g = g if d > 0 else -g
+    inverse = tuple(tuple(x // g for x in row[r:]) for row in reduced)
+    return IndependentSuffix(start, rows, inverse, d // g)
 
 
 def primitive(v) -> Vector:

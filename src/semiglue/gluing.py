@@ -35,6 +35,7 @@ from .binomial import (  # noqa: F401  (perfbench wraps ideal_equal)
 )
 from .exactlin import (
     IntegerMatrix,
+    _bareiss,
     independent_suffix,
     kernel_lattice_basis,
     primitive,
@@ -136,22 +137,31 @@ def _meeting_line(a: SemigroupGens,
                   b: SemigroupGens) -> tuple[RankConditions, Vector | None]:
     """Return the rank data of the pair and the primitive meeting point.
 
-    One integer kernel of [A|B] gives both: its rank is the column count
-    minus rank [A|B], and each kernel vector (alpha, beta) puts
-    A alpha = -B beta in both column spaces.  When those spaces meet in
-    a line, these images span it, so the first nonzero A alpha is a
-    multiple of the point; otherwise the point is None.
+    One fraction-free reduction of [A|B] gives both: its pivot count is
+    rank [A|B], and each other column f gives a kernel vector (alpha,
+    beta), d at f and minus the reduced rows' column f at their pivots.
+    The images A alpha = -B beta span the meet of the column spaces; when
+    that is a line, the first nonzero one, made primitive, is the point,
+    which is unique up to the sign ``primitive`` fixes; else None.
     """
     if a.ambient != b.ambient:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
-    joint = a.matrix.hstack(b.matrix)
-    kernel = kernel_lattice_basis(joint)
-    rc = RankConditions(rank(a.matrix), rank(b.matrix),
-                        joint.cols - len(kernel), a.ambient)
+    p = a.count
+    rows, pivots = _bareiss(a.matrix.hstack(b.matrix).entries)
+    rc = RankConditions(rank(a.matrix), rank(b.matrix), len(pivots),
+                        a.ambient)
     if not rc.ok:
         return rc, None
-    images = (a.matrix.matvec(d[:a.count]) for d in kernel)
+    d = rows[0][pivots[0]]
+
+    def image(f):
+        x = [d * (j == f) for j in range(p + b.count)]
+        for row, c in zip(rows, pivots):
+            x[c] = -row[f]
+        return a.matrix.matvec(x[:p])
+
+    images = (image(f) for f in range(p + b.count) if f not in pivots)
     return rc, primitive(next(w for w in images if any(w)))
 
 
@@ -165,8 +175,8 @@ def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens) -> Vector:
 
     Requires rank A + rank B = rank [A|B] + 1, so that the two column
     spaces meet in a line; otherwise RankConditionsFail.  The point is
-    A alpha for a relation (alpha, beta) in the integer kernel of
-    [A|B], normalized to be primitive with positive first nonzero
+    A alpha for a relation (alpha, beta) in the kernel of [A|B],
+    normalized to be primitive with positive first nonzero
     coordinate.
     """
     rc, u = _meeting_line(a, b)
@@ -477,16 +487,18 @@ def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
 
     The exponents are nonnegative integers and the multiplier positive,
     so this witnesses that v, which must be nonzero, lies in the
-    rational cone of the columns; None when it does not.  A column
-    subset solves for v exactly when the kernel of [subset | v] is a
-    line whose primitive generator d has d_last != 0; then the subset is
-    independent, and |d_last| is the least multiplier making the
-    solution integral.  Subsets grow in size, so the first solution is
-    positive on its whole subset.  Nonnegative columns cannot cancel, so
-    no column is tried when v has a negative coordinate, nor a column
-    positive where v is zero.  The loop stops at a size with no
-    independent subset left to try: every subset of an independent set
-    is independent.
+    rational cone of the columns; None when it does not.  A subset S of
+    s columns is one fraction-free reduction of [S | v] on the rows
+    where v is nonzero: S is independent when its columns are the first
+    s pivots, v is in its span unless column s is one too, and then row
+    i gives lambda_i = x_i / d.  M lambda is integral exactly when M is
+    a multiple of every reduced denominator, so the least multiplier is
+    their lcm, |d| / gcd(d, x_1, ..., x_s).  Subsets grow in size, so
+    the first solution is positive on its whole subset.  Nonnegative
+    columns cannot cancel, so no column is tried when v has a negative
+    coordinate, nor a column positive where v is zero.  The loop stops
+    at a size with no independent subset left to try: every subset of
+    an independent set is independent.
 
     With face=True the loop runs on through every basic nonnegative
     solution of matrix * lambda = v and returns (solution, face): the
@@ -497,32 +509,34 @@ def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
     """
     cols = matrix.columns()
     zero = [i for i, x in enumerate(v) if x == 0]
+    live = [i for i, x in enumerate(v) if x]
     usable = [] if min(v) < 0 else [
         j for j, c in enumerate(cols) if all(c[i] == 0 for i in zero)]
     first = None
     support: set[int] = set()
-    for size in range(1, min(len(usable), matrix.rows) + 1):
+    for size in range(1, min(len(usable), len(live)) + 1):
         independent = False
         for subset in combinations(usable, size):
             if support.issuperset(subset):
                 continue
-            basis = kernel_lattice_basis(
-                IntegerMatrix.from_columns([cols[j] for j in subset] + [v]))
-            if len(basis) > 1 or basis and basis[0][-1] == 0:
+            rows, pivots = _bareiss(
+                [[cols[j][i] for j in subset] + [v[i]] for i in live])
+            if len(pivots) < size or pivots[size - 1] != size - 1:
                 continue  # the subset is dependent
             independent = True
-            if not basis:
+            if len(pivots) > size:
                 continue  # v is outside the subset's span
-            d = basis[0]
-            sign = -1 if d[-1] > 0 else 1
-            lam = [sign * x for x in d[:-1]]
+            d = rows[0][0]
+            g = gcd(d, *(row[size] for row in rows))
+            g = g if d > 0 else -g
+            lam = [row[size] // g for row in rows]
             if any(x < 0 for x in lam):
                 continue
             if first is None:
                 exps = [0] * len(cols)
                 for j, x in zip(subset, lam):
                     exps[j] = x
-                first = tuple(exps), abs(d[-1])
+                first = tuple(exps), d // g
                 if not face:
                     return first
             support.update(j for j, x in zip(subset, lam) if x)
@@ -634,7 +648,7 @@ def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
                 work_limit: int = 10 ** 6) -> PairDecision:
     """Decide whether some scalings k1, k2 make k1 A and k2 B glue.
 
-    One integer kernel of [A|B] gives the ranks and the lattice point u.
+    One reduction of [A|B] gives the ranks and the lattice point u.
     A gluing needs the column spaces to meet in a line and a multiple of
     u in each semigroup; coprime multiples suffice.  Per side, one run
     of ``_cone_solution``'s subset loop gives u's first cone solution

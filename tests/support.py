@@ -6,11 +6,12 @@ oracles recompute ranks, solvability and membership from first
 principles over Fraction or by brute force, so agreement with the
 package is evidence rather than circularity.  ``ideal_identity_gluing``
 decides a gluing by the ideal identity itself, with the Groebner
-engine.
+engine.  The kernel- and Fraction-based solvers that the fraction-free
+elimination replaced are kept as references for it.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from random import Random
 
@@ -26,7 +27,18 @@ from semiglue import (
     is_member,
     level,
 )
-from semiglue.gluing import GluingReport, _meeting_line, _mixed_binomial
+from semiglue.exactlin import (
+    IndependentSuffix,
+    IntegerMatrix,
+    kernel_lattice_basis,
+    primitive,
+)
+from semiglue.gluing import (
+    GluingReport,
+    RankConditions,
+    _meeting_line,
+    _mixed_binomial,
+)
 from semiglue.toric import fiber_monomials, toric_ideal, toric_ideal_of_matrix
 
 
@@ -352,3 +364,104 @@ def ideal_identity_gluing(cand: GluingCandidate,
     return GluingReport(u=u, is_gluing=False, rho=None, rho_level=None,
                         detail="no single mixed binomial completes the two "
                                "ideals", **base)
+
+
+# -- references for the fraction-free solves --------------------------------
+#
+# The package's earlier solvers, kept verbatim as references: the cone
+# solution and the meeting line read off integer kernels, and the
+# independent suffix computed over Fraction.
+
+def kernel_cone_solution(v, matrix, face=False):
+    """Return ``gluing._cone_solution``'s answer from kernels of [S | v].
+
+    A column subset S solves for v exactly when the kernel of [S | v] is
+    a line whose primitive generator d has d_last != 0; |d_last| is the
+    least multiplier.
+    """
+    cols = matrix.columns()
+    zero = [i for i, x in enumerate(v) if x == 0]
+    usable = [] if min(v) < 0 else [
+        j for j, c in enumerate(cols) if all(c[i] == 0 for i in zero)]
+    first = None
+    support = set()
+    for size in range(1, min(len(usable), matrix.rows) + 1):
+        independent = False
+        for subset in combinations(usable, size):
+            if support.issuperset(subset):
+                continue
+            basis = kernel_lattice_basis(
+                IntegerMatrix.from_columns([cols[j] for j in subset] + [v]))
+            if len(basis) > 1 or basis and basis[0][-1] == 0:
+                continue  # the subset is dependent
+            independent = True
+            if not basis:
+                continue  # v is outside the subset's span
+            d = basis[0]
+            sign = -1 if d[-1] > 0 else 1
+            lam = [sign * x for x in d[:-1]]
+            if any(x < 0 for x in lam):
+                continue
+            if first is None:
+                exps = [0] * len(cols)
+                for j, x in zip(subset, lam):
+                    exps[j] = x
+                first = tuple(exps), abs(d[-1])
+                if not face:
+                    return first
+            support.update(j for j, x in zip(subset, lam) if x)
+        if not independent:
+            break
+    return (first, tuple(sorted(support))) if face else None
+
+
+def kernel_meeting_line(a, b):
+    """Return ``gluing._meeting_line``'s answer from the kernel of [A|B]."""
+    joint = a.matrix.hstack(b.matrix)
+    kernel = kernel_lattice_basis(joint)
+    rc = RankConditions(fraction_rank(a.matrix.entries),
+                        fraction_rank(b.matrix.entries),
+                        joint.cols - len(kernel), a.ambient)
+    if not rc.ok:
+        return rc, None
+    images = (a.matrix.matvec(d[:a.count]) for d in kernel)
+    return rc, primitive(next(w for w in images if any(w)))
+
+
+def fraction_independent_suffix(m):
+    """Return ``exactlin.independent_suffix``'s answer, computed over Fraction."""
+    cols = m.columns()
+    echelon = []
+    start = 0
+    for j in range(len(cols) - 1, -1, -1):
+        w = [Fraction(x) for x in cols[j]]
+        for piv, e in echelon:
+            if w[piv]:
+                f = w[piv] / e[piv]
+                w = [a - f * b for a, b in zip(w, e)]
+        piv = next((i for i, x in enumerate(w) if x), None)
+        if piv is None:
+            start = j + 1
+            break
+        echelon.append((piv, w))
+    rows = tuple(sorted(piv for piv, _ in echelon))
+    r = len(rows)
+    # Gauss-Jordan on [T_R | I].
+    work = [[Fraction(cols[start + k][i]) for k in range(r)]
+            + [Fraction(int(i == t)) for t in rows] for i in rows]
+    for c in range(r):
+        pivot = next(i for i in range(c, r) if work[i][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        lead = work[c][c]
+        work[c] = [x / lead for x in work[c]]
+        for i in range(r):
+            if i != c and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    inv = [row[r:] for row in work]
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
+    return IndependentSuffix(start, rows, inverse, den)

@@ -15,7 +15,12 @@ from semiglue import (
     primitive,
     rank,
 )
-from support import fraction_rank, integer_combination
+from semiglue.exactlin import independent_suffix
+from support import (
+    fraction_independent_suffix,
+    fraction_rank,
+    integer_combination,
+)
 
 QUARTIC = IntegerMatrix.from_rows([(4, 3, 2, 1), (0, 1, 2, 3), (0, 0, 0, 0)])
 CUBIC = IntegerMatrix.from_rows([(3, 2, 1, 0), (0, 1, 2, 3)])
@@ -123,3 +128,55 @@ def test_matvec_length_is_checked_under_optimization(tmp_path):
     assert done.stdout == (
         "refused: the vector needs 2 entries, got 1\n"
         "refused: the vector needs 2 entries, got 3\n")
+
+
+def test_independent_suffix_matches_fraction_elimination():
+    rng = random.Random(20261021)
+    partial = 0
+    for _ in range(5000):
+        nrows = rng.randrange(1, 5)
+        ncols = rng.randrange(1, 7)
+        rows = [[rng.randrange(-3, 6) * (rng.random() < 0.7)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        m = IntegerMatrix.from_rows(rows)
+        got = independent_suffix(m)
+        assert got == fraction_independent_suffix(m), rows
+        partial += 0 < got.start
+    assert partial >= 1000, partial
+    rng = random.Random(6)
+    big = IntegerMatrix.from_rows(
+        [[rng.randrange(10 ** 6 + 1) for _ in range(6)] for _ in range(4)])
+    got = independent_suffix(big)
+    assert got == fraction_independent_suffix(big)
+    assert got.start == 2 and got.denominator > 10 ** 6
+
+
+def test_matrix_shape_is_checked_under_optimization(tmp_path):
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntegerMatrix.from_rows([[1, 2], [3]])
+    script = tmp_path / "bad_shapes.py"
+    script.write_text(
+        "from semiglue import IntegerMatrix\n"
+        "for rows in ([[1, 2], [3]], [], [[]], [[1, 2.5]]):\n"
+        "    try:\n"
+        "        print('accepted:', IntegerMatrix(tuple(map(tuple, rows))))\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n"
+        "m = IntegerMatrix.from_rows([[1, 2]])\n"
+        "for bad in (lambda: m.hstack(m.transpose()), lambda: m.scaled(0)):\n"
+        "    try:\n"
+        "        print('accepted:', bad())\n"
+        "    except ValueError as exc:\n"
+        "        print('refused:', exc)\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: ragged rows\n"
+        "refused: matrix needs at least one row\n"
+        "refused: matrix needs at least one column\n"
+        "refused: entries must be ints\n"
+        "refused: stacked matrices need equal row counts\n"
+        "refused: the scale must be nonzero\n")

@@ -43,6 +43,8 @@ from support import (
     chain_pairs,
     ideal_identity_gluing,
     ideal_identity_holds,
+    kernel_cone_solution,
+    kernel_meeting_line,
     linear_binomial_pair,
     monomial_curves_pair,
     random_gens,
@@ -868,6 +870,78 @@ def test_cone_solutions_are_exact_and_complete(rows, cols):
             assert n >= 1
         elif min(v) >= 0:
             assert not _some_multiple_is_member(columns, v, 12), (columns, v)
+
+
+def _random_cone_case(rng):
+    """Return (columns, v) with 1-4 rows, repeats and zeros in v likely."""
+    rows = rng.randrange(1, 5)
+    columns = []
+    for _ in range(rng.randrange(1, 7)):
+        if columns and rng.random() < 0.2:
+            columns.append(rng.choice(columns))
+        else:
+            col = tuple(rng.randrange(4) * (rng.random() < 0.7)
+                        for _ in range(rows))
+            columns.append(col if any(col) else (1,) + col[1:])
+    v = tuple(rng.randrange(-1, 6) * (rng.random() < 0.8)
+              for _ in range(rows))
+    return columns, v if any(v) else (2,) + v[1:]
+
+
+def test_cone_solution_matches_the_kernel_rule():
+    # The reference is the subset rule read off kernels of [S | v].
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(("dependent", "repeated", "negative", "zero",
+                          "solved", "missed", "face"), 0)
+    for _ in range(3000):
+        columns, v = _random_cone_case(rng)
+        m = IntegerMatrix.from_columns(columns)
+        first = _cone_solution(v, m)
+        assert first == kernel_cone_solution(v, m), (columns, v)
+        with_face = _cone_solution(v, m, face=True)
+        assert with_face == kernel_cone_solution(v, m, face=True), (
+            columns, v)
+        assert with_face[0] == first
+        seen["dependent"] += rank(m) < len(columns)
+        seen["repeated"] += len(set(columns)) < len(columns)
+        seen["negative"] += min(v) < 0
+        seen["zero"] += 0 in v
+        seen["solved"] += first is not None
+        seen["missed"] += first is None and min(v) >= 0
+        seen["face"] += len(with_face[1]) > 1
+    assert min(seen.values()) >= 200, seen
+
+
+def test_meeting_line_matches_the_kernel_reference():
+    rng = random.Random(20261020)
+    ok = 0
+    for trial in range(3000):
+        n = rng.randrange(1, 5)
+        if trial % 3 == 0 and n == 3:
+            a = random_rank2_gens(rng, "x") or random_gens(rng, 3, 2, 3, "x")
+            b = random_rank2_gens(rng, "y") or random_gens(rng, 3, 2, 3, "y")
+        else:
+            a = random_gens(rng, n, rng.randrange(1, 2 * n + 1), 3, "x")
+            b = random_gens(rng, n, rng.randrange(1, n + 1), 3, "y")
+        got = gluing._meeting_line(a, b)
+        assert got == kernel_meeting_line(a, b), (a, b)
+        ok += got[0].ok
+    assert 500 <= ok <= 2500, ok
+
+
+def test_decide_pair_takes_a_kernel_only_for_the_line_indices(monkeypatch):
+    calls = []
+    kernel = gluing.kernel_lattice_basis
+
+    def counted(m):
+        calls.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr(gluing, "kernel_lattice_basis", counted)
+    decision = decide_pair(*twisted_pair(), 12)
+    assert decision.pair == (3, 2)
+    # one _line_index per side, on the face of u
+    assert len(calls) == 2
 
 
 def test_audit_of_a_gluable_pair():
