@@ -41,6 +41,24 @@ assert) checks each new lcm against that limit, and a run that would
 pass it restarts, wider.  ``_buchberger``, ``_interreduce`` and
 ``_saturate_raw`` still take and return raw tuples of exponent pairs.
 
+Reduction is lazy: Buchberger's algorithm and the membership tests
+only top-reduce (Becker and Weispfenning, "Groebner Bases", 1993,
+ch. 5).  ``_reduce_pair`` keeps a - b with a the larger monomial and
+reduces only a, by the first lead that divides it, swapping the two
+when a drops below b; it stops when they meet or a is irreducible.
+Each side still walks its own first-divisor chain, the one ``_nf_mono``
+walks, and each chain strictly descends.  Two chains that meet share
+everything from their largest common monomial on, and while both are
+above it the larger one is the one reduced, so neither passes it: the
+walk meets exactly when the two normal forms agree.  Otherwise it ends
+at an irreducible side larger than the other, which is that side's
+normal form and above the other's, so the lead is the larger normal
+form, as under full reduction.  This holds for any basis, Groebner or
+not.  Only the tail is left unreduced; ``_reduced`` reduces the tails
+once, at the end, and reduced bases are unique per order, so every
+result is that of full reduction.  The public ``normal_form`` still
+reduces both monomials fully.
+
 Buchberger's algorithm keeps its live critical pairs as packed records
 ``(lcm key, i, j, lcm)``: basis indices i < j, the lcm of their leading
 terms, and that lcm's order key.  ``(lcm key, i, j)`` is unique, so the
@@ -305,12 +323,33 @@ def _nf_mono(m: int, basis, guard: int) -> int:
 
 
 def _reduce_pair(pk: _Packing, basis, a: int, b: int):
-    """Return a - b reduced by basis as packed (lead, tail - lead), or None."""
-    a = _nf_mono(a, basis, pk.guard)
-    b = _nf_mono(b, basis, pk.guard)
-    if a == b:
-        return None
-    return (a, b - a) if pk.key(a) > pk.key(b) else (b, a - b)
+    """Return a - b top-reduced: packed (lead, tail - lead), or None if zero.
+
+    Only the larger monomial is reduced, by the first lead that divides
+    it, until the two meet (None) or the larger one is irreducible: that
+    is the lead, and the other side, as far as it got, the tail.  The
+    lead is the larger of the two normal forms ``_nf_mono`` gives, and
+    the result is None exactly when they agree (see the module
+    docstring); only ``_reduced`` reduces tails.
+    """
+    guard, mask = pk.guard, pk.mask
+    # the order keys, as _Packing.key computes them
+    ka, kb = a - ((a & mask) << 1), b - ((b & mask) << 1)
+    if ka < kb:
+        a, b, ka, kb = b, a, kb, ka
+    while a != b:
+        g = a | guard
+        for lead, step in basis:
+            # no borrow crosses a guard bit; each stays set iff lead <= a
+            if (g - lead) & guard == guard:
+                a += step
+                break
+        else:
+            return a, b - a
+        ka = a - ((a & mask) << 1)
+        if ka < kb:
+            a, b, ka, kb = b, a, kb, ka
+    return None
 
 
 def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
@@ -321,7 +360,7 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
     run must restart wider, when an lcm passes the packing's limit.
     """
     guard, mask, rev, limit = pk.guard, pk.mask, pk.rev, pk.limit
-    top, low, field, key = pk.top, pk.width - 1, pk.field, pk.key
+    top, low, field = pk.top, pk.width - 1, pk.field
     lt = basis[t][0]
     lcms = []
     for lead, _ in basis[:t]:
@@ -344,16 +383,20 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
     # among the new pairs keep only minimal lcms, one per value, and
     # finally discard those with coprime leading terms
     chosen: list[int] = []
-    for k, i in sorted([(key(lij), i) for i, lij in enumerate(lcms)]):
+    # the order keys, as _Packing.key computes them
+    for k, i in sorted([(lij - ((lij & mask) << 1), i)
+                        for i, lij in enumerate(lcms)]):
         lij = lcms[i]
         if lij == basis[i][0] + lt:  # coprime: the lcm is the product
             chosen.append(lij)
             continue
         g = lij | guard
-        if any((g - c) & guard == guard for c in chosen):
-            continue
-        chosen.append(lij)
-        survivors.append((k, i, t, lij))
+        for c in chosen:
+            if (g - c) & guard == guard:
+                break
+        else:
+            chosen.append(lij)
+            survivors.append((k, i, t, lij))
     pairs[:] = survivors
     return True
 
@@ -385,6 +428,9 @@ def _buchberger(raw_gens, key) -> tuple[RawBinomial, ...]:
 
 def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     """Process critical pairs, smallest lcm first, extending basis in place.
+
+    Each S-polynomial is only top-reduced (``_reduce_pair``), so a new
+    element has an irreducible lead but maybe a reducible tail.
 
     With ``upto`` given, stop once every remaining pair has an lcm of
     weighted degree above it.  For a homogeneous ideal the basis is then
@@ -521,11 +567,12 @@ def normal_form(f, basis, order: MonomialOrder):
         return Monomial(f.block, pk.unpack(_nf_mono(m, packed, pk.guard)))
     assert isinstance(f, Binomial)
     pk, packed, (a, b) = held.fit(f.as_pair())
-    r = _reduce_pair(pk, packed, a, b)
-    if r is None:
+    a, b = _nf_mono(a, packed, pk.guard), _nf_mono(b, packed, pk.guard)
+    if a == b:
         return None
-    return Binomial.from_pair(f.block, (pk.unpack(r[0]),
-                                        pk.unpack(r[0] + r[1])))
+    if pk.key(a) < pk.key(b):
+        a, b = b, a
+    return Binomial.from_pair(f.block, (pk.unpack(a), pk.unpack(b)))
 
 
 @dataclass(frozen=True)
@@ -579,7 +626,7 @@ class BinomialIdeal:
         if held is None:
             held = self._basis(_unit_order(self.block))
         pk, packed, (a, b) = held.fit(f.as_pair())
-        return _nf_mono(a, packed, pk.guard) == _nf_mono(b, packed, pk.guard)
+        return _reduce_pair(pk, packed, a, b) is None
 
 
 def _unit_order(block: VariableBlock) -> MonomialOrder:

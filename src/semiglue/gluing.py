@@ -138,8 +138,10 @@ def _meeting_line(a: SemigroupGens,
     """Return the rank data of the pair and the primitive meeting point.
 
     One fraction-free reduction of [A|B] gives both: its pivot count is
-    rank [A|B], and each other column f gives a kernel vector (alpha,
-    beta), d at f and minus the reduced rows' column f at their pivots.
+    rank [A|B], its pivots in A's columns number rank A (pivots are taken
+    column by column), and each other column f gives a kernel vector
+    (alpha, beta), d at f and minus the reduced rows' column f at their
+    pivots.
     The images A alpha = -B beta span the meet of the column spaces; when
     that is a line, the first nonzero one, made primitive, is the point,
     which is unique up to the sign ``primitive`` fixes; else None.
@@ -149,8 +151,8 @@ def _meeting_line(a: SemigroupGens,
             f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
     p = a.count
     rows, pivots = _bareiss(a.matrix.hstack(b.matrix).entries)
-    rc = RankConditions(rank(a.matrix), rank(b.matrix), len(pivots),
-                        a.ambient)
+    rc = RankConditions(sum(c < p for c in pivots), rank(b.matrix),
+                        len(pivots), a.ambient)
     if not rc.ok:
         return rc, None
     d = rows[0][pivots[0]]

@@ -126,9 +126,11 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     One Buchberger run serves the whole scan.  Before a generator of
     weighted degree d is tested, the critical pairs of the kept elements
     are completed up to degree d; the ideal is homogeneous, so the basis
-    then decides membership in degree d exactly.  A kept generator joins
-    the basis in its reduced form, with its pairs.  The kept set spans
-    the same ideal as all the generators, so it keeps the Groebner bases
+    then decides membership in degree d exactly: a generator is a member
+    when its top reduction is zero.  A kept generator joins the basis
+    top-reduced, with its pairs; its tail stays as far as the reduction
+    took it, which membership does not need.  The kept set spans the
+    same ideal as all the generators, so it keeps the Groebner bases
     that their ideal holds.
     """
     gens = sorted(gset.ideal.generators,

@@ -7,7 +7,9 @@ principles over Fraction or by brute force, so agreement with the
 package is evidence rather than circularity.  ``ideal_identity_gluing``
 decides a gluing by the ideal identity itself, with the Groebner
 engine.  The kernel- and Fraction-based solvers that the fraction-free
-elimination replaced are kept as references for it.
+elimination replaced are kept as references for it, and so is the
+Buchberger engine's full reduction of both monomials, which its top
+reduction replaced.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ from semiglue import (
     is_member,
     level,
 )
+from semiglue.binomial import _nf_mono
 from semiglue.exactlin import (
     IndependentSuffix,
     IntegerMatrix,
@@ -465,3 +468,19 @@ def fraction_independent_suffix(m):
             den = den * x.denominator // gcd(den, x.denominator)
     inverse = tuple(tuple(int(x * den) for x in row) for row in inv)
     return IndependentSuffix(start, rows, inverse, den)
+
+
+# -- reference for the binomial engine's top reduction ----------------------
+
+def full_reduce_pair(pk, basis, a, b):
+    """Return ``binomial._reduce_pair``'s answer with both sides fully reduced.
+
+    The engine's earlier reduction, kept verbatim as the reference: each
+    packed monomial goes to its normal form by ``_nf_mono``, so the tail
+    is reduced too.
+    """
+    a = _nf_mono(a, basis, pk.guard)
+    b = _nf_mono(b, basis, pk.guard)
+    if a == b:
+        return None
+    return (a, b - a) if pk.key(a) > pk.key(b) else (b, a - b)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semiglue import binomial
+from semiglue import binomial, toric
 from semiglue import (
     Binomial,
     BinomialIdeal,
@@ -25,6 +25,7 @@ from semiglue import (
     normal_form,
     saturate,
 )
+from support import full_reduce_pair, random_gens
 
 X4 = VariableBlock.prefixed("x", 4)
 ORDER = MonomialOrder.degrevlex((1, 1, 1, 1))
@@ -453,3 +454,133 @@ def test_the_width_guard_holds_under_optimization(tmp_path):
     assert done.returncode == 0, done.stderr
     widened, wrong = map(int, done.stdout.split())
     assert widened > 0 and wrong == 0, (widened, wrong)
+
+
+# -- top reduction against the full reduction -------------------------------
+
+
+def test_top_reduction_keeps_the_lead_of_the_full_reduction(monkeypatch):
+    """Every reduction of a run, on the partial basis it sees, both ways."""
+    lazy = binomial._reduce_pair
+    seen = []
+
+    def checked(pk, basis, a, b):
+        got = lazy(pk, basis, a, b)
+        want = full_reduce_pair(pk, basis, a, b)
+        assert lazy(pk, basis, b, a) == got
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got[0] == want[0]
+            # the lazy tail has the reference tail as its normal form
+            tail = binomial._nf_mono(got[0] + got[1], basis, pk.guard)
+            assert tail == want[0] + want[1]
+        seen.append(got is None)
+        return got
+
+    monkeypatch.setattr(binomial, "_reduce_pair", checked)
+    monkeypatch.setattr(toric, "_reduce_pair", checked)
+    rng = random.Random(20261019)
+    for case in range(60):
+        weights, gens = random_homogeneous_binomials(rng, 2 + case % 5)
+        key = MonomialOrder.degrevlex(weights).key_function()
+        binomial._buchberger(gens, key)
+        toric.toric_ideal_of_matrix.cache_clear()
+        toric.toric_ideal(random_gens(rng, 3, 5 + case % 3, 3))
+    assert len(seen) >= 2000 and 0 < sum(seen) < len(seen)
+
+
+def lazy_against_full(seed, count):
+    """Return (runs that widened, toric ideals unlike) of a seeded sweep.
+
+    Each of count random 3 x 5 to 3 x 7 matrices with entries up to 3
+    gets its toric ideal twice: with the engine's top reduction, and with
+    ``support.full_reduce_pair`` patched in.  The raw reduced basis and
+    the minimal generators must agree.  Nothing here asserts, so the
+    counts mean the same under -O.
+    """
+    rng = random.Random(seed)
+    lazy, real = binomial._reduce_pair, binomial._widening
+    attempts = []
+
+    def counted(order, pairs, run):
+        def attempt(pk):
+            attempts[-1] += 1
+            return run(pk)
+        attempts.append(0)
+        return real(order, pairs, attempt)
+
+    def ideal(gens, reduce_pair):
+        binomial._reduce_pair = toric._reduce_pair = reduce_pair
+        toric.toric_ideal_of_matrix.cache_clear()
+        t = toric.toric_ideal(gens)
+        return [h.raw for h in t.ideal._bases.values()], t.ideal.generators
+
+    binomial._widening = toric._widening = counted
+    unlike = 0
+    try:
+        for i in range(count):
+            gens = random_gens(rng, 3, 5 + i % 3, 3)
+            unlike += ideal(gens, lazy) != ideal(gens, full_reduce_pair)
+    finally:
+        binomial._reduce_pair = toric._reduce_pair = lazy
+        binomial._widening = toric._widening = real
+        toric.toric_ideal_of_matrix.cache_clear()
+    return sum(n > 1 for n in attempts), unlike
+
+
+def test_top_reduction_gives_the_same_toric_ideals():
+    widened, unlike = lazy_against_full(20261020, 300)
+    assert widened > 0 and unlike == 0, (widened, unlike)
+
+
+def test_top_reduction_gives_the_same_toric_ideals_under_optimization(
+        tmp_path):
+    script = tmp_path / "lazy.py"
+    script.write_text(
+        "from test_binomial import lazy_against_full\n"
+        "print(*lazy_against_full(20261020, 300))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    widened, unlike = map(int, done.stdout.split())
+    assert widened > 0 and unlike == 0, (widened, unlike)
+
+
+def test_normal_form_returns_irreducible_monomials():
+    rng = random.Random(20261021)
+    checked = 0
+    for case in range(40):
+        p = 2 + case % 4
+        weights, gens = random_homogeneous_binomials(rng, p)
+        block = VariableBlock.prefixed("x", p)
+        order = MonomialOrder.degrevlex(weights)
+        gb = buchberger([Binomial.from_pair(block, g) for g in gens], order)
+        leads = [g.plus.exponents for g in gb]
+
+        def irreducible(m):
+            return not any(all(x >= y for x, y in zip(m.exponents, lead))
+                           for lead in leads)
+
+        for _ in range(6):
+            u, v = (tuple(rng.randrange(5) for _ in range(p))
+                    for _ in range(2))
+            m = Monomial(block, u)
+            nm = normal_form(m, gb, order)
+            assert irreducible(nm) and normal_form(nm, gb, order) == nm
+            if u == v:
+                continue
+            nf = normal_form(Binomial.from_pair(block, (u, v)), gb, order)
+            nv = normal_form(Monomial(block, v), gb, order)
+            if nf is None:
+                assert nm == nv
+            else:
+                assert {nf.plus, nf.minus} == {nm, nv}
+                assert irreducible(nf.plus) and irreducible(nf.minus)
+                assert normal_form(nf, gb, order) == nf
+            checked += 1
+    assert checked >= 200
