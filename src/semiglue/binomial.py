@@ -621,10 +621,18 @@ class BinomialIdeal:
 
         Both monomials of f reduce to one normal form exactly when f is a
         member, under any Groebner basis; the first one held is used.
+        While f fits the held packing it is packed against it directly.
         """
         held = next(iter(self._bases.values()), None)
         if held is None:
             held = self._basis(_unit_order(self.block))
+        pk = held.packing
+        if pk is not None:
+            a = sum(map(mul, f.plus.exponents, pk.units))
+            b = sum(map(mul, f.minus.exponents, pk.units))
+            # as in _HeldBasis.fit: P >> top is the weighted degree
+            if max(a, b) >> pk.top <= pk.limit:
+                return _reduce_pair(pk, held.packed, a, b) is None
         pk, packed, (a, b) = held.fit(f.as_pair())
         return _reduce_pair(pk, packed, a, b) is None
 

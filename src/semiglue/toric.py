@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, repeat, starmap
-from operator import and_, lshift, rshift
+from itertools import combinations, repeat
+from operator import and_, floordiv, lshift, mul, rshift, sub
 
 from .binomial import (
     Binomial,
@@ -278,7 +278,7 @@ def _fits_in(fit, field: int):
 
 def _walk(matrix: IntegerMatrix, start, work_limit: int,
           exact: bool) -> list:
-    """Return packed pairs (start - matrix * m, m): matrix * m <= start, or ==.
+    """Walk the m >= 0 with matrix * m <= start, or == start when exact.
 
     ``start`` is nonnegative.  Each vector is one int, one field of
     ``_width(start)`` bits per entry, entry 0 least significant.  Only
@@ -286,15 +286,24 @@ def _walk(matrix: IntegerMatrix, start, work_limit: int,
     none needs a guard bit; a column with an entry wider than a field
     has top = 0, so its packed form, whose fields carry, is never used.
 
-    The vectors m come in lexicographic order: the leaves of a depth
-    first walk that takes column 0 some c = 0, 1, ... times, then column
-    1, and so on; its stack holds the pending siblings of the path.  A
-    node with remainder r has top + 1 children, top the largest c with
-    r - c * col >= 0.  Every node counts against work_limit, and
-    ``BoundTooLarge`` is raised exactly when their number passes it.
-    The last column's nodes come as one run per parent and are only
-    counted: box mode builds their leaves once the walk is known to fit,
-    exact mode keeps the leaf c = top of each node with r == top * col.
+    The walk is depth first: it takes column 0 some c = 0, 1, ... times,
+    then column 1, and so on; its stack holds the pending siblings of
+    the path.  A node with remainder r has top + 1 children, top the
+    largest c with r - c * col >= 0.  Every node counts against
+    work_limit, and ``BoundTooLarge`` is raised exactly when their
+    number passes it.
+
+    The leaves come in runs, one per node (r, m) that has taken every
+    column but the last, L: its leaves are (r - c * L, m + c * unit)
+    for c = 0..top, unit the last field of m.  A run is returned as
+    (base, top, m) with base = r - top * L, its lowest remainder, so
+    its leaf at level j = top - c has remainder base + j * L.  Box mode
+    returns every run, in the walk's (lexicographic) order.  A leaf has
+    remainder 0 exactly when it is the level-0 leaf of a run with base
+    0, so exact mode returns, in lexicographic order, the packed m +
+    top * unit of each such run.  The last column's tops of the top + 1
+    children of a node are counted per field, over the arithmetic
+    progression of that field, without a call per child.
     """
     cols = matrix.columns()
     if not all(max(col) > 0 for col in cols):
@@ -308,25 +317,46 @@ def _walk(matrix: IntegerMatrix, start, work_limit: int,
              sum(map(lshift, col, shifts)), 1 << j * width)
             for j, col in enumerate(cols)]
     last = len(cols) - 1
-    lastfit, lastcol, lastunit = fits[last]
-    out, runs, spent = [], [], 1
+    # The runs' parents have taken column up last; with one column the
+    # root is the one parent, n = 1, and no step of it is taken.
+    up = max(last - 1, 0)
+    # Per field of the last column: its shift, the step of the parents'
+    # progression there, and the entry, repeated for map.
+    lastfit = [(s, d, repeat(b))
+               for s, d, b in zip(shifts, cols[up], cols[last]) if b]
+    many = len(lastfit) > 1
+    _, upcol, upunit = fits[up]
+    lastcol, lastunit = fits[last][1:]
+    lastcols = repeat(lastcol)
+    out, parents, spent = [], [], 1
 
-    def enter(rems, ms):
+    def runs(rem, m, n, tops):
+        """Return the runs (base, top, m) of rem - c * upcol, c < n."""
+        return zip(map(sub, range(rem, rem - n * upcol, -upcol),
+                       map(mul, tops, lastcols)),
+                   tops, range(m, m + n * upunit, upunit))
+
+    def enter(rem, m, n):
+        """Count the runs of rem - c * upcol, m + c * upunit, for c < n."""
         nonlocal spent
-        tops = list(map(lastfit, rems))
-        spent += len(tops) + sum(tops)
+        tops = [map(floordiv,
+                    range(f, f - n * d, -d) if d else repeat(f, n), bs)
+                for s, d, bs in lastfit for f in (rem >> s & field,)]
+        tops = list(map(min, *tops) if many else tops[0])
+        spent += n + sum(tops)
         if spent > work_limit:
             raise _too_large(exact, work_limit)
         if exact:
-            out.extend([(0, m + t * lastunit) for r, m, t in
-                        zip(rems, ms, tops) if r == t * lastcol])
+            out.extend([x + t * lastunit
+                        for base, t, x in runs(rem, m, n, tops) if not base])
         else:
-            runs.append((rems, ms, tops))
+            # built once the walk is known to fit
+            parents.append((rem, m, n, tops))
 
     root = sum(map(lshift, start, shifts))
     stack = [(root, 0, 0)] if last else []
     if not last:
-        enter((root,), (0,))
+        enter(root, 0, 1)
     while stack:
         rem, m, j = stack.pop()
         fit, col, unit = fits[j]
@@ -334,17 +364,15 @@ def _walk(matrix: IntegerMatrix, start, work_limit: int,
         spent += top + 1
         if spent > work_limit:
             raise _too_large(exact, work_limit)
-        rems = range(rem, rem - (top + 1) * col, -col)
-        ms = range(m, m + (top + 1) * unit, unit)
         if j + 1 < last:
             # deepest sibling on top: c = 0 is popped first
-            stack += zip(reversed(rems), reversed(ms), repeat(j + 1))
+            stack += zip(reversed(range(rem, rem - (top + 1) * col, -col)),
+                         reversed(range(m, m + (top + 1) * unit, unit)),
+                         repeat(j + 1))
         else:
-            enter(rems, ms)
-    for rems, ms, tops in runs:
-        for r, m, t in zip(rems, ms, tops):
-            out += zip(range(r, r - (t + 1) * lastcol, -lastcol),
-                       range(m, m + (t + 1) * lastunit, lastunit))
+            enter(rem, m, top + 1)
+    for parent in parents:
+        out += runs(*parent)
     return out
 
 
@@ -357,8 +385,9 @@ def fiber_monomials(matrix: IntegerMatrix, degree,
                     work_limit: int = 10 ** 6) -> tuple:
     """Return all exponent vectors m with matrix * m == degree.
 
-    They come in lexicographic order, and the walk that finds them
-    counts against work_limit as ``_walk`` describes.
+    They come in lexicographic order: one per run of ``_walk`` whose
+    base is 0, its level-0 leaf.  The walk counts against work_limit as
+    ``_walk`` describes.
     """
     degree = tuple(int(x) for x in degree)
     # Explicit so that -O keeps it: a wrong-length degree gives a wrong fiber.
@@ -367,15 +396,19 @@ def fiber_monomials(matrix: IntegerMatrix, degree,
                          f"got {len(degree)}")
     if any(x < 0 for x in degree):
         return ()
-    ms = [m for _, m in _walk(matrix, degree, work_limit, exact=True)]
+    ms = _walk(matrix, degree, work_limit, exact=True)
     return tuple(_unpack(ms, _width(degree), matrix.cols))
 
 
 def _monomials_in_box(matrix: IntegerMatrix, bound,
                       work_limit: int) -> list:
-    """Return (bound - matrix * m, m) for each m with matrix * m <= bound.
+    """Return the box walk's runs: (base, top, m) as ``_walk`` packs them.
 
-    The bound is nonnegative; the packed pairs come as ``_walk`` returns them.
+    The bound is nonnegative.  The leaves of the runs are the m >= 0
+    with matrix * m <= bound, each once: run (base, top, m) holds
+    m + c * unit with remainder bound - matrix * (m + c * unit) = base
+    + (top - c) * L for c = 0..top, L the last column and unit the last
+    field of m.
     """
     return _walk(matrix, tuple(int(x) for x in bound), work_limit,
                  exact=False)
@@ -388,13 +421,28 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
     Brute force and independent of any Groebner computation: list all
     monomials whose degree fits under the componentwise bound, bucket
     them by degree, and pair up each bucket.  A monomial's degree is the
-    bound minus the remainder that the box walk returns with it, so the
-    buckets are keyed by remainder.  The weights are the column sums, so
-    the term order ranks a bucket by its ties alone, where the last
-    variable, packed most significant, leads: ascending ints are
-    descending monomials.  The binomials, larger monomial first, come
-    sorted by ``_canonical_key``.  Useful as an oracle for the algebra
-    in this package, not as a way to compute with it.
+    bound minus its remainder in the box walk, so the buckets are the
+    leaves that share a remainder.  They are read off the walk's runs
+    (see ``_monomials_in_box``) without listing a leaf of a run whose
+    base no other run has.
+
+    Two leaves share a remainder exactly when their runs share a base
+    and the leaves their level.  Proof: for a leaf with remainder R in a
+    run (base, top, m) at level j, base = R - j * L, and j is the
+    largest k with R - k * L >= 0, since R - k * L = base - (k - j) * L
+    and base - L is not >= 0 (else top would be larger).  So base and j
+    are functions of R: base is the lowest point of R's line along L in
+    the orthant, j its distance.  Conversely R = base + j * L.  Hence
+    the fiber at level j of a base is m + (top - j) * unit over that
+    base's runs with top >= j, and it has two members or more exactly
+    when j is at most the second-largest top.
+
+    The weights are the column sums, so the term order ranks a fiber by
+    its ties alone, where the last variable, packed most significant,
+    leads: ascending ints are descending monomials, and each binomial
+    has the smaller int as its plus side.  The binomials come sorted by
+    ``_canonical_key``.  Useful as an oracle for the algebra in this
+    package, not as a way to compute with it.
     """
     bound = tuple(int(x) for x in degree_bound)
     if len(bound) != gens.ambient:
@@ -402,18 +450,28 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
                          f"got {len(bound)}")
     if any(x < 0 for x in bound):
         raise ValueError("the degree bound must be nonnegative")
-    leaves = _monomials_in_box(gens.matrix, bound, work_limit)
-    # Keep each fiber's first member aside; list a fiber at its second.
+    runs = _monomials_in_box(gens.matrix, bound, work_limit)
+    # Keep each base's first run aside; list a base at its second.
     first: dict = {}
-    fibers: dict = {}
-    for r, m in [(r, m) for r, m in leaves if first.setdefault(r, m) != m]:
-        fibers.setdefault(r, [first[r]]).append(m)
-    groups = [sorted(ms) for ms in fibers.values()]
-    flat = [m for ms in groups for m in ms]
-    mons = map(Monomial, repeat(gens.block),
-               _unpack(flat, _width(bound), gens.count))
-    out = []
-    for ms in groups:
-        out += starmap(Binomial, combinations(islice(mons, len(ms)), 2))
-    out.sort(key=_canonical_key)
-    return tuple(out)
+    shared: dict = {}
+    for run in [r for r in runs if first.setdefault(r[0], r) is not r]:
+        shared.setdefault(run[0], [first[run[0]]]).append(run)
+    if not shared:
+        return ()
+    width = _width(bound)
+    unit = 1 << (gens.count - 1) * width
+    members: list = []
+    pairs: list = []
+    for group in shared.values():
+        for j in range(sorted([t for _, t, _ in group])[-2] + 1):
+            fiber = sorted([m + (t - j) * unit for _, t, m in group if t >= j])
+            pairs += combinations(range(len(members),
+                                        len(members) + len(fiber)), 2)
+            members += fiber
+    exps = list(_unpack(members, width, gens.count))
+    sums = list(map(sum, exps))
+    # _canonical_key's order, then the two monomials' places in exps
+    keys = [(sums[a], exps[a], sums[b], exps[b], a, b) for a, b in pairs]
+    keys.sort()
+    mons = list(map(Monomial, repeat(gens.block), exps))
+    return tuple([Binomial(mons[a], mons[b]) for _, _, _, _, a, b in keys])

@@ -9,16 +9,21 @@ decides a gluing by the ideal identity itself, with the Groebner
 engine.  The kernel- and Fraction-based solvers that the fraction-free
 elimination replaced are kept as references for it, and so is the
 Buchberger engine's full reduction of both monomials, which its top
-reduction replaced.
+reduction replaced, and the brute-force oracle that bucketed every leaf
+of the box walk, which bucketing the walk's runs replaced.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product, repeat, starmap
 from math import gcd
+from operator import lshift, sub
 from random import Random
 
 from semiglue import (
+    Binomial,
     BinomialIdeal,
+    BoundTooLarge,
     GluingCandidate,
     HomologySummary,
     NotCoprime,
@@ -29,7 +34,7 @@ from semiglue import (
     is_member,
     level,
 )
-from semiglue.binomial import _nf_mono
+from semiglue.binomial import Monomial, _canonical_key, _nf_mono
 from semiglue.exactlin import (
     IndependentSuffix,
     IntegerMatrix,
@@ -42,7 +47,15 @@ from semiglue.gluing import (
     _meeting_line,
     _mixed_binomial,
 )
-from semiglue.toric import fiber_monomials, toric_ideal, toric_ideal_of_matrix
+from semiglue.toric import (
+    _fits_in,
+    _unpack,
+    _width,
+    enumerate_oracle,
+    fiber_monomials,
+    toric_ideal,
+    toric_ideal_of_matrix,
+)
 
 
 # -- fixture pairs ----------------------------------------------------------
@@ -484,3 +497,145 @@ def full_reduce_pair(pk, basis, a, b):
     if a == b:
         return None
     return (a, b - a) if pk.key(a) > pk.key(b) else (b, a - b)
+
+
+# -- reference for the brute-force oracle's run bucketing -------------------
+
+def leaf_box_walk(matrix, start, work_limit):
+    """Return packed (start - matrix * m, m), one pair per leaf of the box.
+
+    The box walk as it was before it returned runs, kept verbatim as the
+    reference: the same depth-first walk and node count, with every run
+    of the last column expanded into its leaves.
+    """
+    cols = matrix.columns()
+    if not all(max(col) > 0 for col in cols):
+        raise BoundTooLarge(f"box enumeration passed {work_limit} steps")
+    width = _width(start)
+    field = (1 << width) - 1
+    shifts = range(0, len(start) * width, width)
+    fits = [(_fits_in([(s, b) for s, b in zip(shifts, col) if b], field),
+             sum(map(lshift, col, shifts)), 1 << j * width)
+            for j, col in enumerate(cols)]
+    last = len(cols) - 1
+    lastfit, lastcol, lastunit = fits[last]
+    out, runs, spent = [], [], 1
+
+    def enter(rems, ms):
+        nonlocal spent
+        tops = list(map(lastfit, rems))
+        spent += len(tops) + sum(tops)
+        if spent > work_limit:
+            raise BoundTooLarge(f"box enumeration passed {work_limit} steps")
+        runs.append((rems, ms, tops))
+
+    root = sum(map(lshift, start, shifts))
+    stack = [(root, 0, 0)] if last else []
+    if not last:
+        enter((root,), (0,))
+    while stack:
+        rem, m, j = stack.pop()
+        fit, col, unit = fits[j]
+        top = fit(rem)
+        spent += top + 1
+        if spent > work_limit:
+            raise BoundTooLarge(f"box enumeration passed {work_limit} steps")
+        rems = range(rem, rem - (top + 1) * col, -col)
+        ms = range(m, m + (top + 1) * unit, unit)
+        if j + 1 < last:
+            stack += zip(reversed(rems), reversed(ms), repeat(j + 1))
+        else:
+            enter(rems, ms)
+    for rems, ms, tops in runs:
+        for r, m, t in zip(rems, ms, tops):
+            out += zip(range(r, r - (t + 1) * lastcol, -lastcol),
+                       range(m, m + (t + 1) * lastunit, lastunit))
+    return out
+
+
+def leaf_oracle(gens, bound, work_limit=10 ** 6):
+    """Return ``toric.enumerate_oracle``'s answer by bucketing every leaf.
+
+    The oracle as it was before it bucketed runs, kept verbatim as the
+    reference: each fiber is the leaves of ``leaf_box_walk`` that share
+    a remainder.
+    """
+    bound = tuple(int(x) for x in bound)
+    leaves = leaf_box_walk(gens.matrix, bound, work_limit)
+    first: dict = {}
+    fibers: dict = {}
+    for r, m in [(r, m) for r, m in leaves if first.setdefault(r, m) != m]:
+        fibers.setdefault(r, [first[r]]).append(m)
+    groups = [sorted(ms) for ms in fibers.values()]
+    flat = [m for ms in groups for m in ms]
+    mons = map(Monomial, repeat(gens.block),
+               _unpack(flat, _width(bound), gens.count))
+    out = []
+    for ms in groups:
+        out += starmap(Binomial, combinations(islice(mons, len(ms)), 2))
+    out.sort(key=_canonical_key)
+    return tuple(out)
+
+
+def box_walk_nodes(matrix, bound):
+    """Return the number of nodes of the box walk under bound.
+
+    A node is a prefix (c_0, ..., c_(j-1)), j = 0..p, whose columns fit:
+    matrix[:, :j] * c <= bound.  Counted by plain recursion.
+    """
+    cols = matrix.columns()
+
+    def count(j, rem):
+        nodes = 1
+        while j < len(cols) and min(rem) >= 0:
+            nodes += count(j + 1, rem)
+            rem = tuple(map(sub, rem, cols[j]))
+        return nodes
+
+    return count(0, tuple(bound))
+
+
+def oracle_identity_sweep(trials=400, seed=20261022):
+    """Compare ``enumerate_oracle`` with ``leaf_oracle`` over a seeded sweep.
+
+    Semigroups have 1-3 rows, 1-5 columns and entries 0..6; every tenth
+    has one column, every seventh bound is zero and the next one is too
+    small for the last column in one entry.  Each is compared at a work
+    limit of exactly the walk's node count, where both answer, and one
+    less, where both raise.  Returns the mismatches, as strings, and a
+    Counter of the kinds of case met.  Nothing is asserted, so that the
+    sweep checks the same under ``python -O``.
+    """
+    rng = Random(seed)
+    bad, seen = [], Counter()
+
+    def answer(oracle, gens, bound, limit):
+        try:
+            return tuple(g.as_pair() for g in oracle(gens, bound, limit))
+        except BoundTooLarge as exc:
+            return str(exc)
+
+    for trial in range(trials):
+        rows = rng.randint(1, 3)
+        gens = random_gens(rng, rows, 1 if trial % 10 == 0
+                           else rng.randint(1, 5), 6)
+        last = gens.matrix.columns()[-1]
+        bound = [0 if trial % 7 == 0 else rng.randint(0, 20)
+                 for _ in range(rows)]
+        if trial % 7 == 1:
+            i = rng.choice([i for i, x in enumerate(last) if x])
+            bound[i] = rng.randrange(last[i])
+        nodes = box_walk_nodes(gens.matrix, bound)
+        for limit in (nodes - 1, nodes):
+            got = answer(enumerate_oracle, gens, bound, limit)
+            want = answer(leaf_oracle, gens, bound, limit)
+            if got != want or isinstance(got, str) != (limit < nodes):
+                bad.append(f"{gens.matrix.columns()} {bound} {limit}: "
+                           f"{got!r} != {want!r}")
+        seen["single column"] += gens.count == 1
+        seen["zero entry"] += any(0 in c for c in gens.matrix.columns())
+        seen["zero bound"] += not any(bound)
+        seen["last column fits 0 times"] += any(
+            b < x for b, x in zip(bound, last))
+        seen["nonempty"] += bool(got)
+    return bad, seen

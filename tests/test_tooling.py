@@ -55,7 +55,10 @@ def test_workload_answers_match_the_recording(monkeypatch):
 
 def test_box_walk_returns_one_pair_per_box_monomial():
     # spans.py counts toric.enumeration.monomials as the length of what
-    # _monomials_in_box returns: one pair per m >= 0 with A m <= bound.
+    # _monomials_in_box returns: one run (base, top, m) per node that has
+    # taken every column but the last.  Expanded, the runs give one pair
+    # (bound - A m, m) per m >= 0 with A m <= bound, and sum(top + 1)
+    # of them.
     rng = random.Random(20261021)
     for _ in range(30):
         ambient = rng.randint(1, 3)
@@ -64,6 +67,22 @@ def test_box_walk_returns_one_pair_per_box_monomial():
         bound = tuple(rng.randint(0, 9) for _ in range(ambient))
         ranges = [range(min(b // x for b, x in zip(bound, col) if x) + 1)
                   for col in m.columns()]
-        count = sum(all(d <= b for d, b in zip(m.matvec(e), bound))
-                    for e in product(*ranges))
-        assert len(toric._monomials_in_box(m, bound, 10 ** 6)) == count
+        box = [e for e in product(*ranges)
+               if all(d <= b for d, b in zip(m.matvec(e), bound))]
+        runs = toric._monomials_in_box(m, bound, 10 ** 6)
+        width = toric._width(bound)
+        unit = 1 << (m.cols - 1) * width
+        last = m.columns()[-1]
+        rems, ms = [], []
+        for base, top, x in runs:
+            (lowest,) = toric._unpack([base], width, m.rows)
+            for c in range(top + 1):
+                rems.append(tuple(b + (top - c) * a
+                                  for b, a in zip(lowest, last)))
+                ms.append(x + c * unit)
+        expanded = list(toric._unpack(ms, width, m.cols))
+        assert sorted(expanded) == sorted(box)
+        assert len(set(expanded)) == len(box)
+        assert sum(top + 1 for _, top, _ in runs) == len(box)
+        assert rems == [tuple(b - d for b, d in zip(bound, m.matvec(e)))
+                        for e in expanded]

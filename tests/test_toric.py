@@ -37,7 +37,12 @@ from semiglue.toric import (
     minimal_generators,
     toric_ideal_of_matrix,
 )
-from support import linear_binomial_pair, monomial_curves_pair, random_gens
+from support import (
+    linear_binomial_pair,
+    monomial_curves_pair,
+    oracle_identity_sweep,
+    random_gens,
+)
 
 PLANE_CUBIC = SemigroupGens.from_columns(
     [(3, 0), (2, 1), (1, 2), (0, 3)], "x")
@@ -272,9 +277,26 @@ def _walk_cases(rng, trials):
         yield IntegerMatrix.from_columns(cols), start
 
 
+def _expand_runs(m, start, runs):
+    """Return the packed (remainder, m) leaves of the box walk's runs."""
+    width = max(start).bit_length() or 1
+    unit = 1 << (m.cols - 1) * width
+    last = m.columns()[-1]
+    leaves = []
+    for base, top, x in runs:
+        lowest = _fields(base, width, m.rows)
+        for c in range(top + 1):
+            rem = sum(b + (top - c) * a << i * width
+                      for i, (b, a) in enumerate(zip(lowest, last)))
+            leaves.append((rem, x + c * unit))
+    return leaves
+
+
 def test_walk_counts_nodes_like_the_recursive_walk():
     # _walk packs each remainder and exponent vector into one int, one
-    # field per entry; unpacked, they must be the recursive walk's.
+    # field per entry; unpacked, they must be the recursive walk's.  The
+    # box walk returns runs of the last column, expanded here; the fiber
+    # walk returns the exponent vectors, whose remainders are 0.
     rng = random.Random(20261019)
     wide = 0
     for m, start in _walk_cases(rng, 450):
@@ -283,6 +305,10 @@ def test_walk_counts_nodes_like_the_recursive_walk():
         for exact in (False, True):
             leaves, nodes = _recursive_walk(m, start, 10 ** 7, exact)
             walked = toric._walk(m, start, nodes, exact)
+            if exact:
+                walked = [(0, x) for x in walked]
+            else:
+                walked = _expand_runs(m, start, walked)
             got = tuple(_fields(x, width, m.cols) for _, x in walked)
             assert got == leaves, (m, start, exact)
             for (rem, _), x in zip(walked, got):
@@ -328,6 +354,79 @@ def test_oracle_matches_a_brute_force():
         assert found == _brute_force_oracle(gens, bound), (gens, bound)
         nonempty += bool(found)
     assert nonempty >= 50
+
+
+def test_oracle_buckets_runs_like_the_leaf_reference():
+    # enumerate_oracle pairs the fibers of the box walk's runs; the
+    # reference buckets every leaf, as the oracle did before.  Same
+    # binomials in the same order, and the same limit message.
+    mismatches, seen = oracle_identity_sweep()
+    assert mismatches == []
+    assert seen["single column"] >= 40
+    assert seen["zero entry"] >= 100
+    assert seen["zero bound"] >= 40
+    assert seen["last column fits 0 times"] >= 100
+    assert seen["nonempty"] >= 60
+
+
+def test_oracle_buckets_runs_like_the_leaf_reference_under_optimization():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from support import oracle_identity_sweep\n"
+         "mismatches, seen = oracle_identity_sweep()\n"
+         "print(mismatches, sorted(seen.items()))\n"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    mismatches, seen = oracle_identity_sweep()
+    assert done.stdout == f"{mismatches} {sorted(seen.items())}\n"
+    assert mismatches == []
+
+
+def test_contains_matches_the_normal_form_past_the_packing_limit():
+    # contains packs f against the held packing while f fits it and
+    # widens the packing otherwise; either way it answers as the full
+    # normal form does.
+    rng = random.Random(20261023)
+    members = strangers = widened = 0
+    for i in range(32):
+        gens = random_gens(rng, 3, 5 + i % 3, 3)
+        order = MonomialOrder.degrevlex(gens.weights())
+        basis = toric_ideal(gens).ideal.groebner(order)
+        ideal = BinomialIdeal.from_basis(gens.block, order,
+                                         [g.as_pair() for g in basis])
+        held = ideal._bases[order]
+
+        def probe(big):
+            e = [rng.randrange(2) for _ in range(gens.count)]
+            fiber = fiber_monomials(gens.matrix, gens.adegree(e))
+            u = rng.choice(fiber)
+            v = rng.choice(fiber) if rng.randrange(3) else \
+                tuple(x + rng.randrange(2) for x in e)
+            if big:
+                # one exponent past the limit, on both sides
+                j = rng.randrange(gens.count)
+                u, v = ([x + held.packing.limit * (k == j)
+                         for k, x in enumerate(w)] for w in (u, v))
+            return None if u == v else mk(gens.block, tuple(u), tuple(v))
+
+        for big in [False] * 10 + [True] * 2 + [False] * 4:
+            f = None
+            while f is None:
+                f = probe(big)
+            packing = held.packing
+            got = ideal.contains(f)
+            assert got == (normal_form(f, basis, order) is None), f
+            assert got == (gens.adegree(f.plus.exponents)
+                           == gens.adegree(f.minus.exponents)), f
+            members += got
+            strangers += not got
+            widened += packing is not None and held.packing is not packing
+    assert members + strangers >= 500
+    assert members >= 120 and strangers >= 120
+    assert widened >= 60
 
 
 def test_fiber_search_keeps_little_memory():
