@@ -38,8 +38,8 @@ weighted degree, and no reduction raises that: the largest in a run is
 the largest among its inputs and its lcms.  The fields start with room
 for 4 times the inputs' largest degree; an explicit test (not an
 assert) checks each new lcm against that limit, and a run that would
-pass it restarts, wider.  ``_buchberger``, ``_interreduce`` and
-``_saturate_raw`` still take and return raw tuples of exponent pairs.
+pass it restarts, wider.  The packed format stays in this module: its
+entry points take a ``MonomialOrder`` and raw exponent pairs.
 
 Reduction is lazy: Buchberger's algorithm and the membership tests
 only top-reduce (Becker and Weispfenning, "Groebner Bases", 1993,
@@ -59,12 +59,16 @@ once, at the end, and reduced bases are unique per order, so every
 result is that of full reduction.  The public ``normal_form`` still
 reduces both monomials fully.
 
-Buchberger's algorithm keeps its live critical pairs as packed records
-``(lcm key, i, j, lcm)``: basis indices i < j, the lcm of their leading
-terms, and that lcm's order key.  ``(lcm key, i, j)`` is unique, so the
-smallest record is the next pair to process and the lcm itself is never
-compared; it is stored so that the Gebauer-Moeller update reads it
-instead of recomputing it for every surviving pair.
+One driver, ``_grow``, feeds every run its seeds, by degree: it
+completes the critical pairs up to a seed's weighted degree, then adds
+the seed top-reduced unless it reduces to zero.  ``_buchberger`` then
+completes the rest; ``_minimal_subset`` returns the kept seeds, for a
+homogeneous ideal a minimal generating set.  Live critical pairs are
+packed records ``(lcm key, i, j, lcm)``: basis indices i < j, the lcm
+of their leading terms, and that lcm's order key.  ``(lcm key, i, j)``
+is unique, so the smallest record is the next pair to process and the
+lcm itself is never compared; it is stored so that the Gebauer-Moeller
+update reads it instead of recomputing it for every surviving pair.
 
 A ``BinomialIdeal`` keeps one cache, order to raw reduced basis, and
 builds ``Binomial`` values only when ``groebner`` is read; ``contains``
@@ -221,8 +225,7 @@ class MonomialOrder:
         """Return a function mapping exponents to a sortable key.
 
         Larger key means larger monomial; the key is injective, so equal
-        keys mean equal monomials.  The function's ``order`` attribute is
-        this order.
+        keys mean equal monomials.
         """
         w = self.weights
         tail = self._tie_order()
@@ -232,7 +235,6 @@ class MonomialOrder:
         def key(m, _w=w, _pick=pick):
             return (sum(map(mul, _w, m)), *map(neg, _pick(m)))
 
-        key.order = self
         return key
 
 
@@ -401,31 +403,6 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
     return True
 
 
-def _buchberger(raw_gens, key) -> tuple[RawBinomial, ...]:
-    """Return the reduced Groebner basis of the given raw binomials.
-
-    ``key`` comes from ``MonomialOrder.key_function``; the run packs its
-    monomials under that order.
-    """
-    raw_gens = list(raw_gens)
-
-    def run(pk):
-        k = pk.key
-        seed = set()
-        for a, b in (map(pk.pack, pr) for pr in raw_gens):
-            if a != b:
-                seed.add((a, b) if k(a) > k(b) else (b, a))
-        basis: list = []
-        pairs: list = []
-        for u, v in sorted(seed, key=lambda g: (k(g[0]), k(g[1]))):
-            basis.append((u, v - u))
-            if not _gm_update(pk, basis, pairs, len(basis) - 1):
-                return None
-        return basis if _complete(pk, basis, pairs) else None
-
-    return _reduced(*_widening(key.order, raw_gens, run))
-
-
 def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     """Process critical pairs, smallest lcm first, extending basis in place.
 
@@ -458,6 +435,56 @@ def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     return True
 
 
+def _grow(pk: _Packing, seeds, basis, pairs) -> list[int] | None:
+    """Add packed seeds (a, b), sorted by degree, to basis and pairs in place.
+
+    Each seed is top-reduced after the pairs are completed up to a's
+    weighted degree, and kept unless it reduces to zero; for a homogeneous
+    ideal, exactly when it is not in the ideal of the seeds kept before
+    it.  Returns the kept indices, or None to restart wider.
+    """
+    kept = []
+    for n, (a, b) in enumerate(seeds):
+        if not _complete(pk, basis, pairs, upto=a >> pk.top):
+            return None
+        r = _reduce_pair(pk, basis, a, b)
+        if r is None:
+            continue
+        kept.append(n)
+        basis.append(r)
+        if not _gm_update(pk, basis, pairs, len(basis) - 1):
+            return None
+    return kept
+
+
+def _buchberger(raw_gens, order: MonomialOrder) -> tuple[RawBinomial, ...]:
+    """Return the reduced Groebner basis of the raw binomials under order.
+
+    Any input: ``_grow``'s truncated completions only change the order in
+    which pairs are handled, and the reduced basis is unique.
+    """
+    raw_gens = list(raw_gens)
+
+    def run(pk):
+        k = pk.key
+        seeds = sorted({(a, b) if k(a) > k(b) else (b, a)
+                        for a, b in (map(pk.pack, pr) for pr in raw_gens)
+                        if a != b}, key=lambda g: (k(g[0]), k(g[1])))
+        basis, pairs = [], []
+        if _grow(pk, seeds, basis, pairs) is None:
+            return None
+        return basis if _complete(pk, basis, pairs) else None
+
+    return _reduced(*_widening(order, raw_gens, run))
+
+
+def _minimal_subset(raw, order: MonomialOrder) -> list[int]:
+    """Return the kept indices of ``_grow`` on raw pairs sorted by degree."""
+    raw = list(raw)
+    return _widening(order, raw, lambda pk: _grow(
+        pk, [tuple(map(pk.pack, pr)) for pr in raw], [], []))[1]
+
+
 def _reduced(pk: _Packing, basis) -> tuple[RawBinomial, ...]:
     """Return the raw reduced Groebner basis given any packed one."""
     k, guard = pk.key, pk.guard
@@ -469,15 +496,16 @@ def _reduced(pk: _Packing, basis) -> tuple[RawBinomial, ...]:
     reduced = []
     for lead, step in minimal:
         tail = _nf_mono(lead + step, minimal, guard)
-        assert tail != lead
+        if tail == lead:  # an explicit check, so that -O keeps it
+            raise AssertionError("a Groebner element reduced to zero")
         reduced.append((k(lead), lead, tail))
     reduced.sort()
     return tuple((pk.unpack(u), pk.unpack(v)) for _, u, v in reduced)
 
 
-def _interreduce(basis, key) -> tuple[RawBinomial, ...]:
-    """Return the reduced Groebner basis given any raw one oriented by key."""
-    return _reduced(*_widening(key.order, basis,
+def _interreduce(basis, order: MonomialOrder) -> tuple[RawBinomial, ...]:
+    """Return the reduced Groebner basis given any raw one oriented by order."""
+    return _reduced(*_widening(order, basis,
                                lambda pk: _packed(pk, basis)))
 
 
@@ -500,15 +528,16 @@ def _saturate_raw(pairs, weights, variables=None) -> list[RawBinomial]:
     that variable from every element.  The result is a Groebner basis
     under the order of the last sweep.
     """
-    assert _is_homogeneous(pairs, weights)
+    if not _is_homogeneous(pairs, weights):  # explicit, so that -O keeps it
+        raise ValueError("the generators are not homogeneous for the weights")
     p = len(weights)
     if variables is None:
         variables = range(p)
     current = list(pairs)
     for j in variables:
-        key = MonomialOrder.degrevlex(weights, cheapest=j).key_function()
+        order = MonomialOrder.degrevlex(weights, cheapest=j)
         stripped = []
-        for u, v in _buchberger(current, key):
+        for u, v in _buchberger(current, order):
             m = min(u[j], v[j])
             if m:
                 u = u[:j] + (u[j] - m,) + u[j + 1:]
@@ -529,8 +558,7 @@ def buchberger(generators, order: MonomialOrder) -> tuple[Binomial, ...]:
     block = gens[0].block
     assert all(g.block == block for g in gens)
     assert len(order.weights) == block.size
-    key = order.key_function()
-    gb = _buchberger([g.as_pair() for g in gens], key)
+    gb = _buchberger([g.as_pair() for g in gens], order)
     return tuple(Binomial.from_pair(block, g) for g in gb)
 
 
@@ -555,12 +583,23 @@ class _HeldBasis:
         return pk, self.packed, xs
 
 
+def _same_block(block: VariableBlock, other: VariableBlock) -> None:
+    """Raise ValueError unless the blocks are equal: packing zips exponents."""
+    # explicit, so that -O keeps it; identity first, the common case
+    if block is not other and block != other:
+        raise ValueError(f"blocks differ: {block.names}, {other.names}")
+
+
 def normal_form(f, basis, order: MonomialOrder):
     """Return the normal form of f modulo a Groebner basis, None if zero.
 
     f may be a Binomial or a Monomial; a monomial always has a nonzero
-    (monomial) normal form.
+    (monomial) normal form.  f, basis and order share one block.
     """
+    if len(order.weights) != f.block.size:
+        raise ValueError("the order and the block differ in length")
+    for g in basis:
+        _same_block(g.block, f.block)
     held = _HeldBasis(order, tuple(g.as_pair() for g in basis))
     if isinstance(f, Monomial):
         pk, packed, (m,) = held.fit([f.exponents])
@@ -608,7 +647,7 @@ class BinomialIdeal:
         if held is None:
             assert len(order.weights) == self.block.size
             held = self._bases[order] = _HeldBasis(order, _buchberger(
-                [g.as_pair() for g in self.generators], order.key_function()))
+                [g.as_pair() for g in self.generators], order))
         return held
 
     def groebner(self, order: MonomialOrder) -> tuple[Binomial, ...]:
@@ -623,6 +662,8 @@ class BinomialIdeal:
         member, under any Groebner basis; the first one held is used.
         While f fits the held packing it is packed against it directly.
         """
+        if f.block is not self.block:  # no call in the common case
+            _same_block(self.block, f.block)
         held = next(iter(self._bases.values()), None)
         if held is None:
             held = self._basis(_unit_order(self.block))
@@ -648,7 +689,7 @@ def ideal_equal(a: BinomialIdeal, b: BinomialIdeal) -> bool:
     ideal, under one shared order: the first that either ideal already
     holds, else unit weights.
     """
-    assert a.block == b.block
+    _same_block(a.block, b.block)
     order = next(iter(a._bases or b._bases), None) or _unit_order(a.block)
     return a._basis(order).raw == b._basis(order).raw
 
@@ -667,22 +708,17 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
         weights = (1,) * block.size
     weights = tuple(int(w) for w in weights)
     assert all(w > 0 for w in weights)
-    if not _is_homogeneous(pairs, weights):
-        raise ValueError(
-            "saturation needs positive weights making every generator "
-            "homogeneous")
     if variables is None:
         idx = None
     else:
         idx = [block.index(nm) for nm in variables]
     sat = _saturate_raw(pairs, weights, idx)
     order = MonomialOrder.degrevlex(weights)
-    key = order.key_function()
     if idx is None:
         # The last sweep ran under this order and left a Groebner basis.
-        final = _interreduce(sat, key)
+        final = _interreduce(sat, order)
     else:
-        final = _buchberger(sat, key)
+        final = _buchberger(sat, order)
     return BinomialIdeal.from_basis(block, order, final)
 
 

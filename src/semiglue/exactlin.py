@@ -2,8 +2,8 @@
 
 Everything here works over arbitrary-precision integers, with no
 floating point.  One fraction-free Gauss-Jordan elimination, ``_bareiss``,
-does every small exact solve: ``rank``, the inverse in
-``independent_suffix``, and ``gluing``'s meeting line and cone solutions.
+does every small exact solve: ``rank``, ``independent_suffix``, and
+``gluing``'s meeting line and cone solutions.
 The one lattice question, a saturated kernel basis of primitive vectors,
 is ``kernel_lattice_basis``'s.
 """
@@ -206,7 +206,8 @@ def kernel_lattice_basis(m: IntegerMatrix) -> tuple[Vector, ...]:
         if r == p:
             break
     # Rows above r keep a nonzero pivot, so the kernel has p - r rows.
-    assert all(x == 0 for i in range(r, p) for x in work[i][:n])
+    if any(x for i in range(r, p) for x in work[i][:n]):  # explicit, for -O
+        raise AssertionError("a kernel row kept a nonzero entry")
     raw = [work[i][n:] for i in range(r, p)]
     if len(raw) > 1:
         raw = _size_reduce(raw)
@@ -232,28 +233,17 @@ class IndependentSuffix(NamedTuple):
 def independent_suffix(m: IntegerMatrix) -> IndependentSuffix:
     """Return the longest independent suffix of m's columns and its inverse.
 
-    Reduces the columns from the last one backwards against an echelon
-    basis in integers, so the suffix's pivot rows come out of the same
-    pass (scaling by nonzero integers keeps every zero of the pass over
-    Q); the echelon vectors vanish on each other's pivots, so those rows
-    carry an invertible square block, which ``_bareiss`` inverts.
+    ``_bareiss`` takes pivots column by column.  On m's rows reversed,
+    the suffix is its run of leading pivots 0, 1, ...; on the suffix's
+    columns as rows, the pivots are the rows R of an invertible square
+    block T_R, each row independent of those above it.  A third run
+    inverts T_R.
     """
+    _, pivots = _bareiss([row[::-1] for row in m.entries])
+    start = m.cols - next((c for c, q in enumerate(pivots) if q != c),
+                          len(pivots))
     cols = m.columns()
-    echelon: list[tuple[int, list[int]]] = []
-    start = 0
-    for j in range(len(cols) - 1, -1, -1):
-        w = list(cols[j])
-        for piv, e in echelon:
-            if w[piv]:
-                f, g = e[piv], w[piv]
-                w = [f * a - g * b for a, b in zip(w, e)]
-        piv = next((i for i, x in enumerate(w) if x), None)
-        if piv is None:
-            start = j + 1
-            break
-        g = gcd(*w)
-        echelon.append((piv, [x // g for x in w]))
-    rows = tuple(sorted(piv for piv, _ in echelon))
+    rows = tuple(_bareiss(cols[start:])[1])
     r = len(rows)
     # Gauss-Jordan on [T_R | I] leaves [d I | d T_R^-1].
     reduced, _ = _bareiss([[cols[start + k][i] for k in range(r)]

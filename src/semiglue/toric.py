@@ -14,8 +14,8 @@ keeps one sign needs no sweep.  The last variable is always swept, and
 last: that sweep strips it from a Groebner basis under the ideal's own
 weighted reverse lexicographic order, which by Bayer and Stillman
 leaves a Groebner basis of the saturation, so interreducing it gives the
-reduced basis.  The minimal generators then come from one Buchberger run
-over the kept generators, completed degree by degree as the scan rises.
+reduced basis.  The minimal generators then come from one run of
+``binomial``'s Groebner driver, completed degree by degree.
 """
 
 from __future__ import annotations
@@ -33,13 +33,10 @@ from .binomial import (
     VariableBlock,
     _buchberger,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
     _canonical_key,
-    _complete,
     _coprime,
-    _gm_update,
     _interreduce,
-    _reduce_pair,
+    _minimal_subset,
     _saturate_raw,
-    _widening,
 )
 from .exactlin import IntegerMatrix, kernel_lattice_basis
 
@@ -123,40 +120,16 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     when it is not in the ideal of those already kept.  For an ideal
     graded by a positive weighting this yields a minimal generating set.
 
-    One Buchberger run serves the whole scan.  Before a generator of
-    weighted degree d is tested, the critical pairs of the kept elements
-    are completed up to degree d; the ideal is homogeneous, so the basis
-    then decides membership in degree d exactly: a generator is a member
-    when its top reduction is zero.  A kept generator joins the basis
-    top-reduced, with its pairs; its tail stays as far as the reduction
-    took it, which membership does not need.  The kept set spans the
-    same ideal as all the generators, so it keeps the Groebner bases
-    that their ideal holds.
+    One run of ``binomial``'s Groebner driver is the whole scan
+    (``_minimal_subset``).  The kept set spans the same ideal as all the
+    generators, so it keeps the Groebner bases that their ideal holds.
     """
     gens = sorted(gset.ideal.generators,
                   key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
                                  _canonical_key(g)))
-    pairs_of = [g.as_pair() for g in gens]
-
-    def scan(pk):
-        kept: list[Binomial] = []
-        basis: list = []
-        pairs: list = []
-        for g, (u, v) in zip(gens, pairs_of):
-            u, v = pk.pack(u), pk.pack(v)
-            if not _complete(pk, basis, pairs, upto=u >> pk.top):
-                return None
-            r = _reduce_pair(pk, basis, u, v)
-            if r is None:
-                continue
-            kept.append(g)
-            basis.append(r)
-            if not _gm_update(pk, basis, pairs, len(basis) - 1):
-                return None
-        return kept
-
     order = MonomialOrder.degrevlex(gset.weights)
-    _, kept = _widening(order, pairs_of, scan)
+    kept = [gens[i] for i in _minimal_subset([g.as_pair() for g in gens],
+                                             order)]
     ideal = gset.ideal.spanned_by(kept)
     return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
                              gset.weights)
@@ -224,7 +197,6 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
         raise ValueError("zero columns are not allowed")
     weights = tuple(sum(c) for c in cols)
     order = MonomialOrder.degrevlex(weights)
-    key = order.key_function()
 
     basis = kernel_lattice_basis(matrix)
     pairs = []
@@ -237,7 +209,7 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
 
     # The last sweep already leaves a Groebner basis under this order.
     sweeps = _sweep_variables(basis, matrix.cols)
-    gb = _interreduce(_saturate_raw(pairs, weights, sweeps), key)
+    gb = _interreduce(_saturate_raw(pairs, weights, sweeps), order)
     for u, v in gb:
         # Self-checks of the saturation; explicit so that -O keeps them.
         if not _coprime(u, v):

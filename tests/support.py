@@ -9,8 +9,9 @@ decides a gluing by the ideal identity itself, with the Groebner
 engine.  The kernel- and Fraction-based solvers that the fraction-free
 elimination replaced are kept as references for it, and so is the
 Buchberger engine's full reduction of both monomials, which its top
-reduction replaced, and the brute-force oracle that bucketed every leaf
-of the box walk, which bucketing the walk's runs replaced.
+reduction replaced, its seed loop and the minimal-generator scan, which
+its one driver replaced, and the brute-force oracle that bucketed every
+leaf of the box walk, which bucketing the walk's runs replaced.
 """
 
 from collections import Counter
@@ -34,7 +35,21 @@ from semiglue import (
     is_member,
     level,
 )
-from semiglue.binomial import Monomial, _canonical_key, _nf_mono
+from semiglue import binomial, toric
+from semiglue.binomial import (
+    Monomial,
+    MonomialOrder,
+    VariableBlock,
+    _canonical_key,
+    _complete,
+    _gm_update,
+    _is_homogeneous,
+    _nf_mono,
+    _reduce_pair,
+    _reduced,
+    _widening,
+    buchberger,
+)
 from semiglue.exactlin import (
     IndependentSuffix,
     IntegerMatrix,
@@ -48,6 +63,7 @@ from semiglue.gluing import (
     _mixed_binomial,
 )
 from semiglue.toric import (
+    GradedBinomialSet,
     _fits_in,
     _unpack,
     _width,
@@ -497,6 +513,138 @@ def full_reduce_pair(pk, basis, a, b):
     if a == b:
         return None
     return (a, b - a) if pk.key(a) > pk.key(b) else (b, a - b)
+
+
+# -- references for the binomial engine's seed loop ------------------------
+
+def seed_loop_buchberger(raw_gens, order):
+    """Return ``binomial._buchberger``'s answer by the earlier seed loop.
+
+    The engine's run before ``binomial._grow``, kept verbatim as the
+    reference: every seed joins the basis oriented but unreduced, with
+    its pairs, and the pairs are completed only after the last seed.
+    """
+    raw_gens = list(raw_gens)
+
+    def run(pk):
+        k = pk.key
+        seed = set()
+        for a, b in (map(pk.pack, pr) for pr in raw_gens):
+            if a != b:
+                seed.add((a, b) if k(a) > k(b) else (b, a))
+        basis = []
+        pairs = []
+        for u, v in sorted(seed, key=lambda g: (k(g[0]), k(g[1]))):
+            basis.append((u, v - u))
+            if not _gm_update(pk, basis, pairs, len(basis) - 1):
+                return None
+        return basis if _complete(pk, basis, pairs) else None
+
+    return _reduced(*_widening(order, raw_gens, run))
+
+
+def scan_minimal_generators(gset):
+    """Return ``toric.minimal_generators``'s answer by the earlier scan.
+
+    The scan as it was before it went through ``binomial._grow``, kept
+    verbatim as the reference, with its own copy of the seed loop.
+    """
+    gens = sorted(gset.ideal.generators,
+                  key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
+                                 _canonical_key(g)))
+    pairs_of = [g.as_pair() for g in gens]
+
+    def scan(pk):
+        kept = []
+        basis = []
+        pairs = []
+        for g, (u, v) in zip(gens, pairs_of):
+            u, v = pk.pack(u), pk.pack(v)
+            if not _complete(pk, basis, pairs, upto=u >> pk.top):
+                return None
+            r = _reduce_pair(pk, basis, u, v)
+            if r is None:
+                continue
+            kept.append(g)
+            basis.append(r)
+            if not _gm_update(pk, basis, pairs, len(basis) - 1):
+                return None
+        return kept
+
+    order = MonomialOrder.degrevlex(gset.weights)
+    _, kept = _widening(order, pairs_of, scan)
+    ideal = gset.ideal.spanned_by(kept)
+    return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
+                             gset.weights)
+
+
+def driver_identity_sweep(matrices=300, sets=200, seed=20261023):
+    """Compare the Groebner driver with the seed-loop references.
+
+    Toric ideals of the ``toric_ideals`` benchmark pool (100 random 3 x 5
+    to 3 x 7 matrices, entries 0..3, drawn from seed 20260823) and of
+    ``matrices`` seeded ones (1-3 rows, 2-7 columns, entries 0..4):
+    every ``binomial._buchberger`` run of the pipeline, on the input it
+    is given, must return the raw reduced basis of
+    ``seed_loop_buchberger``, and ``toric.minimal_generators`` the kept
+    generators, degrees and held bases of ``scan_minimal_generators``.
+    Then seeded binomial sets (2-5 variables, 1-4 binomials, exponents
+    0..3, weights 1..3, any cheapest variable) through the public
+    ``buchberger``, until ``sets`` of them are not homogeneous.  Returns the mismatches, as strings, and a Counter
+    of what was compared.  Nothing is asserted, so that the sweep checks
+    the same under ``python -O``.
+    """
+    rng = Random(seed)
+    bad, seen = [], Counter()
+    real_run, real_scan = binomial._buchberger, toric.minimal_generators
+
+    def checked_run(raw, order):
+        got = real_run(raw, order)
+        if got != seed_loop_buchberger(raw, order):
+            bad.append(f"_buchberger {raw} {order}")
+        seen["buchberger runs"] += 1
+        return got
+
+    def checked_scan(gset):
+        got, want = real_scan(gset), scan_minimal_generators(gset)
+        if (got.ideal.generators, got.adegrees) != (
+                want.ideal.generators, want.adegrees) or [
+                h.raw for h in got.ideal._bases.values()] != [
+                h.raw for h in want.ideal._bases.values()]:
+            bad.append(f"minimal_generators {gset.ideal.generators}")
+        seen["minimal generator scans"] += 1
+        return got
+
+    pool_rng = Random(20260823)
+    pool = [random_gens(pool_rng, 3, 5 + i % 3, 3) for i in range(100)]
+    for _ in range(matrices):
+        rows = rng.randint(1, 3)
+        pool.append(random_gens(rng, rows,
+                                rng.randint(2, min(7, 5 ** rows - 1)), 4))
+    binomial._buchberger, toric.minimal_generators = checked_run, checked_scan
+    try:
+        for gens in pool:
+            toric_ideal_of_matrix.__wrapped__(gens.matrix, gens.block)
+    finally:
+        binomial._buchberger, toric.minimal_generators = real_run, real_scan
+    while seen["non-homogeneous sets"] < sets:
+        p = rng.randint(2, 5)
+        block = VariableBlock.prefixed("x", p)
+        order = MonomialOrder.degrevlex(
+            [rng.randint(1, 3) for _ in range(p)],
+            rng.choice([None, *range(p)]))
+        gens, count = [], rng.randint(1, 4)
+        while len(gens) < count:
+            u, v = ([rng.randint(0, 3) for _ in range(p)] for _ in range(2))
+            if u != v:
+                gens.append(Binomial.from_pair(block, (tuple(u), tuple(v))))
+        raw = [g.as_pair() for g in gens]
+        if tuple(g.as_pair() for g in buchberger(gens, order)) != \
+                seed_loop_buchberger(raw, order):
+            bad.append(f"buchberger {raw} {order}")
+        seen["non-homogeneous sets"] += not _is_homogeneous(raw,
+                                                            order.weights)
+    return bad, seen
 
 
 # -- reference for the brute-force oracle's run bucketing -------------------

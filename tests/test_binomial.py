@@ -122,13 +122,61 @@ def test_membership_separates_curve_from_complete_intersection():
     assert not CURVE.contains(b4((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
+def block_mismatch_verdicts() -> list[str]:
+    """Return what membership, normal forms and equality say across blocks.
+
+    Packing zips exponents against the held basis's variables, so a
+    binomial over another block was once silently cut short:
+    x1^2 x4^5 - x2 over x1..x4, and x1^2 - x2 over y1..y3, were members
+    of the toric ideal of <1, 2, 3>.  Nothing here asserts, so the
+    verdicts mean the same under -O.
+    """
+    t = toric.toric_ideal(toric.SemigroupGens.from_columns([(1,), (2,), (3,)]))
+    ideal, order = t.ideal, MonomialOrder.degrevlex(t.weights)
+    y3 = VariableBlock.prefixed("y", 3)
+    calls = []
+    for f in (Binomial.from_pair(X4, ((2, 0, 0, 5), (0, 1, 0, 0))),
+              Binomial.from_pair(y3, ((2, 0, 0), (0, 1, 0))),
+              Binomial.from_pair(ideal.block, ((2, 0, 0), (0, 1, 0)))):
+        calls += [lambda f=f: ideal.contains(f),
+                  lambda f=f: normal_form(f, ideal.groebner(order), order)]
+    calls.append(lambda: ideal_equal(ideal, BinomialIdeal(y3, ())))
+    verdicts = []
+    for call in calls:
+        try:
+            verdicts.append(f"answered {call()}")
+        except ValueError as exc:
+            verdicts.append(f"refused: {exc}")
+    return verdicts
+
+
+def test_membership_refuses_a_binomial_over_another_block(tmp_path):
+    differ = "refused: blocks differ: ('x1', 'x2', 'x3'), "
+    want = [differ + "('x1', 'x2', 'x3', 'x4')",
+            "refused: the order and the block differ in length",
+            differ + "('y1', 'y2', 'y3')", differ + "('y1', 'y2', 'y3')",
+            "answered True", "answered None", differ + "('y1', 'y2', 'y3')"]
+    assert block_mismatch_verdicts() == want
+    script = tmp_path / "blocks.py"
+    script.write_text("from test_binomial import block_mismatch_verdicts\n"
+                      "print(*block_mismatch_verdicts(), sep='\\n')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == want
+
+
 def _count_buchberger(monkeypatch) -> list:
     runs = []
     real = binomial._buchberger
 
-    def counted(pairs, key):
+    def counted(pairs, order):
         runs.append(len(pairs))
-        return real(pairs, key)
+        return real(pairs, order)
 
     monkeypatch.setattr(binomial, "_buchberger", counted)
     return runs
@@ -240,9 +288,9 @@ def test_saturate_takes_one_groebner_run_per_variable(monkeypatch):
     runs = []
     real = binomial._buchberger
 
-    def counted(pairs, key):
+    def counted(pairs, order):
         runs.append(len(pairs))
-        return real(pairs, key)
+        return real(pairs, order)
 
     monkeypatch.setattr(binomial, "_buchberger", counted)
     sat = saturate(CURVE_CI)
@@ -378,11 +426,12 @@ def test_buchberger_matches_a_textbook_run(monkeypatch):
         p = 2 + case % 5
         cheapest = (None, *range(p))[case // 5 % (p + 1)]
         weights, gens = random_homogeneous_binomials(rng, p)
-        key = MonomialOrder.degrevlex(weights, cheapest=cheapest).key_function()
+        order = MonomialOrder.degrevlex(weights, cheapest=cheapest)
+        key = order.key_function()
         reference_key = textbook_key(weights, cheapest)
         for m in (u for pair in gens for u in pair):
             assert key(m) == reference_key(m)
-        got = binomial._buchberger(gens, key)
+        got = binomial._buchberger(gens, order)
         want = textbook_groebner(gens, reference_key)
         assert got == want, (weights, gens, cheapest)
         cheapest_seen.add((p, cheapest))
@@ -426,7 +475,7 @@ def wide_runs_against_the_textbook(seed, count):
             weights = tuple(sum(c) for c in m.columns())
             for cheapest in range(4):
                 order = MonomialOrder.degrevlex(weights, cheapest)
-                got = binomial._buchberger(pairs, order.key_function())
+                got = binomial._buchberger(pairs, order)
                 want = textbook_groebner(pairs,
                                          textbook_key(weights, cheapest))
                 wrong += got != want
@@ -479,12 +528,10 @@ def test_top_reduction_keeps_the_lead_of_the_full_reduction(monkeypatch):
         return got
 
     monkeypatch.setattr(binomial, "_reduce_pair", checked)
-    monkeypatch.setattr(toric, "_reduce_pair", checked)
     rng = random.Random(20261019)
     for case in range(60):
         weights, gens = random_homogeneous_binomials(rng, 2 + case % 5)
-        key = MonomialOrder.degrevlex(weights).key_function()
-        binomial._buchberger(gens, key)
+        binomial._buchberger(gens, MonomialOrder.degrevlex(weights))
         toric.toric_ideal_of_matrix.cache_clear()
         toric.toric_ideal(random_gens(rng, 3, 5 + case % 3, 3))
     assert len(seen) >= 2000 and 0 < sum(seen) < len(seen)
@@ -511,20 +558,20 @@ def lazy_against_full(seed, count):
         return real(order, pairs, attempt)
 
     def ideal(gens, reduce_pair):
-        binomial._reduce_pair = toric._reduce_pair = reduce_pair
+        binomial._reduce_pair = reduce_pair
         toric.toric_ideal_of_matrix.cache_clear()
         t = toric.toric_ideal(gens)
         return [h.raw for h in t.ideal._bases.values()], t.ideal.generators
 
-    binomial._widening = toric._widening = counted
+    binomial._widening = counted
     unlike = 0
     try:
         for i in range(count):
             gens = random_gens(rng, 3, 5 + i % 3, 3)
             unlike += ideal(gens, lazy) != ideal(gens, full_reduce_pair)
     finally:
-        binomial._reduce_pair = toric._reduce_pair = lazy
-        binomial._widening = toric._widening = real
+        binomial._reduce_pair = lazy
+        binomial._widening = real
         toric.toric_ideal_of_matrix.cache_clear()
     return sum(n > 1 for n in attempts), unlike
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,26 @@ def test_independent_suffix_matches_fraction_elimination():
         assert got == fraction_independent_suffix(m), rows
         partial += 0 < got.start
     assert partial >= 1000, partial
+    # zero columns, one column, and rank-deficient products of an n x k
+    # and a k x p matrix, k < min(n, p)
+    cases = [[[0]], [[0], [0]], [[4], [0]], [[0, 0], [0, 0]], [[1, 0], [2, 0]],
+             [[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 6]],
+             [[1, 0, 1], [0, 1, 1], [1, 1, 2]]]
+    for _ in range(3000):
+        n, p = rng.randrange(2, 5), rng.randrange(2, 7)
+        k = rng.randrange(1, min(n, p))
+        left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randrange(-3, 4) for _ in range(p)] for _ in range(k)]
+        cases.append([[sum(map(mul, row, col)) for col in zip(*right)]
+                      for row in left])
+    zero_column = deficient = 0
+    for rows in cases:
+        m = IntegerMatrix.from_rows(rows)
+        got = independent_suffix(m)
+        assert got == fraction_independent_suffix(m), rows
+        zero_column += not any(m.column(m.cols - 1))
+        deficient += len(got.rows) < min(m.rows, m.cols)
+    assert zero_column >= 100 and deficient >= 3000, (zero_column, deficient)
     rng = random.Random(6)
     big = IntegerMatrix.from_rows(
         [[rng.randrange(10 ** 6 + 1) for _ in range(6)] for _ in range(4)])

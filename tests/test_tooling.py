@@ -1,5 +1,6 @@
 """The measurement harness under perfbench/ still fits the package."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -86,3 +87,21 @@ def test_box_walk_returns_one_pair_per_box_monomial():
         assert sum(top + 1 for _, top, _ in runs) == len(box)
         assert rems == [tuple(b - d for b, d in zip(bound, m.matvec(e)))
                         for e in expanded]
+
+
+def test_the_packed_engine_stays_inside_binomial():
+    # binomial owns the packed Groebner engine and its one driver: toric
+    # reaches it only through raw-level functions, and the engine takes
+    # a MonomialOrder, never a key function.
+    engine = {"_Packing", "_widening", "_complete", "_gm_update",
+              "_reduce_pair", "_packed"}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "semiglue").glob("*.py")}
+    imported = {alias.name for node in ast.walk(trees["toric"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & engine, imported & engine
+    callers = [f"{name}:{node.lineno}" for name, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and "key_function" in (getattr(node.func, "attr", None),
+                                      getattr(node.func, "id", None))]
+    assert callers == []

@@ -38,6 +38,7 @@ from semiglue.toric import (
     toric_ideal_of_matrix,
 )
 from support import (
+    driver_identity_sweep,
     linear_binomial_pair,
     monomial_curves_pair,
     oracle_identity_sweep,
@@ -162,9 +163,9 @@ def test_contains_reads_the_basis_a_toric_ideal_holds(monkeypatch):
     runs = []
     real = binomial._buchberger
 
-    def counted(pairs, key):
+    def counted(pairs, order):
         runs.append(len(pairs))
-        return real(pairs, key)
+        return real(pairs, order)
 
     monkeypatch.setattr(binomial, "_buchberger", counted)
     found = enumerate_oracle(PLANE_CUBIC, (6, 6))
@@ -677,9 +678,8 @@ def test_skipped_sweeps_give_the_same_toric_ideal():
         t = toric_ideal_of_matrix(m, block)
         weights = t.weights
         order = MonomialOrder.degrevlex(weights)
-        key = order.key_function()
         pairs = _lattice_pairs(m)
-        full = _interreduce(_saturate_raw(pairs, weights), key) if pairs else []
+        full = _interreduce(_saturate_raw(pairs, weights), order) if pairs else []
         gens = tuple(mk(block, u, v) for u, v in full)
         assert t.ideal.groebner(order) == gens, m
         ideal = BinomialIdeal.from_basis(block, order, full)
@@ -697,12 +697,37 @@ def test_skipping_a_conflicting_pair_loses_a_generator():
     # be skipped; {0} alone may.
     assert _sweep_variables(basis, 4) == [1, 2, 3]
     weights = tuple(sum(c) for c in m.columns())
-    key = MonomialOrder.degrevlex(weights).key_function()
+    order = MonomialOrder.degrevlex(weights)
     pairs = _lattice_pairs(m)
-    full = _interreduce(_saturate_raw(pairs, weights), key)
+    full = _interreduce(_saturate_raw(pairs, weights), order)
     assert len(full) == 4
-    assert _interreduce(_saturate_raw(pairs, weights, [1, 2, 3]), key) == full
-    assert len(_interreduce(_saturate_raw(pairs, weights, [1, 3]), key)) == 3
+    assert _interreduce(_saturate_raw(pairs, weights, [1, 2, 3]), order) == full
+    assert len(_interreduce(_saturate_raw(pairs, weights, [1, 3]),
+                            order)) == 3
+
+
+def test_groebner_driver_matches_the_seed_loop_reference():
+    mismatches, seen = driver_identity_sweep()
+    assert mismatches == []
+    assert seen["buchberger runs"] >= 1000
+    assert seen["minimal generator scans"] >= 350
+    assert seen["non-homogeneous sets"] == 200
+
+
+def test_groebner_driver_matches_the_seed_loop_reference_under_optimization():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from support import driver_identity_sweep\n"
+         "mismatches, seen = driver_identity_sweep()\n"
+         "print(mismatches, sorted(seen.items()))\n"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    mismatches, seen = driver_identity_sweep()
+    assert done.stdout == f"{mismatches} {sorted(seen.items())}\n"
+    assert mismatches == []
 
 
 def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
