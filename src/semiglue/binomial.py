@@ -82,23 +82,24 @@ weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter, mul, neg
+
+from .value import Value
 
 Exponents = tuple[int, ...]
 RawBinomial = tuple[Exponents, Exponents]
 
 
-@dataclass(frozen=True)
-class VariableBlock:
+class VariableBlock(Value):
     """An ordered tuple of distinct variable names."""
 
-    names: tuple[str, ...]
+    __slots__ = _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        assert len(self.names) > 0, "a block needs at least one variable"
-        assert all(isinstance(nm, str) and nm for nm in self.names)
-        assert len(set(self.names)) == len(self.names), "names must be distinct"
+    def __init__(self, names: tuple[str, ...]) -> None:
+        assert len(names) > 0, "a block needs at least one variable"
+        assert all(isinstance(nm, str) and nm for nm in names)
+        assert len(set(names)) == len(names), "names must be distinct"
+        object.__setattr__(self, "names", names)
 
     @classmethod
     def prefixed(cls, prefix: str, size: int) -> "VariableBlock":
@@ -116,18 +117,17 @@ class VariableBlock:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Value):
     """A power product of the variables of a block."""
 
-    block: VariableBlock
-    exponents: Exponents
+    __slots__ = _fields = ("block", "exponents")
 
-    def __post_init__(self) -> None:
-        e = self.exponents
-        assert len(e) == self.block.size
+    def __init__(self, block: VariableBlock, exponents: Exponents) -> None:
+        assert len(exponents) == block.size
         # a list comprehension, not all() over a generator: no call per item
-        assert not [x for x in e if not isinstance(x, int) or x < 0]
+        assert not [x for x in exponents if not isinstance(x, int) or x < 0]
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def degree(self) -> int:
@@ -143,20 +143,20 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Value):
     """The difference plus - minus of two monomials over one block.
 
     The direct constructor stores the exponents exactly as given; use
     ``make`` to cancel common monomial factors first.
     """
 
-    plus: Monomial
-    minus: Monomial
+    __slots__ = _fields = ("plus", "minus")
 
-    def __post_init__(self) -> None:
-        assert self.plus.block == self.minus.block
-        assert self.plus.exponents != self.minus.exponents, "zero binomial"
+    def __init__(self, plus: Monomial, minus: Monomial) -> None:
+        assert plus.block == minus.block
+        assert plus.exponents != minus.exponents, "zero binomial"
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     @classmethod
     def make(cls, block: VariableBlock, plus, minus) -> "Binomial":
@@ -194,8 +194,7 @@ def _canonical_key(b: Binomial) -> tuple:
     return (sum(u), u, sum(v), v)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(Value):
     """A term order given by positive weights plus reverse lexicographic ties.
 
     The order compares weighted degrees first and breaks ties reverse
@@ -203,13 +202,15 @@ class MonomialOrder:
     default the last one).
     """
 
-    weights: tuple[int, ...]
-    cheapest: int | None = None
+    __slots__ = _fields = ("weights", "cheapest")
 
-    def __post_init__(self) -> None:
-        assert len(self.weights) > 0
-        assert all(isinstance(w, int) and w > 0 for w in self.weights)
-        assert self.cheapest is None or 0 <= self.cheapest < len(self.weights)
+    def __init__(self, weights: tuple[int, ...],
+                 cheapest: int | None = None) -> None:
+        assert len(weights) > 0
+        assert all(isinstance(w, int) and w > 0 for w in weights)
+        assert cheapest is None or 0 <= cheapest < len(weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "cheapest", cheapest)
 
     @classmethod
     def degrevlex(cls, weights, cheapest: int | None = None) -> "MonomialOrder":
@@ -556,8 +557,9 @@ def buchberger(generators, order: MonomialOrder) -> tuple[Binomial, ...]:
     gens = tuple(generators)
     assert gens, "cannot infer the variable block from no generators"
     block = gens[0].block
-    assert all(g.block == block for g in gens)
-    assert len(order.weights) == block.size
+    for g in gens:
+        _same_block(block, g.block)
+    _same_length(order, block)
     gb = _buchberger([g.as_pair() for g in gens], order)
     return tuple(Binomial.from_pair(block, g) for g in gb)
 
@@ -590,14 +592,19 @@ def _same_block(block: VariableBlock, other: VariableBlock) -> None:
         raise ValueError(f"blocks differ: {block.names}, {other.names}")
 
 
+def _same_length(order: MonomialOrder, block: VariableBlock) -> None:
+    """Raise ValueError unless the order has one weight per variable."""
+    if len(order.weights) != block.size:  # explicit, so that -O keeps it
+        raise ValueError("the order and the block differ in length")
+
+
 def normal_form(f, basis, order: MonomialOrder):
     """Return the normal form of f modulo a Groebner basis, None if zero.
 
     f may be a Binomial or a Monomial; a monomial always has a nonzero
     (monomial) normal form.  f, basis and order share one block.
     """
-    if len(order.weights) != f.block.size:
-        raise ValueError("the order and the block differ in length")
+    _same_length(order, f.block)
     for g in basis:
         _same_block(g.block, f.block)
     held = _HeldBasis(order, tuple(g.as_pair() for g in basis))
@@ -614,19 +621,24 @@ def normal_form(f, basis, order: MonomialOrder):
     return Binomial.from_pair(f.block, (pk.unpack(a), pk.unpack(b)))
 
 
-@dataclass(frozen=True)
-class BinomialIdeal:
-    """An ideal given by binomial generators, with cached Groebner bases."""
+class BinomialIdeal(Value):
+    """An ideal given by binomial generators, with cached Groebner bases.
 
-    block: VariableBlock
-    generators: tuple[Binomial, ...]
-    _bases: dict = field(default_factory=dict, compare=False, repr=False)
+    ``_bases`` maps each order to its held reduced basis; it is not a
+    field, so equality, hash and repr ignore it.
+    """
 
-    def __post_init__(self) -> None:
-        assert all(isinstance(g, Binomial) and g.block == self.block
-                   for g in self.generators)
-        canon = tuple(sorted(set(self.generators), key=_canonical_key))
-        object.__setattr__(self, "generators", canon)
+    _fields = ("block", "generators")
+    __slots__ = (*_fields, "_bases")
+
+    def __init__(self, block: VariableBlock, generators: tuple[Binomial, ...],
+                 _bases: dict | None = None) -> None:
+        assert all(isinstance(g, Binomial) for g in generators)
+        for g in generators:
+            _same_block(block, g.block)
+        canon = tuple(sorted(set(generators), key=_canonical_key))
+        self._store(block, canon)
+        object.__setattr__(self, "_bases", {} if _bases is None else _bases)
 
     @classmethod
     def from_basis(cls, block: VariableBlock, order: MonomialOrder,
@@ -645,7 +657,7 @@ class BinomialIdeal:
     def _basis(self, order: MonomialOrder) -> _HeldBasis:
         held = self._bases.get(order)
         if held is None:
-            assert len(order.weights) == self.block.size
+            _same_length(order, self.block)
             held = self._bases[order] = _HeldBasis(order, _buchberger(
                 [g.as_pair() for g in self.generators], order))
         return held

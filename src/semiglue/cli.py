@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .binomial import Binomial
@@ -36,26 +35,27 @@ from .gluing import (
 )
 from .homology import BettiSequence, glued_betti
 from .toric import BoundTooLarge, SemigroupGens, enumerate_oracle, toric_ideal
+from .value import Value
 
 _SCALARS = ("k1", "k2", "kmax", "index", "work_limit")
 _VECTORS = ("v", "betti_a", "betti_b", "degree_bound")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Value):
     """Everything an input file can carry; unused fields stay None."""
 
-    a: tuple | None = None
-    b: tuple | None = None
-    k1: int | None = None
-    k2: int | None = None
-    kmax: int | None = None
-    index: int | None = None
-    v: tuple | None = None
-    betti_a: tuple | None = None
-    betti_b: tuple | None = None
-    degree_bound: tuple | None = None
-    work_limit: int | None = None
+    __slots__ = _fields = ("a", "b", "k1", "k2", "kmax", "index", "v",
+                           "betti_a", "betti_b", "degree_bound", "work_limit")
+
+    def __init__(self, a: tuple | None = None, b: tuple | None = None,
+                 k1: int | None = None, k2: int | None = None,
+                 kmax: int | None = None, index: int | None = None,
+                 v: tuple | None = None, betti_a: tuple | None = None,
+                 betti_b: tuple | None = None,
+                 degree_bound: tuple | None = None,
+                 work_limit: int | None = None) -> None:
+        self._store(a, b, k1, k2, kmax, index, v, betti_a, betti_b,
+                    degree_bound, work_limit)
 
     def canonical(self) -> dict:
         """Return the JSON-ready dict, omitting absent fields."""
@@ -253,7 +253,8 @@ def _check_result(report) -> dict:
         "mu": {"a": report.mu_a, "b": report.mu_b, "c": report.mu_c},
         "shared_columns": [list(pr) for pr in report.shared_columns],
         "rank": _rankdict(report.rank),
-        "homology": asdict(report.homology),
+        "homology": {name: getattr(report.homology, name)
+                     for name in report.homology._fields},
         "detail": report.detail,
     }
 

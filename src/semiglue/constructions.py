@@ -12,7 +12,7 @@ its precondition: the plane's rank failure, or a full side and a ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import gcd
 
 from .binomial import Binomial
@@ -31,6 +31,7 @@ from .gluing import (
     gluable_lattice_point,
 )
 from .toric import SemigroupGens
+from .value import Value
 
 Vector = tuple[int, ...]
 
@@ -39,8 +40,7 @@ class RankMismatch(ValueError):
     """Raised when a helper needs specific ranks that do not hold."""
 
 
-@dataclass(frozen=True)
-class PlaneHomogeneousGens:
+class PlaneHomogeneousGens(Value):
     """A homogeneous plane semigroup: all generators of one total degree.
 
     The generators are (degree, 0), then (degree - s, s) for each step
@@ -48,19 +48,18 @@ class PlaneHomogeneousGens:
     strictly between 0 and the degree.
     """
 
-    degree: int
-    steps: tuple[int, ...]
+    __slots__ = _fields = ("degree", "steps")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"degree {self.degree!r} must be at least 1")
-        steps = tuple(int(s) for s in self.steps)
-        if not all(0 < s < self.degree for s in steps):
+    def __init__(self, degree: int, steps: tuple[int, ...]) -> None:
+        if not isinstance(degree, int) or degree < 1:
+            raise ValueError(f"degree {degree!r} must be at least 1")
+        steps = tuple(int(s) for s in steps)
+        if not all(0 < s < degree for s in steps):
             raise ValueError(f"steps {steps} must lie strictly between 0 "
-                             f"and the degree {self.degree}")
+                             f"and the degree {degree}")
         if not all(x < y for x, y in zip(steps, steps[1:])):
             raise ValueError(f"steps {steps} must be strictly increasing")
-        object.__setattr__(self, "steps", steps)
+        self._store(degree, steps)
 
     @property
     def count(self) -> int:
@@ -96,8 +95,7 @@ class PlaneHomogeneousGens:
         return got
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddedGluing:
+class EmbeddedGluing(Value, eq=False):
     """The output of embed_and_glue: two padded semigroups that glue.
 
     ``index`` is the 1-based step index of the first semigroup chosen as
@@ -106,16 +104,13 @@ class EmbeddedGluing:
     column minus the first variable of the second block.
     """
 
-    a_prime: SemigroupGens
-    b_prime: SemigroupGens
-    m: int
-    r: int
-    index: int
-    k1: int
-    k2: int
-    u: Vector
-    rho: Binomial
-    candidate: GluingCandidate
+    __slots__ = _fields = ("a_prime", "b_prime", "m", "r", "index", "k1",
+                           "k2", "u", "rho", "candidate")
+
+    def __init__(self, a_prime: SemigroupGens, b_prime: SemigroupGens,
+                 m: int, r: int, index: int, k1: int, k2: int, u: Vector,
+                 rho: Binomial, candidate: GluingCandidate) -> None:
+        self._store(a_prime, b_prime, m, r, index, k1, k2, u, rho, candidate)
 
     @property
     def c_matrix(self) -> IntegerMatrix:

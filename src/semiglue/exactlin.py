@@ -10,10 +10,10 @@ is ``kernel_lattice_basis``'s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
+
+from .value import Value
 
 Vector = tuple[int, ...]
 
@@ -22,22 +22,22 @@ class ZeroVector(ValueError):
     """Raised when a nonzero vector is required."""
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Value):
     """Immutable integer matrix stored as a tuple of rows."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:  # explicit, so that -O keeps the checks
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        if not entries:  # explicit, so that -O keeps the checks
             raise ValueError("matrix needs at least one row")
-        width = len(self.entries[0])
+        width = len(entries[0])
         if not width:
             raise ValueError("matrix needs at least one column")
-        if any(len(row) != width for row in self.entries):
+        if any(len(row) != width for row in entries):
             raise ValueError("ragged rows")
-        if not all(isinstance(x, int) for row in self.entries for x in row):
+        if not all(isinstance(x, int) for row in entries for x in row):
             raise ValueError("entries must be ints")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
@@ -140,6 +140,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _round_half_even(num: int, den: int) -> int:
+    """Return num / den rounded to the nearest int, ties to even; den > 0."""
+    q, r = divmod(num, den)
+    # num / den = q + r / den with 0 <= r < den
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
+
+
 def _size_reduce(vectors: list[list[int]]) -> list[list[int]]:
     """Shorten a lattice basis by subtracting integer multiples in place.
 
@@ -159,7 +168,7 @@ def _size_reduce(vectors: list[list[int]]) -> list[list[int]]:
                 # num / norm within [-1/2, 1/2] rounds to 0 (half to even).
                 if 2 * abs(num) <= norms[j]:
                     continue
-                q = round(Fraction(num, norms[j]))
+                q = _round_half_even(num, norms[j])
                 shorter = [a - q * b for a, b in zip(vectors[i], vectors[j])]
                 norm = sum(x * x for x in shorter)
                 if norm < norms[i]:

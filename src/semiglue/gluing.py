@@ -22,7 +22,6 @@ out.  The implication-chain audit reads ``decide_pair``'s record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -49,6 +48,7 @@ from .toric import (
     toric_ideal,
     toric_ideal_of_matrix,
 )
+from .value import Value
 
 Vector = tuple[int, ...]
 
@@ -69,24 +69,21 @@ class NotInIdeal(ValueError):
     """Raised when a binomial does not belong to the glued toric ideal."""
 
 
-@dataclass(frozen=True)
-class GluingCandidate:
+class GluingCandidate(Value):
     """The data of a possible gluing: two semigroups and their scalings."""
 
-    a: SemigroupGens
-    b: SemigroupGens
-    k1: int = 1
-    k2: int = 1
+    __slots__ = _fields = ("a", "b", "k1", "k2")
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(k, int) and k >= 1 for k in (self.k1, self.k2)):
+    def __init__(self, a: SemigroupGens, b: SemigroupGens, k1: int = 1,
+                 k2: int = 1) -> None:
+        if not all(isinstance(k, int) and k >= 1 for k in (k1, k2)):
             raise ValueError("k1 and k2 must be positive")
-        if self.a.ambient != self.b.ambient:
+        if a.ambient != b.ambient:
             raise DimensionMismatch(
-                f"ambient dimensions differ: {self.a.ambient} vs "
-                f"{self.b.ambient}")
-        if set(self.a.block.names) & set(self.b.block.names):
+                f"ambient dimensions differ: {a.ambient} vs {b.ambient}")
+        if set(a.block.names) & set(b.block.names):
             raise ValueError("the two variable blocks must not share names")
+        self._store(a, b, k1, k2)
 
     @property
     def ambient(self) -> int:
@@ -110,14 +107,14 @@ class GluingCandidate:
                      for j, y in enumerate(cb) if x == y)
 
 
-@dataclass(frozen=True)
-class RankConditions:
+class RankConditions(Value):
     """Ranks of the two generator matrices and of their union."""
 
-    rank_a: int
-    rank_b: int
-    rank_joint: int
-    ambient: int
+    __slots__ = _fields = ("rank_a", "rank_b", "rank_joint", "ambient")
+
+    def __init__(self, rank_a: int, rank_b: int, rank_joint: int,
+                 ambient: int) -> None:
+        self._store(rank_a, rank_b, rank_joint, ambient)
 
     @property
     def ok(self) -> bool:
@@ -369,17 +366,18 @@ def level(w: Binomial, cand: GluingCandidate) -> int:
         raise NotInIdeal("the binomial is not homogeneous for the glued "
                          "degree, hence not in the glued toric ideal")
     nz = next(i for i, x in enumerate(u) if x != 0)
-    scale = Fraction(va[nz], u[nz])
+    # va = (va[nz] / u[nz]) u, and the level is va[nz] / (k2 u[nz]).
     # Self-checks of the glued grading; explicit so that -O keeps them.
-    if any(x != scale * y for x, y in zip(va, u)):
+    if any(x * u[nz] != va[nz] * y for x, y in zip(va, u)):
         raise AssertionError(
             f"the glued-homogeneous drop {va} misses the meeting line")
-    ell = scale / cand.k2
-    if ell.denominator != 1:
+    num, den = va[nz], cand.k2 * u[nz]
+    if num % den:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
         raise AssertionError(
-            f"the glued-homogeneous drop {va} has level {ell}, "
-            "not an integer")
-    return abs(int(ell))
+            f"the glued-homogeneous drop {va} has level "
+            f"{num // g}/{den // g}, not an integer")
+    return abs(num // den)
 
 
 def _mixed_binomial(cand: GluingCandidate, c: Vector, d: Vector) -> Binomial:

@@ -12,24 +12,22 @@ hold for the union exactly when they hold for both pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import rank
 from .toric import SemigroupGens, toric_ideal
+from .value import Value
 
 
 class NotAGluing(ValueError):
     """Raised when glued bookkeeping is requested without a gluing."""
 
 
-@dataclass(frozen=True)
-class BettiSequence:
+class BettiSequence(Value):
     """Total Betti numbers beta_0, beta_1, ... of a minimal resolution."""
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        vals = tuple(int(v) for v in values)
         if not vals or vals[0] != 1:
             raise ValueError("a cyclic module starts with beta_0 = 1")
         if any(v < 0 for v in vals):
@@ -109,21 +107,21 @@ def _and3(x: bool | None, y: bool | None) -> bool | None:
     return True
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(Value):
     """Known homological facts about one semigroup ring.
 
     ``None`` means not determined.  ``mu`` counts minimal generators of
     the toric ideal.
     """
 
-    dim: int
-    pd: int | None = None
-    depth: int | None = None
-    ci: bool | None = None
-    cm: bool | None = None
-    gorenstein: bool | None = None
-    mu: int | None = None
+    __slots__ = _fields = ("dim", "pd", "depth", "ci", "cm", "gorenstein",
+                           "mu")
+
+    def __init__(self, dim: int, pd: int | None = None,
+                 depth: int | None = None, ci: bool | None = None,
+                 cm: bool | None = None, gorenstein: bool | None = None,
+                 mu: int | None = None) -> None:
+        self._store(dim, pd, depth, ci, cm, gorenstein, mu)
 
     @classmethod
     def make(cls, dim: int, pd=None, depth=None, ci=None, cm=None,

@@ -39,14 +39,14 @@ from .binomial import (
     _saturate_raw,
 )
 from .exactlin import IntegerMatrix, kernel_lattice_basis
+from .value import Value
 
 
 class BoundTooLarge(RuntimeError):
     """Raised when an enumeration would exceed its work limit."""
 
 
-@dataclass(frozen=True)
-class SemigroupGens:
+class SemigroupGens(Value):
     """Generators of an affine semigroup: the columns of a matrix.
 
     Entries are nonnegative, no column is zero, and the columns are
@@ -54,12 +54,11 @@ class SemigroupGens:
     the block.
     """
 
-    matrix: IntegerMatrix
-    block: VariableBlock
+    __slots__ = _fields = ("matrix", "block")
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.cols != self.block.size:
+    def __init__(self, matrix: IntegerMatrix, block: VariableBlock) -> None:
+        m = matrix
+        if m.cols != block.size:
             raise ValueError("one variable per generator, in order")
         if any(x < 0 for row in m.entries for x in row):
             raise ValueError("generators must have nonnegative entries")
@@ -68,6 +67,7 @@ class SemigroupGens:
             raise ValueError("zero generators are not allowed")
         if len(set(cols)) != len(cols):
             raise ValueError("repeated generators are not allowed")
+        self._store(matrix, block)
 
     @classmethod
     def from_columns(cls, columns, prefix: str = "x") -> "SemigroupGens":

@@ -170,6 +170,52 @@ def test_membership_refuses_a_binomial_over_another_block(tmp_path):
     assert done.stdout.splitlines() == want
 
 
+def construction_block_verdicts() -> list[str]:
+    """Return what Groebner bases and ideals say of mismatched blocks.
+
+    Packing zips exponents against the order's weights, so under -O
+    x1^2 x4^5 - x2 over x1..x4 once had the basis (x1^2 - x2) under
+    degrevlex((1, 1, 1)), and an ideal over x1..x3 accepted it as a
+    generator.  Nothing here asserts, so the verdicts mean the same
+    under -O.
+    """
+    x3 = VariableBlock.prefixed("x", 3)
+    ord3 = MonomialOrder.degrevlex((1, 1, 1))
+    long = Binomial.from_pair(X4, ((2, 0, 0, 5), (0, 1, 0, 0)))
+    short = Binomial.from_pair(x3, ((2, 0, 0), (0, 1, 0)))
+    calls = [lambda: buchberger([long], ord3),
+             lambda: buchberger([short, long], ord3),
+             lambda: BinomialIdeal(x3, (long,)).generators,
+             lambda: BinomialIdeal(X4, (long,)).groebner(ord3),
+             lambda: buchberger([short], ord3)]
+    verdicts = []
+    for call in calls:
+        try:
+            verdicts.append(f"answered {', '.join(map(str, call()))}")
+        except ValueError as exc:
+            verdicts.append(f"refused: {exc}")
+    return verdicts
+
+
+def test_groebner_bases_refuse_another_block(tmp_path):
+    differ = ("refused: blocks differ: ('x1', 'x2', 'x3'), "
+              "('x1', 'x2', 'x3', 'x4')")
+    length = "refused: the order and the block differ in length"
+    want = [length, differ, differ, length, "answered x1^2 - x2"]
+    assert construction_block_verdicts() == want
+    script = tmp_path / "groebner_blocks.py"
+    script.write_text("from test_binomial import construction_block_verdicts\n"
+                      "print(*construction_block_verdicts(), sep='\\n')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == want
+
+
 def _count_buchberger(monkeypatch) -> list:
     runs = []
     real = binomial._buchberger

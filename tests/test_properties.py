@@ -1,8 +1,9 @@
 """Randomized invariants, with hypothesis shrinking the counterexamples."""
 
+from fractions import Fraction
 from math import gcd
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from semiglue import (
     BettiSequence,
@@ -25,6 +26,7 @@ from semiglue import (
     saturate,
     toric_ideal,
 )
+from semiglue.exactlin import _round_half_even
 from semiglue.gluing import is_member
 from support import fraction_rank, integer_combination
 
@@ -222,3 +224,22 @@ def test_glued_betti_is_symmetric(a, b):
     assert left.pd == a.pd + b.pd + 1
     total_left = sum(left.values)
     assert total_left == sum(a.values) * sum(b.values) * 2
+
+
+@example(1, 2).via("a tie, q = 0 even")
+@example(3, 2).via("a tie, q = 1 odd")
+@example(-1, 2).via("a tie, q = -1 odd")
+@example(-3, 2).via("a tie, q = -2 even")
+@example(0, 7).via("zero")
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**15))
+def test_integer_rounding_matches_fraction_rounding(num, den):
+    # _size_reduce's quotient: num / den rounded, ties to even
+    assert _round_half_even(num, den) == round(Fraction(num, den))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_integer_rounding_of_exact_ties(q, r):
+    # num / den = q + 1/2 exactly, with q odd or even, negative or not
+    num, den = q * 2 * r + r, 2 * r
+    want = q + (q % 2)
+    assert _round_half_even(num, den) == want == round(Fraction(num, den))

@@ -105,3 +105,29 @@ def test_the_packed_engine_stays_inside_binomial():
                and "key_function" in (getattr(node.func, "attr", None),
                                       getattr(node.func, "id", None))]
     assert callers == []
+
+
+def test_importing_the_cli_generates_no_value_class_code():
+    # Frozen dataclasses compile their methods with exec when the class
+    # is made, and fractions pulls in decimal: each CLI call paid for
+    # both before any algebra ran.  Only the records that
+    # dataclasses.replace copies stay dataclasses.
+    script = (
+        "import dataclasses, sys\n"
+        "import semiglue.cli\n"
+        "from semiglue.value import Value\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "classes = [c for name, m in list(sys.modules.items())\n"
+        "           if name.startswith('semiglue') for c in vars(m).values()\n"
+        "           if isinstance(c, type) and c.__module__ == name]\n"
+        "print(sum(issubclass(c, Value) for c in classes if c is not Value))\n"
+        "print(*sorted(f'{c.__module__}.{c.__name__}' for c in classes\n"
+        "              if dataclasses.is_dataclass(c)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]", "14",
+        "semiglue.gluing.ChainAudit semiglue.gluing.GluingReport "
+        "semiglue.gluing.PairDecision semiglue.toric.GradedBinomialSet"]
