@@ -8,6 +8,12 @@ whose first nonblank character is ``{`` is read as JSON with the same
 field names.  Command line flags beat SEMIGLUE_* environment variables,
 which beat values from the file, which beat defaults.
 
+Each command is one row of ``_COMMANDS``: handler, help, shared flags
+and own flags, each flag an (option, type, help) triple.  A call whose
+first argument names a command builds only that command's parser; any
+other call (``-h``, ``--version``, no arguments, an unknown command)
+builds the parser of all eight, so every message reads the same.
+
 Exit codes: 0 for an affirmative answer, 1 for a definitive negative,
 2 for unusable input, 3 for inconclusive within the given bounds.
 """
@@ -15,7 +21,6 @@ Exit codes: 0 for an affirmative answer, 1 for a definitive negative,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -78,6 +83,7 @@ class InputDocument(Value):
         return json.dumps(self.canonical(), sort_keys=True)
 
     def sha256(self) -> str:
+        import hashlib  # only --json reads the digest; OpenSSL loads slowly
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
     @classmethod
@@ -483,70 +489,63 @@ def cmd_betti_glue(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_KMAX = ("--kmax", int, "bound on searched multiples")
+_WORK = ("--work-limit", int, "bound on enumeration steps")
+_K12 = (("--k1", int, None), ("--k2", int, None))
+
+_COMMANDS = {
+    "lattice-point": (cmd_lattice_point,
+                      "the primitive point where the spans meet", (), ()),
+    "toric": (cmd_toric, "minimal generators of the toric ideal of A",
+              (_WORK,), (("--degree-bound", str, "also list all ideal "
+                          "binomials within this degree"),)),
+    "membership": (cmd_membership,
+                   "decide whether v lies in the semigroup A", (), ()),
+    "check-gluing": (cmd_check_gluing, "decide whether k1 A and k2 B glue",
+                     (_WORK,), _K12),
+    "find-gluing": (cmd_find_gluing,
+                    "search scalings that make A and B glue",
+                    (_KMAX, _WORK), ()),
+    "audit": (cmd_audit, "evaluate the implication chain for A and B",
+              (_KMAX,), _K12),
+    "embed-glue": (cmd_embed_glue,
+                   "embed two plane semigroups so that they glue", (),
+                   (("--i", int, "1-based step index of A used for the "
+                     "gluing"),)),
+    "betti-glue": (cmd_betti_glue,
+                   "Betti numbers of a glued ring from the pieces", (), ()),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """Build the parser of every command, or of the command ``only``."""
     parser = argparse.ArgumentParser(
         prog="semiglue",
         description="decide, certify and construct gluings of affine "
                     "semigroups")
     parser.add_argument("--version", action="version",
                         version=f"semiglue {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="input file, or - for stdin")
-    common.add_argument("--json", dest="json_out", action="store_true",
+    # argparse reports stray arguments under the top usage, which must
+    # name every command even when only one subparser is built.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if only is None else (only,):
+        func, text, shared, own = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("input", help="input file, or - for stdin")
+        sp.add_argument("--json", dest="json_out", action="store_true",
                         default=None, help="machine readable output")
-    kmax_flag = argparse.ArgumentParser(add_help=False)
-    kmax_flag.add_argument("--kmax", type=int, default=None,
-                           help="bound on searched multiples")
-    work_flag = argparse.ArgumentParser(add_help=False)
-    work_flag.add_argument("--work-limit", type=int, default=None,
-                           help="bound on enumeration steps")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("lattice-point", parents=[common],
-                        help="the primitive point where the spans meet")
-    sp.set_defaults(func=cmd_lattice_point)
-
-    sp = sub.add_parser("toric", parents=[common, work_flag],
-                        help="minimal generators of the toric ideal of A")
-    sp.add_argument("--degree-bound", type=str, default=None,
-                    help="also list all ideal binomials within this degree")
-    sp.set_defaults(func=cmd_toric)
-
-    sp = sub.add_parser("membership", parents=[common],
-                        help="decide whether v lies in the semigroup A")
-    sp.set_defaults(func=cmd_membership)
-
-    sp = sub.add_parser("check-gluing", parents=[common, work_flag],
-                        help="decide whether k1 A and k2 B glue")
-    sp.add_argument("--k1", type=int, default=None)
-    sp.add_argument("--k2", type=int, default=None)
-    sp.set_defaults(func=cmd_check_gluing)
-
-    sp = sub.add_parser("find-gluing", parents=[common, kmax_flag, work_flag],
-                        help="search scalings that make A and B glue")
-    sp.set_defaults(func=cmd_find_gluing)
-
-    sp = sub.add_parser("audit", parents=[common, kmax_flag],
-                        help="evaluate the implication chain for A and B")
-    sp.add_argument("--k1", type=int, default=None)
-    sp.add_argument("--k2", type=int, default=None)
-    sp.set_defaults(func=cmd_audit)
-
-    sp = sub.add_parser("embed-glue", parents=[common],
-                        help="embed two plane semigroups so that they glue")
-    sp.add_argument("--i", type=int, default=None,
-                    help="1-based step index of A used for the gluing")
-    sp.set_defaults(func=cmd_embed_glue)
-
-    sp = sub.add_parser("betti-glue", parents=[common],
-                        help="Betti numbers of a glued ring from the pieces")
-    sp.set_defaults(func=cmd_betti_glue)
+        for flag, cast, flag_help in (*shared, *own):
+            sp.add_argument(flag, type=cast, default=None, help=flag_help)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
     try:
         return args.func(args)
     except BoundTooLarge as exc:

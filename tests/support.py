@@ -11,9 +11,12 @@ elimination replaced are kept as references for it, and so is the
 Buchberger engine's full reduction of both monomials, which its top
 reduction replaced, its seed loop and the minimal-generator scan, which
 its one driver replaced, and the brute-force oracle that bucketed every
-leaf of the box walk, which bucketing the walk's runs replaced.
+leaf of the box walk, which bucketing the walk's runs replaced.  The
+CLI's twelve-parser builder, which its command table replaced, is kept
+as the reference for every help, usage and error text.
 """
 
+import argparse
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product, repeat, starmap
@@ -35,7 +38,7 @@ from semiglue import (
     is_member,
     level,
 )
-from semiglue import binomial, toric
+from semiglue import __version__, binomial, cli, toric
 from semiglue.binomial import (
     Monomial,
     MonomialOrder,
@@ -787,3 +790,67 @@ def oracle_identity_sweep(trials=400, seed=20261022):
             b < x for b, x in zip(bound, last))
         seen["nonempty"] += bool(got)
     return bad, seen
+
+
+# -- the CLI parser before its command table ---------------------------------
+
+def seed_parser() -> argparse.ArgumentParser:
+    """Build the CLI parser as it was built before ``cli._COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="semiglue",
+        description="decide, certify and construct gluings of affine "
+                    "semigroups")
+    parser.add_argument("--version", action="version",
+                        version=f"semiglue {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="input file, or - for stdin")
+    common.add_argument("--json", dest="json_out", action="store_true",
+                        default=None, help="machine readable output")
+    kmax_flag = argparse.ArgumentParser(add_help=False)
+    kmax_flag.add_argument("--kmax", type=int, default=None,
+                           help="bound on searched multiples")
+    work_flag = argparse.ArgumentParser(add_help=False)
+    work_flag.add_argument("--work-limit", type=int, default=None,
+                           help="bound on enumeration steps")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("lattice-point", parents=[common],
+                        help="the primitive point where the spans meet")
+    sp.set_defaults(func=cli.cmd_lattice_point)
+
+    sp = sub.add_parser("toric", parents=[common, work_flag],
+                        help="minimal generators of the toric ideal of A")
+    sp.add_argument("--degree-bound", type=str, default=None,
+                    help="also list all ideal binomials within this degree")
+    sp.set_defaults(func=cli.cmd_toric)
+
+    sp = sub.add_parser("membership", parents=[common],
+                        help="decide whether v lies in the semigroup A")
+    sp.set_defaults(func=cli.cmd_membership)
+
+    sp = sub.add_parser("check-gluing", parents=[common, work_flag],
+                        help="decide whether k1 A and k2 B glue")
+    sp.add_argument("--k1", type=int, default=None)
+    sp.add_argument("--k2", type=int, default=None)
+    sp.set_defaults(func=cli.cmd_check_gluing)
+
+    sp = sub.add_parser("find-gluing", parents=[common, kmax_flag, work_flag],
+                        help="search scalings that make A and B glue")
+    sp.set_defaults(func=cli.cmd_find_gluing)
+
+    sp = sub.add_parser("audit", parents=[common, kmax_flag],
+                        help="evaluate the implication chain for A and B")
+    sp.add_argument("--k1", type=int, default=None)
+    sp.add_argument("--k2", type=int, default=None)
+    sp.set_defaults(func=cli.cmd_audit)
+
+    sp = sub.add_parser("embed-glue", parents=[common],
+                        help="embed two plane semigroups so that they glue")
+    sp.add_argument("--i", type=int, default=None,
+                    help="1-based step index of A used for the gluing")
+    sp.set_defaults(func=cli.cmd_embed_glue)
+
+    sp = sub.add_parser("betti-glue", parents=[common],
+                        help="Betti numbers of a glued ring from the pieces")
+    sp.set_defaults(func=cli.cmd_betti_glue)
+    return parser

@@ -1,5 +1,6 @@
 """The command line interface, driven over the corpus files."""
 
+import argparse
 import io
 import json
 import os
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from semiglue import enumerate_oracle, gluing
+from semiglue import cli, enumerate_oracle, gluing
 from semiglue.cli import InputDocument, main
-from support import twisted_pair
+from support import seed_parser, twisted_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -599,6 +600,84 @@ def test_membership_without_vector(capsys):
     code, _, err = run(capsys, "membership", CORPUS / "twisted_glue.txt")
     assert code == 2
     assert "needs a v: vector" in err
+
+
+# -- the parser a call builds ------------------------------------------------
+
+VALID_INPUT = {"lattice-point": "twisted_glue.txt",
+               "toric": "twisted_glue.txt",
+               "membership": "monomial_curves_scaled_glue.txt",
+               "check-gluing": "shared_column_glue.txt",
+               "find-gluing": "twisted_noglue.txt",
+               "audit": "shared_factor_noglue.txt",
+               "embed-glue": "plane_embed_selfglue.txt",
+               "betti-glue": None}
+# Commands without an int flag get --kmax, which they reject as stray.
+INT_FLAG = {"toric": "--work-limit", "check-gluing": "--k1",
+            "find-gluing": "--kmax", "audit": "--k2", "embed-glue": "--i"}
+
+
+def _parity_cases():
+    cases = [["-h"], ["--version"], [], ["bogus", "input.txt"]]
+    for command, name in VALID_INPUT.items():
+        path = "BETTI" if name is None else str(CORPUS / name)
+        flag = INT_FLAG.get(command, "--kmax")
+        cases += [[command, "-h"], [command], [command, path, flag, "x"],
+                  [command, path, flag], [command, path, "--bogus"],
+                  [command, path, "--version"], [command, path]]
+    return cases
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _parity_cases(),
+                         ids=lambda argv: " ".join(
+                             Path(a).name for a in argv) or "no arguments")
+def test_every_call_reads_as_under_the_full_parser(capsys, monkeypatch,
+                                                   tmp_path, argv):
+    betti = tmp_path / "betti.txt"
+    betti.write_text("betti_a: 1 3 2\nbetti_b: 1 3 2\n")
+    argv = [str(betti) if a == "BETTI" else a for a in argv]
+    got = _outcome(capsys, argv)
+    if "--bogus" in argv:
+        assert "unrecognized arguments: --bogus" in got[2]
+        assert "{%s}" % ",".join(cli._COMMANDS) in got[2]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: build())
+    assert _outcome(capsys, argv) == got
+    monkeypatch.setattr(cli, "_build_parser", lambda only=None: seed_parser())
+    assert _outcome(capsys, argv) == got
+
+
+def test_a_call_builds_only_the_parser_of_its_command(capsys, monkeypatch):
+    # Building all eight subparsers cost more than the algebra of most
+    # corpus files; a second call must build them again, as a new
+    # process would.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        built.clear()
+        assert main(["betti-glue", str(CORPUS / "twisted_glue.txt")]) == 2
+        assert len(built) == 2
+    for argv in (["--version"], ["bogus"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == 9
+    capsys.readouterr()
 
 
 # -- document round trips ----------------------------------------------------

@@ -1,6 +1,8 @@
 """Randomized invariants, with hypothesis shrinking the counterexamples."""
 
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from math import gcd
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -26,6 +28,7 @@ from semiglue import (
     saturate,
     toric_ideal,
 )
+from semiglue import cli
 from semiglue.exactlin import _round_half_even
 from semiglue.gluing import is_member
 from support import fraction_rank, integer_combination
@@ -243,3 +246,27 @@ def test_integer_rounding_of_exact_ties(q, r):
     num, den = q * 2 * r + r, 2 * r
     want = q + (q % 2)
     assert _round_half_even(num, den) == want == round(Fraction(num, den))
+
+
+cli_tokens = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "-h", "--help", "--version", "--json",
+                     "--kmax", "--work-limit", "--degree-bound", "--k1",
+                     "--k2", "--i", "--k", "--work-limit=4", "--", "-",
+                     "input.txt", "x", "2 2 0", "--bogus", "-x"]),
+    st.integers(-2, 12).map(str))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(cli._COMMANDS)), st.lists(cli_tokens, max_size=6))
+def test_one_command_parser_parses_as_the_full_parser(command, rest):
+    argv = [command, *rest]
+
+    def parse(only):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                return vars(cli._build_parser(only).parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+
+    assert parse(command) == parse(None)

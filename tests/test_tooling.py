@@ -109,14 +109,16 @@ def test_the_packed_engine_stays_inside_binomial():
 
 def test_importing_the_cli_generates_no_value_class_code():
     # Frozen dataclasses compile their methods with exec when the class
-    # is made, and fractions pulls in decimal: each CLI call paid for
-    # both before any algebra ran.  Only the records that
+    # is made, fractions pulls in decimal, and hashlib loads OpenSSL:
+    # each CLI call paid for all three before any algebra ran, although
+    # only the --json digest hashes.  Only the records that
     # dataclasses.replace copies stay dataclasses.
     script = (
         "import dataclasses, sys\n"
         "import semiglue.cli\n"
         "from semiglue.value import Value\n"
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+        "print(sorted({'fractions', 'decimal', 'hashlib', '_hashlib'}\n"
+        "             & set(sys.modules)))\n"
         "classes = [c for name, m in list(sys.modules.items())\n"
         "           if name.startswith('semiglue') for c in vars(m).values()\n"
         "           if isinstance(c, type) and c.__module__ == name]\n"
