@@ -10,8 +10,9 @@ coprime membership witnesses, no when the ranks, an obstruction to
 membership or a rational cone rule it out, otherwise open within its
 bound.  It solves u in each rational cone once; that one subset loop
 also gives F, the columns on the smallest face of the cone that holds
-u, and the multiples k u are searched only over F and only for k in
-g N, where ZF meets Ru in g Zu.  ``verify_gluing`` decides one
+u, and the multiples k u are found only over F and only for k in g N,
+where ZF meets Ru in g Zu: by arithmetic when F is independent or a
+ray, by a membership search otherwise.  ``verify_gluing`` decides one
 candidate exactly by Rosales' lattice criterion (Semigroup Forum 55,
 1997): the column spaces meet in a line, and the least multiple L u in
 both scaled groups lies in both scaled semigroups.  A positive answer
@@ -653,10 +654,12 @@ def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
     u in each semigroup; coprime multiples suffice.  Per side, one run
     of ``_cone_solution``'s subset loop gives u's first cone solution
     and F, the columns on the smallest face of the cone holding u; then
-    one membership sweep, each search within work_limit, finds the
-    multiples k u up to kmax over F alone and only for k in g N, where
-    ZF meets Ru in g Zu.  A side whose cone misses u is not searched.
-    The answers are those of a sweep over every k and every column:
+    the multiples k u up to kmax are found over F alone and only for k
+    in g N, where ZF meets Ru in g Zu.  A side whose cone misses u is
+    not searched.  When F is independent or a ray, arithmetic gives the
+    multiples (``_face_multiples``); otherwise one membership sweep
+    does, each search within work_limit.  The answers are those of a
+    sweep over every k and every column:
 
     - The solutions lambda >= 0 of A lambda = u form a polytope, since
       A >= 0 has no zero column, so each is a convex combination of
@@ -664,33 +667,103 @@ def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
       supported on F, and the lexicographically largest e over F,
       padded with zeros, is the largest over A.
     - k u = F e lies in ZF and in Ru, that is in g Zu, so g divides k.
+    - F independent: u = F lambda has one solution, the first cone
+      solution e / M, so k u = F c forces c = k e / M, integral iff M
+      divides k; hence g = M and each multiple has one witness.
+    - F a ray, every column s_j u: F c = (sum s_j c_j) u, so the
+      multiples are the members of the numerical monoid <s_1..s_f>,
+      and the largest witness takes each c_j as large as the columns
+      after it can still complete.
     """
     return _decide_on_line(a, b, kmax, *_meeting_line(a, b), work_limit)
+
+
+def _numerical_multiples(scales: tuple, kmax: int) -> list:
+    """Return (k, e) for every 0 < k <= kmax in the monoid <scales>.
+
+    e is the lexicographically largest solution of sum s_j e_j = k with
+    e >= 0.  reach[j] has bit t set iff t <= kmax is a sum over
+    scales[j:]; e_1 is then the largest c with k - c s_1 in reach[1],
+    and so on down the columns.
+    """
+    full = (1 << kmax + 1) - 1
+    reach = [1]
+    for s in reversed(scales):
+        shifted = bits = reach[-1]
+        while shifted:
+            shifted = (shifted << s) & full
+            bits |= shifted
+        reach.append(bits)
+    reach.reverse()
+    found = []
+    for k in range(1, kmax + 1):
+        if not reach[0] >> k & 1:
+            continue
+        rem, e = k, []
+        for s, rest in zip(scales, reach[1:]):
+            c = rem // s
+            while not rest >> (rem - c * s) & 1:
+                c -= 1
+            e.append(c)
+            rem -= c * s
+        found.append((k, tuple(e)))
+    return found
 
 
 def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
                     work_limit: int) -> tuple:
     """Return u's first cone solution in gens and its multiples up to kmax.
 
-    The multiples are sorted (k, exponents), searched over the face of u
-    and padded back to the columns of gens.
+    The multiples are sorted (k, exponents), each exponent vector the
+    lexicographically largest over the face F of u, padded back to the
+    columns of gens.  Two kinds of face need no search:
+
+    - F is independent exactly when the first solution (e, M), with
+      A e = M u, is supported on all of F.  That solution is basic, so
+      its support is independent; and over an independent F the
+      solution lambda of F lambda = u is unique, so it is the only
+      basic one and its support is all of F.  Then F c = k u iff
+      c = k e / M, an integer vector iff M divides k, since M is the
+      least multiplier that clears lambda's denominators.  So the
+      multiples are k = j M with the one witness j e, and g = M.
+    - F is a ray when every column of F is s_j u; u is primitive, so
+      each s_j is a positive integer.  Then F c = (sum s_j c_j) u, and
+      k u lies in <F> iff k lies in the numerical monoid <s_1..s_f>;
+      ``_numerical_multiples`` reads its members and their largest
+      witnesses off one reachability table per suffix of F.
+
+    Any other face is swept by ``multiples_in_semigroup``, each search
+    within work_limit.  The first two paths search nothing and so spend
+    none of it.
     """
     solution, face = _cone_solution(u, gens.matrix, face=True)
     if not face:
         return None, ()
-    cols, names = gens.matrix.columns(), gens.block.names
-    on_face = SemigroupGens(
-        IntegerMatrix.from_columns([cols[j] for j in face]),
-        VariableBlock(tuple(names[j] for j in face)))
-    found = []
-    for k, e in sorted(multiples_in_semigroup(u, on_face, kmax,
-                                              work_limit).items()):
-        at = dict(zip(face, e))
-        exps = tuple(at.get(j, 0) for j in range(gens.count))
-        # A self-check of the padding; explicit so that -O keeps it.
+    first, mult = solution
+    if all(first[j] for j in face):
+        found = [(k, tuple(k // mult * x for x in first))
+                 for k in range(mult, kmax + 1, mult)]
+    else:
+        cols = gens.matrix.columns()
+        cols = [cols[j] for j in face]
+        nz = next(i for i, x in enumerate(u) if x)
+        scales = tuple(c[nz] // u[nz] for c in cols)
+        if all(tuple(s * x for x in u) == c for s, c in zip(scales, cols)):
+            on_face = _numerical_multiples(scales, kmax)
+        else:
+            names = tuple(gens.block.names[j] for j in face)
+            face_gens = SemigroupGens(IntegerMatrix.from_columns(cols),
+                                      VariableBlock(names))
+            on_face = sorted(multiples_in_semigroup(u, face_gens, kmax,
+                                                    work_limit).items())
+        found = []
+        for k, e in on_face:
+            at = dict(zip(face, e))
+            found.append((k, tuple(at.get(j, 0) for j in range(gens.count))))
+    for k, exps in found:
+        # A self-check of every witness; explicit so that -O keeps it.
         if gens.matrix.matvec(exps) != tuple(k * x for x in u):
             raise AssertionError(f"the face witness {exps} misses {k} * {u}")
-        found.append((k, exps))
     return solution, tuple(found)
 
 

@@ -13,11 +13,14 @@ reduction replaced, its seed loop and the minimal-generator scan, which
 its one driver replaced, and the brute-force oracle that bucketed every
 leaf of the box walk, which bucketing the walk's runs replaced.  The
 CLI's twelve-parser builder, which its command table replaced, is kept
-as the reference for every help, usage and error text.
+as the reference for every help, usage and error text, and the
+membership sweep over every face of the lattice point, which arithmetic
+on independent and ray faces replaced, for ``decide_pair``'s records.
 """
 
 import argparse
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, islice, product, repeat, starmap
 from math import gcd
@@ -33,12 +36,14 @@ from semiglue import (
     NotCoprime,
     SemigroupGens,
     check_rank_conditions,
+    decide_pair,
     embed,
+    gluable_lattice_point,
     ideal_equal,
     is_member,
     level,
 )
-from semiglue import __version__, binomial, cli, toric
+from semiglue import __version__, binomial, cli, gluing, toric
 from semiglue.binomial import (
     Monomial,
     MonomialOrder,
@@ -62,8 +67,10 @@ from semiglue.exactlin import (
 from semiglue.gluing import (
     GluingReport,
     RankConditions,
+    _cone_solution,
     _meeting_line,
     _mixed_binomial,
+    multiples_in_semigroup,
 )
 from semiglue.toric import (
     GradedBinomialSet,
@@ -789,6 +796,157 @@ def oracle_identity_sweep(trials=400, seed=20261022):
         seen["last column fits 0 times"] += any(
             b < x for b, x in zip(bound, last))
         seen["nonempty"] += bool(got)
+    return bad, seen
+
+
+# -- reference for decide_pair's arithmetic faces ---------------------------
+
+def search_face_multiples(u, gens, kmax, work_limit):
+    """Return ``gluing._face_multiples``'s answer by a membership sweep.
+
+    The sweep as it was before independent and ray faces were answered
+    by arithmetic, kept verbatim as the reference: every face is searched
+    by ``multiples_in_semigroup``.
+    """
+    solution, face = _cone_solution(u, gens.matrix, face=True)
+    if not face:
+        return None, ()
+    cols, names = gens.matrix.columns(), gens.block.names
+    on_face = SemigroupGens(
+        IntegerMatrix.from_columns([cols[j] for j in face]),
+        VariableBlock(tuple(names[j] for j in face)))
+    found = []
+    for k, e in sorted(multiples_in_semigroup(u, on_face, kmax,
+                                              work_limit).items()):
+        at = dict(zip(face, e))
+        exps = tuple(at.get(j, 0) for j in range(gens.count))
+        # A self-check of the padding; explicit so that -O keeps it.
+        if gens.matrix.matvec(exps) != tuple(k * x for x in u):
+            raise AssertionError(f"the face witness {exps} misses {k} * {u}")
+        found.append((k, exps))
+    return solution, tuple(found)
+
+
+def search_decide_pair(a, b, kmax):
+    """Return ``decide_pair``'s record with every face swept by search."""
+    real = gluing._face_multiples
+    gluing._face_multiples = search_face_multiples
+    try:
+        return decide_pair(a, b, kmax)
+    finally:
+        gluing._face_multiples = real
+
+
+# Numerical monoids with gaps past their least generator.
+GAPPED_SCALES = ((6, 10, 15), (3, 5), (4, 6, 9), (5, 7, 8), (6, 7, 8, 11),
+                 (2, 3), (4, 10), (9, 12))
+
+
+def random_direction(rng, ambient):
+    """Return a random primitive nonnegative nonzero vector."""
+    while True:
+        d = tuple(rng.randrange(4) for _ in range(ambient))
+        if any(d):
+            return primitive(d)
+
+
+def random_ray_columns(rng, d):
+    """Return 1-4 distinct positive multiples of d, in a shuffled order."""
+    if rng.random() < 0.3:
+        scales = list(rng.choice(GAPPED_SCALES))
+    else:
+        scales = list({rng.randint(1, 15) for _ in range(rng.randint(1, 4))})
+    rng.shuffle(scales)
+    return [tuple(s * x for x in d) for s in scales]
+
+
+def face_pair(rng):
+    """Return a rank-compatible pair whose faces of u vary in kind, or None.
+
+    One side is a ray on a primitive direction d in N^2 or N^3.  The other
+    is another ray on d; or some multiples of d with off-ray columns,
+    which leave d on an extreme ray of their cone or inside it; or
+    independent columns, scaled by 1-3, whose positive combination is a
+    multiple of d, so that u's cone solution often needs M > 1.  The
+    sides are swapped half the time.
+    """
+    n = rng.randint(2, 3)
+    d = random_direction(rng, n)
+    ray = random_ray_columns(rng, d)
+    kind = rng.randrange(3)
+    if kind == 0:
+        other = random_ray_columns(rng, d)
+    elif kind == 1:
+        other = random_ray_columns(rng, d)[:rng.randint(0, 2)]
+        for _ in range(rng.randint(1, 3)):
+            col = tuple(rng.randrange(5) for _ in range(n))
+            if any(col):
+                other.append(col)
+        rng.shuffle(other)
+    else:
+        basis = [tuple(rng.randint(1, 3) * rng.randrange(3) for _ in range(n))
+                 for _ in range(rng.randint(1, n))]
+        if fraction_rank(basis) < len(basis):
+            return None
+        d = primitive(tuple(sum(rng.randint(1, 3) * c[i] for c in basis)
+                            for i in range(n)))
+        ray = random_ray_columns(rng, d)
+        other = basis + [tuple(rng.randrange(4) for _ in range(n))
+                         for _ in range(rng.randint(0, 2))]
+    other = [c for c in dict.fromkeys(other) if any(c)]
+    if not other:
+        return None
+    sides = [ray, other]
+    rng.shuffle(sides)
+    a = SemigroupGens.from_columns(sides[0], "x")
+    b = SemigroupGens.from_columns(sides[1], "y")
+    return (a, b) if check_rank_conditions(a, b).ok else None
+
+
+def face_kind(u, gens):
+    """Return which path of ``_face_multiples`` decides u's face in gens."""
+    solution, face = _cone_solution(u, gens.matrix, face=True)
+    if not face:
+        return "cone miss"
+    if all(solution[0][j] for j in face):
+        return "independent face, M > 1" if solution[1] > 1 else (
+            "independent face, M = 1")
+    cols = gens.matrix.columns()
+    if all(primitive(cols[j]) == u for j in face):
+        nz = next(i for i, x in enumerate(u) if x)
+        least = min(cols[j][nz] // u[nz] for j in face)
+        return "ray face with gaps" if least > 1 else "ray face"
+    return "other face"
+
+
+def face_identity_sweep(pairs=200, seed=20261024,
+                        kmaxes=(1, 7, 12, 30, 50)):
+    """Compare ``decide_pair`` with ``search_decide_pair``, whole records.
+
+    The pool is the ``chain_sweep`` benchmark's 200 pairs and ``pairs``
+    seeded ``face_pair`` pairs, each decided at every kmax in ``kmaxes``.
+    Returns the mismatches, as strings, and a Counter of the face kinds
+    met (both sides of every pair) and of the verdicts.  Nothing is
+    asserted, so that the sweep checks the same under ``python -O``.
+    """
+    rng = Random(seed)
+    pool = chain_pairs(200)
+    while len(pool) < 200 + pairs:
+        pair = face_pair(rng)
+        if pair is not None:
+            pool.append(pair)
+    bad, seen = [], Counter()
+    for a, b in pool:
+        u = gluable_lattice_point(a, b)
+        for gens in (a, b):
+            seen[face_kind(u, gens)] += 1
+        for kmax in kmaxes:
+            got, want = decide_pair(a, b, kmax), search_decide_pair(a, b, kmax)
+            if [getattr(got, f.name) for f in fields(got)] != [
+                    getattr(want, f.name) for f in fields(want)]:
+                bad.append(f"{a.matrix.columns()} {b.matrix.columns()} "
+                           f"{kmax}: {got} != {want}")
+            seen[f"gluable {got.gluable}"] += 1
     return bad, seen
 
 

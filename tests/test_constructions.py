@@ -232,22 +232,32 @@ def test_rank1_gluable_requires_the_rank_profile():
 
 
 def test_rank1_gluable_checks_the_ranks_before_any_membership(monkeypatch):
-    searched = []
-    real = gluing.is_member
+    decided, searched = [], []
+    decide, real = gluing._face_multiples, gluing.is_member
+
+    def sides(u, gens, kmax, work_limit):
+        decided.append(gens.block.names[0])
+        return decide(u, gens, kmax, work_limit)
 
     def counted(v, gens, work_limit=10 ** 6):
         searched.append(v)
         return real(v, gens, work_limit)
 
+    monkeypatch.setattr(gluing, "_face_multiples", sides)
     monkeypatch.setattr(gluing, "is_member", counted)
     # Rank 2 and rank 2 in three dimensions, meeting in a line.
     a, b = twisted_pair()
     with pytest.raises(RankMismatch, match="need rank 3 and rank 1"):
         rank1_gluable(a, b)
-    assert searched == []
+    assert decided == searched == []
+    # u = (1, 1, 0): the ray is decided by arithmetic, but its face in
+    # the full semigroup holds x1, x2 and x4, dependent and off the ray,
+    # so that side is searched.
     ray = SemigroupGens.from_columns([(1, 1, 0), (2, 2, 0)], "y")
-    full = SemigroupGens.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)], "x")
+    full = SemigroupGens.from_columns(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], "x")
     assert rank1_gluable(full, ray).gluable is True
+    assert decided == ["x1", "y1"]
     assert searched
 
 

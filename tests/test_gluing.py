@@ -41,6 +41,7 @@ from semiglue.toric import BoundTooLarge
 from support import (
     brute_members,
     chain_pairs,
+    face_identity_sweep,
     ideal_identity_gluing,
     ideal_identity_holds,
     kernel_cone_solution,
@@ -434,6 +435,36 @@ def test_face_sweep_matches_the_sweep_over_every_multiple():
     assert pruned >= 20, pruned
 
 
+def test_decide_pair_matches_the_face_search_reference():
+    # Independent and ray faces are decided by arithmetic, other faces by
+    # the membership sweep; whole records must equal those of the sweep
+    # over every face, on the chain_sweep pool and on seeded pairs built
+    # around rays (gapped monoids, shuffled columns, off-ray columns)
+    # and independent faces with M > 1.
+    bad, seen = face_identity_sweep()
+    assert bad == [], bad[:3]
+    assert min(seen.values()) >= 50, seen
+
+
+def test_decide_pair_matches_the_face_search_reference_under_optimization(
+        tmp_path):
+    script = tmp_path / "faces.py"
+    script.write_text(
+        "from support import face_identity_sweep\n"
+        "bad, seen = face_identity_sweep()\n"
+        "print(len(bad), min(seen.values()))\n"
+        "print(*bad[:3], sep='\\n')\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    bad, least = map(int, done.stdout.split("\n", 1)[0].split())
+    assert bad == 0 and least >= 50, done.stdout
+
+
 def test_no_multiple_possible_detects_the_skewed_cubic():
     a, b = twisted_bad_pair()
     u = gluable_lattice_point(a, b)
@@ -490,21 +521,30 @@ def test_decide_pair_finds_the_smallest_coprime_pair():
 
 
 def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
-    sides = []
-    sweep = gluing.multiples_in_semigroup
+    # Each side's multiples are decided once.  Only A's face of u, the
+    # whole dependent quartic, is searched; B's face is the one column
+    # (3, 3, 0), an independent face decided by arithmetic.
+    sides, swept = [], []
+    decide, sweep = gluing._face_multiples, gluing.multiples_in_semigroup
+
+    def decided(u, gens, kmax, work_limit):
+        sides.append(gens.block.names[0])
+        return decide(u, gens, kmax, work_limit)
 
     def counted(u, gens, kmax=50, work_limit=10 ** 6):
-        sides.append(gens.block.names[0])
+        swept.append(gens.block.names[0])
         return sweep(u, gens, kmax, work_limit)
 
+    monkeypatch.setattr(gluing, "_face_multiples", decided)
     monkeypatch.setattr(gluing, "multiples_in_semigroup", counted)
     implication_chain_audit(*twisted_pair())
-    assert sides == ["x1", "y1"]
+    assert (sides, swept) == (["x1", "y1"], ["x1"])
     sides.clear()
+    swept.clear()
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     assert cli.main(["find-gluing", str(corpus / "twisted_glue.txt")]) == 0
     capsys.readouterr()
-    assert sides == ["x1", "y1"]
+    assert (sides, swept) == (["x1", "y1"], ["x1"])
 
 
 def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
@@ -940,8 +980,9 @@ def test_decide_pair_takes_a_kernel_only_for_the_line_indices(monkeypatch):
     monkeypatch.setattr(gluing, "kernel_lattice_basis", counted)
     decision = decide_pair(*twisted_pair(), 12)
     assert decision.pair == (3, 2)
-    # one _line_index per side, on the face of u
-    assert len(calls) == 2
+    # one _line_index, on A's face of u; B's face is the one column
+    # (3, 3, 0), whose index is read off its cone solution
+    assert len(calls) == 1
 
 
 def test_audit_of_a_gluable_pair():

@@ -1,0 +1,47 @@
+"""The source paper's claims, each checked by one named test."""
+
+from math import gcd
+from random import Random
+
+from semiglue import GluingCandidate, SemigroupGens, decide_pair, verify_gluing
+
+
+def frobenius_number(gens):
+    """Return the largest integer outside <gens>, whose gcd is 1; -1 for N.
+
+    Schur's bound puts it below (min gens - 1)(max gens - 1), so a table
+    up to (max gens)^2 holds it.
+    """
+    bound = max(gens) ** 2
+    member = [True] + [False] * bound
+    for t in range(1, bound + 1):
+        member[t] = any(t >= g and member[t - g] for g in gens)
+    return max((t for t in range(bound + 1) if not member[t]), default=-1)
+
+
+def random_numerical_gens(rng, prefix):
+    """Return 1-4 distinct generators <= 15 of a numerical semigroup in N^1."""
+    while True:
+        gens = rng.sample(range(1, 16), rng.randint(1, 4))
+        if gcd(*gens) == 1:
+            return sorted(gens), SemigroupGens.from_columns(
+                [(g,) for g in sorted(gens)], prefix)
+
+
+def test_any_two_numerical_semigroups_glue():
+    # The paper's n = 1 case.  Past both Frobenius numbers F_A and F_B
+    # every integer lies in both semigroups, so the consecutive, hence
+    # coprime, multiples F + 1 and F + 2 of u = (1) with F = max(F_A,
+    # F_B) are a pair within kmax = F + 2.
+    rng = Random(20261025)
+    gapped = 0
+    for _ in range(150):
+        ga, a = random_numerical_gens(rng, "x")
+        gb, b = random_numerical_gens(rng, "y")
+        kmax = max(frobenius_number(ga), frobenius_number(gb)) + 2
+        gapped += kmax > 2
+        decision = decide_pair(a, b, kmax)
+        assert decision.gluable is True, (ga, gb, decision.detail)
+        report = verify_gluing(GluingCandidate(a, b, *decision.pair))
+        assert report.is_gluing, (ga, gb, decision.pair, report.detail)
+    assert gapped >= 100, gapped

@@ -30,7 +30,7 @@ from semiglue import (
 )
 from semiglue import cli
 from semiglue.exactlin import _round_half_even
-from semiglue.gluing import is_member
+from semiglue.gluing import _face_multiples, is_member
 from support import fraction_rank, integer_combination
 
 X3 = VariableBlock.prefixed("x", 3)
@@ -213,6 +213,35 @@ def test_membership_refusals_are_real(gens, v):
         combos = [c[:j] + (e,) + c[j + 1:]
                   for c in combos for e in range(cap + 1)]
     assert all(gens.adegree(c) != v for c in combos)
+
+
+@st.composite
+def numerical_rays(draw):
+    """Return a primitive direction in N^1..N^3 and 2-4 distinct scales."""
+    n = draw(st.integers(1, 3))
+    d = primitive(draw(st.lists(st.integers(0, 3), min_size=n,
+                                max_size=n).filter(any)))
+    scales = draw(st.lists(st.integers(1, 15), min_size=2, max_size=4,
+                           unique=True))
+    return d, scales
+
+
+@settings(deadline=None, max_examples=150)
+@given(numerical_rays(), st.integers(1, 40))
+def test_ray_faces_match_the_membership_search(ray, kmax):
+    # Two or more columns s_j d on one ray: the face of d is the whole
+    # ray, which is dependent, so _face_multiples answers from the
+    # numerical monoid <s_j>, with no search.
+    d, scales = ray
+    gens = SemigroupGens.from_columns([tuple(s * x for x in d)
+                                       for s in scales])
+    expected = {}
+    for k in range(1, kmax + 1):
+        e = is_member(tuple(k * x for x in d), gens)
+        if e is not None:
+            expected[k] = e
+    assert _face_multiples(d, gens, kmax, 10 ** 6)[1] == tuple(
+        sorted(expected.items()))
 
 
 betti_values = st.lists(st.integers(0, 9), min_size=0, max_size=4).map(
