@@ -153,7 +153,8 @@ class Binomial(Value):
     __slots__ = _fields = ("plus", "minus")
 
     def __init__(self, plus: Monomial, minus: Monomial) -> None:
-        assert plus.block == minus.block
+        # identity first, the common case, as in _same_block
+        assert plus.block is minus.block or plus.block == minus.block
         assert plus.exponents != minus.exponents, "zero binomial"
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
@@ -187,6 +188,41 @@ class Binomial(Value):
 
     def __str__(self) -> str:
         return f"{self.plus} - {self.minus}"
+
+
+def _binomial_batch(block: VariableBlock, exps,
+                    pairs) -> tuple[Binomial, ...]:
+    """Return x^exps[a] - x^exps[b] over the block for each pair (a, b).
+
+    Each monomial is built once, however many pairs it is in, and the
+    constructors' checks run once over the batch, explicit so that -O
+    keeps them: one exponent per variable, none negative, and no pair
+    of equal monomials.
+    """
+    if any(len(e) != block.size for e in exps):
+        raise ValueError("an exponent vector's length differs from the "
+                         "block's")
+    if exps and min(map(min, exps)) < 0:
+        raise ValueError("exponents must be nonnegative")
+    if any(exps[a] == exps[b] for a, b in pairs):
+        raise ValueError("the two monomials are equal: zero binomial")
+    # the slots' own setters: Value.__setattr__ refuses every write
+    new_mono, new_bino = Monomial.__new__, Binomial.__new__
+    set_block, set_exps = Monomial.block.__set__, Monomial.exponents.__set__
+    set_plus, set_minus = Binomial.plus.__set__, Binomial.minus.__set__
+    mons = []
+    for e in exps:
+        m = new_mono(Monomial)
+        set_block(m, block)
+        set_exps(m, e)
+        mons.append(m)
+    out = []
+    for a, b in pairs:
+        g = new_bino(Binomial)
+        set_plus(g, mons[a])
+        set_minus(g, mons[b])
+        out.append(g)
+    return tuple(out)
 
 
 def _canonical_key(b: Binomial) -> tuple:

@@ -17,13 +17,15 @@ candidate exactly by Rosales' lattice criterion (Semigroup Forum 55,
 1997): the column spaces meet in a line, and the least multiple L u in
 both scaled groups lies in both scaled semigroups.  A positive answer
 comes with rho, a negative answer with the invariant that rules it
-out.  The implication-chain audit reads ``decide_pair``'s record.
+out; the toric ideals behind the report's generator counts and
+homology are computed when those are read.  The implication-chain
+audit reads ``decide_pair``'s record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple
@@ -401,7 +403,15 @@ def _line_index(gens: SemigroupGens, u: Vector) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GluingReport:
-    """Everything verify_gluing found out about one candidate."""
+    """Everything verify_gluing found out about one candidate.
+
+    The decision needs no toric ideal, so the generator counts mu_a,
+    mu_b and mu_c and the homology summary are computed when first read
+    and then kept: mu(C) = mu(A) + mu(B) + 1 for a gluing, and the glued
+    ideal's count otherwise.  The record has no ``__slots__``, so that
+    ``cached_property`` can store them, and ``dataclasses.replace``
+    copies only the decision.
+    """
 
     candidate: GluingCandidate
     rank: RankConditions
@@ -409,12 +419,33 @@ class GluingReport:
     is_gluing: bool
     rho: Binomial | None
     rho_level: int | None
-    mu_a: int
-    mu_b: int
-    mu_c: int
     shared_columns: tuple
-    homology: HomologySummary
     detail: str
+
+    @cached_property
+    def mu_a(self) -> int:
+        return toric_ideal(self.candidate.a).mu
+
+    @cached_property
+    def mu_b(self) -> int:
+        return toric_ideal(self.candidate.b).mu
+
+    @cached_property
+    def mu_c(self) -> int:
+        if self.is_gluing:
+            return self.mu_a + self.mu_b + 1
+        cand = self.candidate
+        return toric_ideal_of_matrix(cand.c_matrix, cand.c_block).mu
+
+    @cached_property
+    def homology(self) -> HomologySummary:
+        # Scaling the two blocks does not change the rank of [A|B].
+        dim_c = self.rank.rank_joint
+        codim_c = self.candidate.c_matrix.cols - dim_c
+        if self.mu_c == codim_c:
+            return HomologySummary.make(dim_c, codim_c, dim_c, ci=True,
+                                        mu=self.mu_c)
+        return HomologySummary.make(dim_c, ci=False, mu=self.mu_c)
 
 
 def verify_gluing(cand: GluingCandidate,
@@ -429,13 +460,12 @@ def verify_gluing(cand: GluingCandidate,
     x^c - y^d of degree L u then completes the two ideals.  With coprime
     scalings and L = k1 k2, rho comes from the two membership witnesses;
     otherwise from the first vector of each fiber over L u.  work_limit
-    bounds the two membership searches and that walk.  A gluing has
-    mu(C) = mu(A) + mu(B) + 1; only a negative answer computes the glued
-    ideal, whose generator count says whether mu already rules the
-    candidate out.
+    bounds the two membership searches and that walk.  A yes computes no
+    toric ideal.  Only a no whose column spaces meet in a line computes
+    I_A, I_B and the glued ideal, whose generator counts say whether mu
+    already rules the candidate out; the report's mu and homology are
+    computed when read.
     """
-    ia = toric_ideal(cand.a)
-    ib = toric_ideal(cand.b)
     rc, u = _meeting_line(cand.a, cand.b)
     k1, k2 = cand.k1, cand.k2
     rho = lev = d = None
@@ -462,25 +492,18 @@ def verify_gluing(cand: GluingCandidate,
                                      f"miss the degree {v}")
         rho = _mixed_binomial(cand, c, d)
         lev = ell // (k1 * k2) if coprime else None
-        mu_c = ia.mu + ib.mu + 1
+    elif not rc.ok:
+        detail = "the column spaces do not meet in a line"
     else:
+        mu_a, mu_b = toric_ideal(cand.a).mu, toric_ideal(cand.b).mu
         mu_c = toric_ideal_of_matrix(cand.c_matrix, cand.c_block).mu
-        if not rc.ok:
-            detail = "the column spaces do not meet in a line"
-        elif mu_c != ia.mu + ib.mu + 1:
+        if mu_c != mu_a + mu_b + 1:
             detail = (f"generator counts rule it out: {mu_c} != "
-                      f"{ia.mu} + {ib.mu} + 1")
+                      f"{mu_a} + {mu_b} + 1")
         else:
             detail = "no single mixed binomial completes the two ideals"
-    # Scaling the two blocks does not change the rank of [A|B].
-    dim_c = rc.rank_joint
-    codim_c = cand.c_matrix.cols - dim_c
-    if mu_c == codim_c:
-        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=mu_c)
-    else:
-        hom = HomologySummary.make(dim_c, ci=False, mu=mu_c)
-    return GluingReport(cand, rc, u, rho is not None, rho, lev, ia.mu, ib.mu,
-                        mu_c, cand.shared_columns, hom, detail)
+    return GluingReport(cand, rc, u, rho is not None, rho, lev,
+                        cand.shared_columns, detail)
 
 
 def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):

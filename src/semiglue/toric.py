@@ -28,9 +28,9 @@ from operator import and_, floordiv, lshift, mul, rshift, sub
 from .binomial import (
     Binomial,
     BinomialIdeal,
-    Monomial,
     MonomialOrder,
     VariableBlock,
+    _binomial_batch,
     _buchberger,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
     _canonical_key,
     _coprime,
@@ -445,5 +445,6 @@ def enumerate_oracle(gens: SemigroupGens, degree_bound,
     # _canonical_key's order, then the two monomials' places in exps
     keys = [(sums[a], exps[a], sums[b], exps[b], a, b) for a, b in pairs]
     keys.sort()
-    mons = list(map(Monomial, repeat(gens.block), exps))
-    return tuple([Binomial(mons[a], mons[b]) for _, _, _, _, a, b in keys])
+    pairs = [(a, b) for _, _, _, _, a, b in keys]
+    del keys  # before the binomials are built, which sets the peak memory
+    return _binomial_batch(gens.block, exps, pairs)

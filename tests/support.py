@@ -26,6 +26,7 @@ from itertools import combinations, islice, product, repeat, starmap
 from math import gcd
 from operator import lshift, sub
 from random import Random
+from typing import NamedTuple
 
 from semiglue import (
     Binomial,
@@ -65,7 +66,6 @@ from semiglue.exactlin import (
     primitive,
 )
 from semiglue.gluing import (
-    GluingReport,
     RankConditions,
     _cone_solution,
     _meeting_line,
@@ -334,8 +334,29 @@ def ideal_identity_holds(cand: GluingCandidate, rho) -> bool:
     return ideal_equal(BinomialIdeal(cand.c_block, joined + (rho,)), ic.ideal)
 
 
+class IdentityReport(NamedTuple):
+    """The reference's answer, under ``GluingReport``'s attribute names.
+
+    Its mu and homology are computed eagerly, from I_A, I_B and I_C, so
+    comparing with a report checks the report's lazily computed ones.
+    """
+
+    candidate: GluingCandidate
+    rank: RankConditions
+    u: tuple | None
+    is_gluing: bool
+    rho: Binomial | None
+    rho_level: int | None
+    mu_a: int
+    mu_b: int
+    mu_c: int
+    shared_columns: tuple
+    homology: HomologySummary
+    detail: str
+
+
 def ideal_identity_gluing(cand: GluingCandidate,
-                          work_limit: int = 10 ** 6) -> GluingReport:
+                          work_limit: int = 10 ** 6) -> IdentityReport:
     """Decide a gluing by I_C = I_A + I_B + (rho), with the Groebner engine.
 
     When the rank conditions and mu(C) = mu(A) + mu(B) + 1 hold, any
@@ -358,11 +379,11 @@ def ideal_identity_gluing(cand: GluingCandidate,
     base = dict(candidate=cand, rank=rc, mu_a=ia.mu, mu_b=ib.mu, mu_c=ic.mu,
                 shared_columns=cand.shared_columns, homology=hom)
     if not rc.ok:
-        return GluingReport(u=None, is_gluing=False, rho=None, rho_level=None,
-                            detail="the column spaces do not meet in a line",
-                            **base)
+        return IdentityReport(
+            u=None, is_gluing=False, rho=None, rho_level=None,
+            detail="the column spaces do not meet in a line", **base)
     if ic.mu != ia.mu + ib.mu + 1:
-        return GluingReport(
+        return IdentityReport(
             u=u, is_gluing=False, rho=None, rho_level=None,
             detail=(f"generator counts rule it out: {ic.mu} != "
                     f"{ia.mu} + {ib.mu} + 1"), **base)
@@ -376,9 +397,9 @@ def ideal_identity_gluing(cand: GluingCandidate,
             lev = level(rho, cand)
             assert lev == 1, (
                 f"coprime membership witnesses give level {lev}, not 1")
-            return GluingReport(u=u, is_gluing=True, rho=rho, rho_level=lev,
-                                detail="glued by coprime membership "
-                                       "witnesses", **base)
+            return IdentityReport(
+                u=u, is_gluing=True, rho=rho, rho_level=lev,
+                detail="glued by coprime membership witnesses", **base)
     # Each x^c - y^d comes up once: c fixes deg = k1 A c, and a fiber
     # lists distinct vectors.  A binomial of degree zero would be zero,
     # so neither c nor d is.
@@ -400,12 +421,12 @@ def ideal_identity_gluing(cand: GluingCandidate,
                         lev = level(rho, cand)
                     except NotCoprime:
                         lev = None
-                    return GluingReport(
+                    return IdentityReport(
                         u=u, is_gluing=True, rho=rho, rho_level=lev,
                         detail="glued by a mixed minimal generator", **base)
-    return GluingReport(u=u, is_gluing=False, rho=None, rho_level=None,
-                        detail="no single mixed binomial completes the two "
-                               "ideals", **base)
+    return IdentityReport(u=u, is_gluing=False, rho=None, rho_level=None,
+                          detail="no single mixed binomial completes the two "
+                                 "ideals", **base)
 
 
 # -- references for the fraction-free solves --------------------------------

@@ -85,6 +85,54 @@ def test_direct_constructor_keeps_raw_exponents():
         b4((1, 0, 0, 0), (1, 0, 0, 0))
 
 
+def binomial_batch_answers():
+    """Return what ``_binomial_batch`` gives for a good batch and three bad.
+
+    Plain values, so that the -O twin can print them.
+    """
+    exps = [(1, 0, 0, 2), (0, 1, 1, 0), (0, 0, 2, 1)]
+    batch = binomial._binomial_batch(X4, exps, [(0, 1), (2, 0), (1, 2)])
+    answers = [batch == (b4(exps[0], exps[1]), b4(exps[2], exps[0]),
+                         b4(exps[1], exps[2]))
+               and all(g.block is X4 for g in batch)]
+    for bad, pairs in (([(1, 0, 0), (0, 1, 0)], [(0, 1)]),
+                       ([(1, -1, 0, 0), (0, 1, 0, 0)], [(0, 1)]),
+                       ([(1, 0, 0, 0), (1, 0, 0, 0)], [(0, 1)])):
+        try:
+            binomial._binomial_batch(X4, bad, pairs)
+        except ValueError as exc:
+            answers.append(str(exc))
+        else:
+            answers.append("accepted")
+    return answers
+
+
+BATCH_ANSWERS = [
+    True,
+    "an exponent vector's length differs from the block's",
+    "exponents must be nonnegative",
+    "the two monomials are equal: zero binomial",
+]
+
+
+def test_binomial_batch_builds_checked_binomials():
+    assert binomial_batch_answers() == BATCH_ANSWERS
+
+
+def test_binomial_batch_checks_hold_under_optimization(tmp_path):
+    script = tmp_path / "batch.py"
+    script.write_text("from test_binomial import binomial_batch_answers\n"
+                      "print(repr(binomial_batch_answers()))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(BATCH_ANSWERS) + "\n"
+
+
 def test_binomial_from_vector():
     f = binomial_from_vector(X4, (1, -2, 1, 0))
     assert f.as_pair() == ((1, 0, 1, 0), (0, 2, 0, 0))

@@ -1,5 +1,6 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -35,7 +36,7 @@ from semiglue import (
     rank1_gluable,
     verify_gluing,
 )
-from semiglue import cli, gluing
+from semiglue import cli, gluing, toric
 from semiglue.gluing import _cone_solution, in_cone, no_multiple_possible
 from semiglue.toric import BoundTooLarge
 from support import (
@@ -638,6 +639,96 @@ def test_a_yes_computes_no_glued_ideal(monkeypatch):
         assert verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing
 
 
+def lazy_report_facts():
+    """Return what a report computes in verify_gluing and what on reading.
+
+    A counting spy on ``toric_ideal_of_matrix``, in ``toric`` (behind
+    ``toric_ideal``) and in ``gluing``, records the column count of each
+    matrix it is asked for; it sits outside the cache, so hits count
+    too.  Plain values, so that the -O twin can print them.
+    """
+    calls = []
+    real = toric.toric_ideal_of_matrix
+
+    def spy(matrix, block):
+        calls.append(matrix.cols)
+        return real(matrix, block)
+
+    def invariants(report):
+        return (report.mu_a, report.mu_b, report.mu_c, repr(report.homology))
+
+    facts = {}
+    toric.toric_ideal_of_matrix = gluing.toric_ideal_of_matrix = spy
+    try:
+        yes = verify_gluing(GluingCandidate(*twisted_pair()))
+        facts["yes"] = (yes.is_gluing, tuple(calls))
+        facts["yes read"] = invariants(yes)
+        facts["yes read twice"] = invariants(yes)
+        facts["yes spy"] = tuple(calls)
+        calls.clear()
+        no = verify_gluing(GluingCandidate(*linear_binomial_pair()))
+        facts["no"] = (no.is_gluing, no.detail, tuple(calls))
+        facts["no read"] = invariants(no)
+        calls.clear()
+        far = verify_gluing(GluingCandidate(*crossing_plane_pair()))
+        facts["rank no"] = (far.is_gluing, tuple(calls))
+        facts["rank no read"] = invariants(far)
+        calls.clear()
+        copy = dataclasses.replace(yes, is_gluing=False)
+        facts["replaced"] = (type(copy).__name__, copy.is_gluing,
+                             copy.rho is yes.rho, copy.detail == yes.detail)
+        facts["replaced read"] = invariants(copy)
+        facts["replaced spy"] = tuple(calls)
+    finally:
+        toric.toric_ideal_of_matrix = gluing.toric_ideal_of_matrix = real
+    return facts
+
+
+# The seed code's values, which it computed inside verify_gluing.
+LAZY_FACTS = {
+    "yes": (True, ()),
+    "yes read": (3, 3, 7, "HomologySummary(dim=3, pd=None, depth=None, "
+                          "ci=False, cm=None, gorenstein=None, mu=7)"),
+    "yes read twice": (3, 3, 7, "HomologySummary(dim=3, pd=None, "
+                                "depth=None, ci=False, cm=None, "
+                                "gorenstein=None, mu=7)"),
+    # I_A and I_B on the first read; mu_c is their sum plus one.
+    "yes spy": (4, 4),
+    "no": (False, "generator counts rule it out: 13 != 4 + 3 + 1",
+           (5, 5, 10)),
+    "no read": (4, 3, 13, "HomologySummary(dim=3, pd=None, depth=None, "
+                          "ci=False, cm=None, gorenstein=None, mu=13)"),
+    "rank no": (False, ()),
+    "rank no read": (0, 0, 2, "HomologySummary(dim=2, pd=2, depth=2, "
+                              "ci=True, cm=True, gorenstein=True, mu=2)"),
+    # replace copies the decision only: a no reads I_C, whose mu is 7.
+    "replaced": ("GluingReport", False, True, True),
+    "replaced read": (3, 3, 7, "HomologySummary(dim=3, pd=None, "
+                               "depth=None, ci=False, cm=None, "
+                               "gorenstein=None, mu=7)"),
+    "replaced spy": (4, 4, 8),
+}
+
+
+def test_report_invariants_are_computed_when_read():
+    assert lazy_report_facts() == LAZY_FACTS
+
+
+def test_report_invariants_are_computed_when_read_under_optimization(
+        tmp_path):
+    script = tmp_path / "lazy.py"
+    script.write_text("from test_gluing import lazy_report_facts\n"
+                      "print(repr(lazy_report_facts()))\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
+                                           str(here)]))
+    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(LAZY_FACTS) + "\n"
+
+
 # -- levels ------------------------------------------------------------------
 
 def test_level_of_the_twisted_gluing_binomial():
@@ -841,9 +932,10 @@ def test_lattice_criterion_agrees_with_the_ideal_identity():
         got = verify_gluing(cand)
         want = ideal_identity_gluing(cand)
         assert ((got.is_gluing, str(got.rho), got.rho_level, got.detail,
-                 got.mu_c, got.homology)
+                 got.mu_a, got.mu_b, got.mu_c, got.homology)
                 == (want.is_gluing, str(want.rho), want.rho_level,
-                    want.detail, want.mu_c, want.homology)), cand
+                    want.detail, want.mu_a, want.mu_b, want.mu_c,
+                    want.homology)), cand
         if got.is_gluing:
             assert ideal_identity_holds(cand, got.rho), cand
             mixed_yes += got.detail == "glued by a mixed minimal generator"

@@ -3,7 +3,16 @@
 from math import gcd
 from random import Random
 
-from semiglue import GluingCandidate, SemigroupGens, decide_pair, verify_gluing
+from semiglue import (
+    GluingCandidate,
+    SemigroupGens,
+    decide_pair,
+    is_complete_intersection,
+    rank,
+    verify_gluing,
+)
+from semiglue.toric import toric_ideal_of_matrix
+from support import chain_pairs
 
 
 def frobenius_number(gens):
@@ -45,3 +54,29 @@ def test_any_two_numerical_semigroups_glue():
         report = verify_gluing(GluingCandidate(a, b, *decision.pair))
         assert report.is_gluing, (ga, gb, decision.pair, report.detail)
     assert gapped >= 100, gapped
+
+
+def test_gluings_of_complete_intersections_are_complete_intersections():
+    # The paper's inheritance claim, complete-intersection case: I_C is
+    # I_A + I_B plus one binomial, so when I_A and I_B are complete
+    # intersections, mu(C) = mu(A) + mu(B) + 1 is the codimension of C.
+    # The report's mu(C) is that sum, computed when read, so it is also
+    # checked against the glued ideal's own generator count.
+    yes = higher = 0
+    for a, b in chain_pairs(300, seed=20261024):
+        decision = decide_pair(a, b, 12)
+        if decision.gluable is not True:
+            continue
+        report = verify_gluing(GluingCandidate(a, b, *decision.pair))
+        assert report.is_gluing, (a, b, decision.pair, report.detail)
+        if not (is_complete_intersection(a)
+                and is_complete_intersection(b)):
+            continue
+        yes += 1
+        c = report.candidate
+        codim = c.c_matrix.cols - rank(c.c_matrix)
+        glued = toric_ideal_of_matrix(c.c_matrix, c.c_block).mu
+        assert report.mu_c == codim == glued, (a, b, decision.pair)
+        assert report.homology.ci is True, (a, b, decision.pair)
+        higher += report.mu_c >= 4
+    assert yes >= 100 and higher >= 10, (yes, higher)

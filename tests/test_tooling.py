@@ -133,3 +133,25 @@ def test_importing_the_cli_generates_no_value_class_code():
         "[]", "14",
         "semiglue.gluing.ChainAudit semiglue.gluing.GluingReport "
         "semiglue.gluing.PairDecision semiglue.toric.GradedBinomialSet"]
+
+
+def test_readme_library_example_runs():
+    # The README's library example runs as written and prints the rho
+    # and level its comments give; its last line prints the report's
+    # homology, which is computed when read.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines()
+              if line.startswith("print(")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", block], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    assert len(printed) == len(prints), done.stdout
+    for line, out in zip(prints, printed):
+        if line.startswith(("print(report.rho)", "print(report.rho_level)")):
+            assert out == line.split("#", 1)[1].strip(), (line, out)
+        elif line.startswith("print(report.homology)"):
+            assert out.startswith("HomologySummary(dim=3, "), out
