@@ -242,9 +242,14 @@ class MonomialOrder(Value):
 
     def __init__(self, weights: tuple[int, ...],
                  cheapest: int | None = None) -> None:
-        assert len(weights) > 0
-        assert all(isinstance(w, int) and w > 0 for w in weights)
-        assert cheapest is None or 0 <= cheapest < len(weights)
+        # Explicit, so that -O keeps them: a zero weight can loop forever.
+        if not weights:
+            raise ValueError("an order needs at least one weight")
+        if not all(isinstance(w, int) and w > 0 for w in weights):
+            raise ValueError(f"weights must be positive ints, got {weights}")
+        if cheapest is not None and not 0 <= cheapest < len(weights):
+            raise ValueError(f"cheapest variable {cheapest} is not one of "
+                             f"the {len(weights)} variables")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "cheapest", cheapest)
 
@@ -746,16 +751,14 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
     """Return the saturation of the ideal by the product of the variables.
 
     ``variables`` is an iterable of names, all of them by default.  The
-    generators must be homogeneous under the (positive) weights; with no
-    weights given, unit weights are tried and a ValueError is raised if
-    the generators are not homogeneous for them.
+    weights, unit weights when none are given, must be positive and the
+    generators homogeneous under them; otherwise ValueError.
     """
     block = ideal.block
     pairs = [g.as_pair() for g in ideal.generators]
     if weights is None:
         weights = (1,) * block.size
     weights = tuple(int(w) for w in weights)
-    assert all(w > 0 for w in weights)
     if variables is None:
         idx = None
     else:

@@ -257,7 +257,7 @@ def _check_result(report) -> dict:
         "rho": _bino(report.rho),
         "rho_level": report.rho_level,
         "mu": {"a": report.mu_a, "b": report.mu_b, "c": report.mu_c},
-        "shared_columns": [list(pr) for pr in report.shared_columns],
+        "shared_columns": [list(p) for p in report.candidate.shared_columns],
         "rank": _rankdict(report.rank),
         "homology": {name: getattr(report.homology, name)
                      for name in report.homology._fields},
@@ -272,8 +272,8 @@ def _check_lines(report) -> list:
              f"mu: {report.mu_a} + {report.mu_b} + 1 vs {report.mu_c}"]
     if report.u is not None:
         lines.append(f"lattice point: {report.u}")
-    if report.shared_columns:
-        lines.append(f"shared columns: {report.shared_columns}")
+    if cand.shared_columns:
+        lines.append(f"shared columns: {cand.shared_columns}")
     if report.is_gluing:
         lines.append(f"gluing: yes, rho = {report.rho}"
                      + (f" (level {report.rho_level})"

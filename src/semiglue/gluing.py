@@ -16,9 +16,8 @@ ray, by a membership search otherwise.  ``verify_gluing`` decides one
 candidate exactly by Rosales' lattice criterion (Semigroup Forum 55,
 1997): the column spaces meet in a line, and the least multiple L u in
 both scaled groups lies in both scaled semigroups.  A positive answer
-comes with rho, a negative answer with the invariant that rules it
-out; the toric ideals behind the report's generator counts and
-homology are computed when those are read.  The implication-chain
+comes with rho; the report's reason, generator counts and homology
+are computed from the decision when read.  The implication-chain
 audit reads ``decide_pair``'s record.
 """
 
@@ -403,14 +402,15 @@ def _line_index(gens: SemigroupGens, u: Vector) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GluingReport:
-    """Everything verify_gluing found out about one candidate.
+    """The decision verify_gluing made about one candidate.
 
-    The decision needs no toric ideal, so the generator counts mu_a,
-    mu_b and mu_c and the homology summary are computed when first read
-    and then kept: mu(C) = mu(A) + mu(B) + 1 for a gluing, and the glued
-    ideal's count otherwise.  The record has no ``__slots__``, so that
-    ``cached_property`` can store them, and ``dataclasses.replace``
-    copies only the decision.
+    The rest is derived from the decision when first read, then kept:
+    ``detail`` (coprime witnesses for a yes exactly at level 1; for a no
+    with a meeting line, whether mu rules it out), and mu_a, mu_b, mu_c
+    and the homology summary, with mu(C) = mu(A) + mu(B) + 1 for a
+    gluing and the glued ideal's count otherwise.  The record has no
+    ``__slots__``, so that ``cached_property`` can store them, and
+    ``dataclasses.replace`` copies only the decision.
     """
 
     candidate: GluingCandidate
@@ -419,8 +419,20 @@ class GluingReport:
     is_gluing: bool
     rho: Binomial | None
     rho_level: int | None
-    shared_columns: tuple
-    detail: str
+
+    @cached_property
+    def detail(self) -> str:
+        if self.is_gluing:
+            if self.rho_level == 1:
+                return "glued by coprime membership witnesses"
+            return "glued by a mixed minimal generator"
+        if not self.rank.ok:
+            return "the column spaces do not meet in a line"
+        mu_a, mu_b, mu_c = self.mu_a, self.mu_b, self.mu_c
+        if mu_c != mu_a + mu_b + 1:
+            return (f"generator counts rule it out: {mu_c} != "
+                    f"{mu_a} + {mu_b} + 1")
+        return "no single mixed binomial completes the two ideals"
 
     @cached_property
     def mu_a(self) -> int:
@@ -450,7 +462,7 @@ class GluingReport:
 
 def verify_gluing(cand: GluingCandidate,
                   work_limit: int = 10 ** 6) -> GluingReport:
-    """Decide whether the candidate is a gluing, with certificates.
+    """Decide whether the candidate is a gluing, with rho for a yes.
 
     The decision is exact and needs only lattice data (Rosales, "On
     presentations of subsemigroups of N^n", Semigroup Forum 55, 1997):
@@ -460,11 +472,9 @@ def verify_gluing(cand: GluingCandidate,
     x^c - y^d of degree L u then completes the two ideals.  With coprime
     scalings and L = k1 k2, rho comes from the two membership witnesses;
     otherwise from the first vector of each fiber over L u.  work_limit
-    bounds the two membership searches and that walk.  A yes computes no
-    toric ideal.  Only a no whose column spaces meet in a line computes
-    I_A, I_B and the glued ideal, whose generator counts say whether mu
-    already rules the candidate out; the report's mu and homology are
-    computed when read.
+    bounds the two membership searches and that walk.  The call
+    computes no toric ideal, whatever the verdict; the report's detail,
+    mu and homology are computed when read.
     """
     rc, u = _meeting_line(cand.a, cand.b)
     k1, k2 = cand.k1, cand.k2
@@ -476,14 +486,12 @@ def verify_gluing(cand: GluingCandidate,
         c = is_member(va, cand.a, work_limit)
         d = None if c is None else is_member(vb, cand.b, work_limit)
     if d is not None:
-        coprime = gcd(k1, k2) == 1
-        if coprime and ell == k1 * k2:
-            detail = "glued by coprime membership witnesses"
-        else:
+        # Level 1 means coprime scalings and L = k1 k2: the witnesses glue.
+        lev = ell // (k1 * k2) if gcd(k1, k2) == 1 else None
+        if lev != 1:
             # Any pair over L u completes; the first of each fiber is rho.
             c = fiber_monomials(cand.a.matrix, va, work_limit)[0]
             d = fiber_monomials(cand.b.matrix, vb, work_limit)[0]
-            detail = "glued by a mixed minimal generator"
         # Self-checks of rho's degree; explicit so that -O keeps them.
         for name, gens, e, v in (("first", cand.a, c, va),
                                  ("second", cand.b, d, vb)):
@@ -491,19 +499,7 @@ def verify_gluing(cand: GluingCandidate,
                 raise AssertionError(f"the {name} exponents {e} of rho "
                                      f"miss the degree {v}")
         rho = _mixed_binomial(cand, c, d)
-        lev = ell // (k1 * k2) if coprime else None
-    elif not rc.ok:
-        detail = "the column spaces do not meet in a line"
-    else:
-        mu_a, mu_b = toric_ideal(cand.a).mu, toric_ideal(cand.b).mu
-        mu_c = toric_ideal_of_matrix(cand.c_matrix, cand.c_block).mu
-        if mu_c != mu_a + mu_b + 1:
-            detail = (f"generator counts rule it out: {mu_c} != "
-                      f"{mu_a} + {mu_b} + 1")
-        else:
-            detail = "no single mixed binomial completes the two ideals"
-    return GluingReport(cand, rc, u, rho is not None, rho, lev,
-                        cand.shared_columns, detail)
+    return GluingReport(cand, rc, u, rho is not None, rho, lev)
 
 
 def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):

@@ -46,7 +46,8 @@ class BettiSequence(Value):
         return len(self.values) - 1
 
     def __getitem__(self, i: int) -> int:
-        assert i >= 0
+        if i < 0:  # explicit, so that -O keeps it
+            raise IndexError(f"Betti numbers start at index 0, not {i}")
         return self.values[i] if i < len(self.values) else 0
 
 

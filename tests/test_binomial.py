@@ -1,16 +1,13 @@
 """Binomials, term orders, Groebner bases and saturation."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from semiglue import binomial, toric
 from semiglue import (
+    BettiSequence,
     Binomial,
     BinomialIdeal,
     IntegerMatrix,
@@ -25,7 +22,7 @@ from semiglue import (
     normal_form,
     saturate,
 )
-from support import full_reduce_pair, random_gens
+from support import full_reduce_pair, random_gens, run_optimized
 
 X4 = VariableBlock.prefixed("x", 4)
 ORDER = MonomialOrder.degrevlex((1, 1, 1, 1))
@@ -119,18 +116,10 @@ def test_binomial_batch_builds_checked_binomials():
     assert binomial_batch_answers() == BATCH_ANSWERS
 
 
-def test_binomial_batch_checks_hold_under_optimization(tmp_path):
-    script = tmp_path / "batch.py"
-    script.write_text("from test_binomial import binomial_batch_answers\n"
-                      "print(repr(binomial_batch_answers()))\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == repr(BATCH_ANSWERS) + "\n"
+def test_binomial_batch_checks_hold_under_optimization():
+    out = run_optimized("from test_binomial import binomial_batch_answers\n"
+                        "print(repr(binomial_batch_answers()))\n")
+    assert out == repr(BATCH_ANSWERS) + "\n"
 
 
 def test_binomial_from_vector():
@@ -198,24 +187,16 @@ def block_mismatch_verdicts() -> list[str]:
     return verdicts
 
 
-def test_membership_refuses_a_binomial_over_another_block(tmp_path):
+def test_membership_refuses_a_binomial_over_another_block():
     differ = "refused: blocks differ: ('x1', 'x2', 'x3'), "
     want = [differ + "('x1', 'x2', 'x3', 'x4')",
             "refused: the order and the block differ in length",
             differ + "('y1', 'y2', 'y3')", differ + "('y1', 'y2', 'y3')",
             "answered True", "answered None", differ + "('y1', 'y2', 'y3')"]
     assert block_mismatch_verdicts() == want
-    script = tmp_path / "blocks.py"
-    script.write_text("from test_binomial import block_mismatch_verdicts\n"
-                      "print(*block_mismatch_verdicts(), sep='\\n')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == want
+    out = run_optimized("from test_binomial import block_mismatch_verdicts\n"
+                        "print(*block_mismatch_verdicts(), sep='\\n')\n")
+    assert out.splitlines() == want
 
 
 def construction_block_verdicts() -> list[str]:
@@ -245,23 +226,16 @@ def construction_block_verdicts() -> list[str]:
     return verdicts
 
 
-def test_groebner_bases_refuse_another_block(tmp_path):
+def test_groebner_bases_refuse_another_block():
     differ = ("refused: blocks differ: ('x1', 'x2', 'x3'), "
               "('x1', 'x2', 'x3', 'x4')")
     length = "refused: the order and the block differ in length"
     want = [length, differ, differ, length, "answered x1^2 - x2"]
     assert construction_block_verdicts() == want
-    script = tmp_path / "groebner_blocks.py"
-    script.write_text("from test_binomial import construction_block_verdicts\n"
-                      "print(*construction_block_verdicts(), sep='\\n')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == want
+    out = run_optimized(
+        "from test_binomial import construction_block_verdicts\n"
+        "print(*construction_block_verdicts(), sep='\\n')\n")
+    assert out.splitlines() == want
 
 
 def _count_buchberger(monkeypatch) -> list:
@@ -402,6 +376,54 @@ def test_saturate_requires_homogeneous_generators():
         saturate(ideal)
     sat = saturate(ideal, weights=(2, 1, 1, 1))
     assert ideal_equal(sat, ideal)
+
+
+def public_check_verdicts() -> list[str]:
+    """Return what the order, saturation and Betti index checks answer.
+
+    x1 - 1 is homogeneous for the weights (0, 1), and a Groebner run under
+    a zero weight need not end, so the saturation must refuse it before
+    its first run.  Plain values, so that the -O twin can print them.
+    """
+    x2 = VariableBlock.prefixed("x", 2)
+    ideal = BinomialIdeal(x2, (Binomial.from_pair(x2, ((1, 0), (0, 0))),))
+    calls = [lambda: MonomialOrder(()),
+             lambda: MonomialOrder((1, 0)),
+             lambda: MonomialOrder((1, 1.5)),
+             lambda: MonomialOrder((1, 1), cheapest=2),
+             lambda: saturate(ideal, ["x1"], weights=(0, 1)),
+             lambda: BettiSequence.of(1, 3, 2)[-1],
+             lambda: BettiSequence.of(1, 3, 2)[3]]
+    verdicts = []
+    for call in calls:
+        try:
+            verdicts.append(f"answered {call()}")
+        except (ValueError, IndexError) as exc:
+            verdicts.append(f"refused: {type(exc).__name__}: {exc}")
+    return verdicts
+
+
+PUBLIC_CHECK_VERDICTS = [
+    "refused: ValueError: an order needs at least one weight",
+    "refused: ValueError: weights must be positive ints, got (1, 0)",
+    "refused: ValueError: weights must be positive ints, got (1, 1.5)",
+    "refused: ValueError: cheapest variable 2 is not one of the 2 variables",
+    "refused: ValueError: weights must be positive ints, got (0, 1)",
+    "refused: IndexError: Betti numbers start at index 0, not -1",
+    "answered 0",
+]
+
+
+def test_public_checks_refuse_bad_weights_and_indices():
+    assert public_check_verdicts() == PUBLIC_CHECK_VERDICTS
+
+
+def test_public_checks_hold_under_optimization():
+    # With asserts, -O lets the saturation run without end and reads
+    # index -1 from the back of the Betti numbers.
+    out = run_optimized("from test_binomial import public_check_verdicts\n"
+                        "print(*public_check_verdicts(), sep='\\n')\n")
+    assert out.splitlines() == PUBLIC_CHECK_VERDICTS
 
 
 def test_embed_pads_with_zeros():
@@ -583,19 +605,11 @@ def test_a_run_past_its_field_width_restarts_wider():
     assert widened > 0 and wrong == 0, (widened, wrong)
 
 
-def test_the_width_guard_holds_under_optimization(tmp_path):
-    script = tmp_path / "wide.py"
-    script.write_text(
+def test_the_width_guard_holds_under_optimization():
+    out = run_optimized(
         "from test_binomial import wide_runs_against_the_textbook\n"
         "print(*wide_runs_against_the_textbook(20261019, 40))\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    widened, wrong = map(int, done.stdout.split())
+    widened, wrong = map(int, out.split())
     assert widened > 0 and wrong == 0, (widened, wrong)
 
 
@@ -675,20 +689,11 @@ def test_top_reduction_gives_the_same_toric_ideals():
     assert widened > 0 and unlike == 0, (widened, unlike)
 
 
-def test_top_reduction_gives_the_same_toric_ideals_under_optimization(
-        tmp_path):
-    script = tmp_path / "lazy.py"
-    script.write_text(
+def test_top_reduction_gives_the_same_toric_ideals_under_optimization():
+    out = run_optimized(
         "from test_binomial import lazy_against_full\n"
         "print(*lazy_against_full(20261020, 300))\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    widened, unlike = map(int, done.stdout.split())
+    widened, unlike = map(int, out.split())
     assert widened > 0 and unlike == 0, (widened, unlike)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from semiglue import cli, enumerate_oracle, gluing
 from semiglue.cli import InputDocument, main
-from support import seed_parser, twisted_pair
+from support import run_optimized, seed_parser, twisted_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -537,11 +537,10 @@ def test_embed_glue_input_checks_hold_under_optimization(tmp_path):
             assert "Traceback" not in done.stderr
 
 
-def test_find_gluing_self_check_holds_under_optimization(tmp_path):
+def test_find_gluing_self_check_holds_under_optimization():
     # verify_gluing is replaced by one that refuses every candidate, so
     # the coprime pair that find-gluing found fails its self-check.
-    script = tmp_path / "refuse.py"
-    script.write_text(
+    out = run_optimized(
         "import sys\n"
         "from dataclasses import replace\n"
         "from semiglue import cli\n"
@@ -553,16 +552,9 @@ def test_find_gluing_self_check_holds_under_optimization(tmp_path):
         "except AssertionError as exc:\n"
         "    print('refused:', exc)\n"
         "else:\n"
-        "    print('accepted')\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-O", str(script), str(CORPUS / "twisted_glue.txt")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith(
-        "refused: coprime scalings k1=3 k2=2 failed verification"), \
-        done.stdout
+        "    print('accepted')\n", CORPUS / "twisted_glue.txt")
+    assert out.startswith(
+        "refused: coprime scalings k1=3 k2=2 failed verification"), out
 
 
 def corpus_command(text):

@@ -1,10 +1,5 @@
 """Ready-made gluing constructions and low-dimensional deciders."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from semiglue import (
@@ -19,7 +14,7 @@ from semiglue import (
     verify_gluing,
 )
 from semiglue import constructions, exactlin, gluing
-from support import twisted_pair
+from support import run_optimized, twisted_pair
 
 CUBIC = PlaneHomogeneousGens(3, (1, 2))
 STEEP = PlaneHomogeneousGens(5, (1, 4))
@@ -115,11 +110,10 @@ def test_embed_and_glue_argument_checks():
                        PlaneHomogeneousGens(2, (1,)), index=1)
 
 
-def test_embed_and_glue_self_checks_hold_under_optimization(tmp_path):
+def test_embed_and_glue_self_checks_hold_under_optimization():
     # The lattice point is replaced by a wrong one, which the
     # construction's own check must refuse.
-    script = tmp_path / "wrong_point.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import PlaneHomogeneousGens, constructions\n"
         "constructions.gluable_lattice_point = lambda a, b: (1, 1, 1)\n"
         "cubic = PlaneHomogeneousGens(3, (1, 2))\n"
@@ -129,13 +123,7 @@ def test_embed_and_glue_self_checks_hold_under_optimization(tmp_path):
         "    print('refused:', exc)\n"
         "else:\n"
         "    print('accepted')\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "refused: lattice point (1, 1, 1), expected " \
-                          "(1, 1, 0)\n"
+    assert out == "refused: lattice point (1, 1, 1), expected (1, 1, 0)\n"
 
 
 def test_n2_gluable_positive():
@@ -155,9 +143,8 @@ def test_n2_gluable_refuses_a_pair_outside_the_plane():
         n2_gluable(a, b)
 
 
-def test_n2_gluable_domain_check_holds_under_optimization(tmp_path):
-    script = tmp_path / "twisted_n2.py"
-    script.write_text(
+def test_n2_gluable_domain_check_holds_under_optimization():
+    out = run_optimized(
         "from semiglue import n2_gluable\n"
         "from support import twisted_pair\n"
         "try:\n"
@@ -166,14 +153,8 @@ def test_n2_gluable_domain_check_holds_under_optimization(tmp_path):
         "    print('refused:', exc)\n"
         "else:\n"
         "    print('answered', d.gluable, d.pair)\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(here.parent / "src"), str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == ("refused: n2_gluable needs two plane semigroups, "
-                           "got ambient dimensions 3 and 3\n")
+    assert out == ("refused: n2_gluable needs two plane semigroups, "
+                   "got ambient dimensions 3 and 3\n")
 
 
 def test_n2_gluable_rejects_two_full_planes():

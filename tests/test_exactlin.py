@@ -1,11 +1,7 @@
 """Exact integer linear algebra, checked against Fraction recomputations."""
 
-import os
 import random
-import subprocess
-import sys
 from operator import mul
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +17,7 @@ from support import (
     fraction_independent_suffix,
     fraction_rank,
     integer_combination,
+    run_optimized,
 )
 
 QUARTIC = IntegerMatrix.from_rows([(4, 3, 2, 1), (0, 1, 2, 3), (0, 0, 0, 0)])
@@ -109,11 +106,10 @@ def test_primitive_normalizes():
         primitive((0, 0, 0))
 
 
-def test_matvec_length_is_checked_under_optimization(tmp_path):
+def test_matvec_length_is_checked_under_optimization():
     with pytest.raises(ValueError, match="the vector needs 4 entries, got 3"):
         CUBIC.matvec((1, 1, 5))
-    script = tmp_path / "short_exponents.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import SemigroupGens\n"
         "gens = SemigroupGens.from_columns([(1, 2), (2, 1)])\n"
         "for exponents in ((3,), (1, 1, 5)):\n"
@@ -121,12 +117,7 @@ def test_matvec_length_is_checked_under_optimization(tmp_path):
         "        print('accepted:', gens.adegree(exponents))\n"
         "    except ValueError as exc:\n"
         "        print('refused:', exc)\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "refused: the vector needs 2 entries, got 1\n"
         "refused: the vector needs 2 entries, got 3\n")
 
@@ -172,11 +163,10 @@ def test_independent_suffix_matches_fraction_elimination():
     assert got.start == 2 and got.denominator > 10 ** 6
 
 
-def test_matrix_shape_is_checked_under_optimization(tmp_path):
+def test_matrix_shape_is_checked_under_optimization():
     with pytest.raises(ValueError, match="ragged rows"):
         IntegerMatrix.from_rows([[1, 2], [3]])
-    script = tmp_path / "bad_shapes.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import IntegerMatrix\n"
         "for rows in ([[1, 2], [3]], [], [[]], [[1, 2.5]]):\n"
         "    try:\n"
@@ -189,12 +179,7 @@ def test_matrix_shape_is_checked_under_optimization(tmp_path):
         "        print('accepted:', bad())\n"
         "    except ValueError as exc:\n"
         "        print('refused:', exc)\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "refused: ragged rows\n"
         "refused: matrix needs at least one row\n"
         "refused: matrix needs at least one column\n"

@@ -3,10 +3,7 @@
 import dataclasses
 import gc
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -53,6 +50,7 @@ from support import (
     random_plane_gens,
     random_rank2_gens,
     random_ray_gens,
+    run_optimized,
     shared_column_pair,
     shared_factor_pair,
     twisted_bad_pair,
@@ -94,16 +92,14 @@ def test_rank_conditions_need_equal_ambient():
         GluingCandidate(a, plane)
 
 
-def test_gluing_candidate_rejects_bad_scalings_and_shared_blocks(
-        tmp_path):
+def test_gluing_candidate_rejects_bad_scalings_and_shared_blocks():
     a, b = twisted_pair()
     for k1, k2 in ((-3, 2), (2, 0)):
         with pytest.raises(ValueError, match="k1 and k2 must be positive"):
             GluingCandidate(a, b, k1, k2)
     with pytest.raises(ValueError, match="must not share names"):
         GluingCandidate(a, a)
-    script = tmp_path / "candidates.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue.gluing import GluingCandidate\n"
         "from support import twisted_pair\n"
         "a, b = twisted_pair()\n"
@@ -114,16 +110,9 @@ def test_gluing_candidate_rejects_bad_scalings_and_shared_blocks(
         "        print('refused:', exc)\n"
         "    else:\n"
         "        print('accepted')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == ("refused: k1 and k2 must be positive\n"
-                           "refused: the two variable blocks must not share "
-                           "names\n")
+    assert out == ("refused: k1 and k2 must be positive\n"
+                   "refused: the two variable blocks must not share "
+                   "names\n")
 
 
 def test_lattice_points_of_the_fixtures():
@@ -316,11 +305,10 @@ def test_membership_search_stops_at_its_work_limit():
         is_member((1000, 1000), gens, 2923)
 
 
-def test_coprime_witness_checks_hold_under_optimization(tmp_path):
+def test_coprime_witness_checks_hold_under_optimization():
     # is_member is replaced by one that answers for twice the target, so
     # A c is 4 u instead of (L / k1) u = 2 u, with L = 6 and k1 = 3.
-    script = tmp_path / "doubled.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import gluing\n"
         "from semiglue.gluing import GluingCandidate, verify_gluing\n"
         "from support import twisted_pair\n"
@@ -334,15 +322,8 @@ def test_coprime_witness_checks_hold_under_optimization(tmp_path):
         "    print('refused:', exc)\n"
         "else:\n"
         "    print('accepted')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == ("refused: the first exponents (0, 1, 0, 1) of rho "
-                           "miss the degree (2, 2, 0)\n")
+    assert out == ("refused: the first exponents (0, 1, 0, 1) of rho "
+                   "miss the degree (2, 2, 0)\n")
 
 
 def test_kmax_must_be_positive():
@@ -447,23 +428,14 @@ def test_decide_pair_matches_the_face_search_reference():
     assert min(seen.values()) >= 50, seen
 
 
-def test_decide_pair_matches_the_face_search_reference_under_optimization(
-        tmp_path):
-    script = tmp_path / "faces.py"
-    script.write_text(
+def test_decide_pair_matches_the_face_search_reference_under_optimization():
+    out = run_optimized(
         "from support import face_identity_sweep\n"
         "bad, seen = face_identity_sweep()\n"
         "print(len(bad), min(seen.values()))\n"
         "print(*bad[:3], sep='\\n')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    bad, least = map(int, done.stdout.split("\n", 1)[0].split())
-    assert bad == 0 and least >= 50, done.stdout
+    bad, least = map(int, out.split("\n", 1)[0].split())
+    assert bad == 0 and least >= 50, out
 
 
 def test_no_multiple_possible_detects_the_skewed_cubic():
@@ -667,6 +639,7 @@ def lazy_report_facts():
         facts["yes spy"] = tuple(calls)
         calls.clear()
         no = verify_gluing(GluingCandidate(*linear_binomial_pair()))
+        facts["no call"] = tuple(calls)
         facts["no"] = (no.is_gluing, no.detail, tuple(calls))
         facts["no read"] = invariants(no)
         calls.clear()
@@ -676,7 +649,7 @@ def lazy_report_facts():
         calls.clear()
         copy = dataclasses.replace(yes, is_gluing=False)
         facts["replaced"] = (type(copy).__name__, copy.is_gluing,
-                             copy.rho is yes.rho, copy.detail == yes.detail)
+                             copy.rho is yes.rho, copy.detail)
         facts["replaced read"] = invariants(copy)
         facts["replaced spy"] = tuple(calls)
     finally:
@@ -684,13 +657,16 @@ def lazy_report_facts():
     return facts
 
 
-# The seed code's values, which it computed inside verify_gluing.
+# verify_gluing computes no toric ideal, whatever the verdict; the report
+# computes each fact on its first read, with the seed code's values.
 LAZY_FACTS = {
     "yes": (True, ()),
     "yes read": (3, 3, 7, "HomologySummary(dim=3, pd=None, depth=None, "
                           "ci=False, cm=None, gorenstein=None, mu=7)"),
     # I_A and I_B on the first of two reads; mu_c is their sum plus one.
     "yes spy": (4, 4),
+    # Reading the no's detail reads mu_a, mu_b and mu_c, in that order.
+    "no call": (),
     "no": (False, "generator counts rule it out: 13 != 4 + 3 + 1",
            (5, 5, 10)),
     "no read": (4, 3, 13, "HomologySummary(dim=3, pd=None, depth=None, "
@@ -698,8 +674,10 @@ LAZY_FACTS = {
     "rank no": (False, ()),
     "rank no read": (0, 0, 2, "HomologySummary(dim=2, pd=2, depth=2, "
                               "ci=True, cm=True, gorenstein=True, mu=2)"),
-    # replace copies the decision only: a no reads I_C, whose mu is 7.
-    "replaced": ("GluingReport", False, True, True),
+    # replace copies the decision only: a no reads I_C, whose mu is 7,
+    # and its detail agrees with the copied verdict.
+    "replaced": ("GluingReport", False, True,
+                 "no single mixed binomial completes the two ideals"),
     "replaced read": (3, 3, 7, "HomologySummary(dim=3, pd=None, "
                                "depth=None, ci=False, cm=None, "
                                "gorenstein=None, mu=7)"),
@@ -711,19 +689,10 @@ def test_report_invariants_are_computed_when_read():
     assert lazy_report_facts() == LAZY_FACTS
 
 
-def test_report_invariants_are_computed_when_read_under_optimization(
-        tmp_path):
-    script = tmp_path / "lazy.py"
-    script.write_text("from test_gluing import lazy_report_facts\n"
-                      "print(repr(lazy_report_facts()))\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == repr(LAZY_FACTS) + "\n"
+def test_report_invariants_are_computed_when_read_under_optimization():
+    out = run_optimized("from test_gluing import lazy_report_facts\n"
+                        "print(repr(lazy_report_facts()))\n")
+    assert out == repr(LAZY_FACTS) + "\n"
 
 
 # -- levels ------------------------------------------------------------------
@@ -750,12 +719,11 @@ def test_level_requires_coprime_scalings():
         level(w, cand)
 
 
-def test_level_checks_hold_under_optimization(tmp_path):
+def test_level_checks_hold_under_optimization():
     # A wrong meeting point u, planted in gluable_lattice_point: the drop
     # 6 * (1, 1, 0) of the twisted gluing binomial is off the line
     # through (1, 2, 0), and its level over (4, 4, 0) would be 3/2.
-    script = tmp_path / "wrong_point.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import Binomial, Monomial, gluing\n"
         "from semiglue.gluing import GluingCandidate, level\n"
         "from support import twisted_pair\n"
@@ -772,14 +740,7 @@ def test_level_checks_hold_under_optimization(tmp_path):
         "        print('refused:', exc)\n"
         "    else:\n"
         "        print('accepted')\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "6\n"
         "refused: the glued-homogeneous drop (-6, -6, 0) misses the "
         "meeting line\n"
@@ -787,7 +748,7 @@ def test_level_checks_hold_under_optimization(tmp_path):
         "not an integer\n")
 
 
-def test_level_requires_the_candidates_block(tmp_path):
+def test_level_requires_the_candidates_block():
     # The twisted gluing binomial, written over a z block instead.
     cand = GluingCandidate(*twisted_pair())
     block = VariableBlock.prefixed("z", 8)
@@ -795,8 +756,7 @@ def test_level_requires_the_candidates_block(tmp_path):
                  Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="not the candidate's block"):
         level(w, cand)
-    script = tmp_path / "wrong_block.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import Binomial, Monomial, VariableBlock\n"
         "from semiglue.gluing import GluingCandidate, level\n"
         "from support import twisted_pair\n"
@@ -808,14 +768,7 @@ def test_level_requires_the_candidates_block(tmp_path):
         "    print(level(w, cand))\n"
         "except ValueError as exc:\n"
         "    print('refused:', type(exc).__name__)\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                           str(here)]))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "refused: ValueError\n"
+    assert out == "refused: ValueError\n"
 
 
 def test_level_rejects_inhomogeneous_binomials():
@@ -835,7 +788,7 @@ def test_twisted_pair_glues_unscaled():
     assert report.rho.as_pair() == ((0, 0, 3, 0, 0, 0, 0, 0),
                                     (0, 0, 0, 0, 2, 0, 0, 0))
     assert report.rho_level == 6
-    assert report.shared_columns == ()
+    assert report.candidate.shared_columns == ()
     assert report.homology.dim == 3
     assert report.homology.ci is False
 
@@ -848,7 +801,7 @@ def test_twisted_pair_glues_at_three_two():
     assert report.rho.as_pair() == ((0, 0, 1, 0, 0, 0, 0, 0),
                                     (0, 0, 0, 0, 1, 0, 0, 0))
     assert report.rho_level == 1
-    assert report.shared_columns == ((2, 0),)
+    assert report.candidate.shared_columns == ((2, 0),)
 
 
 def test_skewed_pair_fails_by_generator_count():
@@ -868,7 +821,7 @@ def test_monomial_curves_glue_only_after_scaling():
                                     (0, 0, 0, 0, 0, 1, 2, 0))
     assert scaled.rho_level == 1
     assert (scaled.mu_a, scaled.mu_b, scaled.mu_c) == (3, 2, 6)
-    assert scaled.shared_columns == ((3, 3),)
+    assert scaled.candidate.shared_columns == ((3, 3),)
 
     union = verify_gluing(GluingCandidate(a, b))
     assert not union.is_gluing
@@ -891,7 +844,7 @@ def test_equal_generator_counts_do_not_fool_the_search():
                                     (0, 0, 0, 0, 0, 0, 0, 1))
     # A e4 = 5 u with k2 = 1, so the linear binomial sits at level five
     assert scaled.rho_level == 5
-    assert scaled.shared_columns == ((3, 3),)
+    assert scaled.candidate.shared_columns == ((3, 3),)
 
 
 def test_shared_column_alone_is_not_enough():
@@ -899,7 +852,7 @@ def test_shared_column_alone_is_not_enough():
     assert not report.is_gluing
     assert (report.mu_a, report.mu_b, report.mu_c) == (4, 3, 13)
     assert report.detail == "generator counts rule it out: 13 != 4 + 3 + 1"
-    assert report.shared_columns == ((4, 4),)
+    assert report.candidate.shared_columns == ((4, 4),)
 
 
 def test_crossing_planes_fail_on_rank():

@@ -1,10 +1,5 @@
 """Betti numbers and homological bookkeeping across a gluing."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from semiglue import (
@@ -21,7 +16,7 @@ from semiglue import (
     is_complete_intersection,
     propagate,
 )
-from support import monomial_curves_pair, twisted_pair
+from support import monomial_curves_pair, run_optimized, twisted_pair
 
 
 def test_betti_sequence_basics():
@@ -130,11 +125,7 @@ def test_cm_type_product_checks_hold_under_optimization():
               "        print(cm_type_product(*bad))\n"
               "    except ValueError as exc:\n"
               "        print('refused:', exc)\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    out = run_optimized(script)
+    assert out == (
         "refused: Cohen-Macaulay types are positive, got 0 and 1\n"
         "refused: Cohen-Macaulay types are positive, got -2 and 3\n")

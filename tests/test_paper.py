@@ -5,14 +5,22 @@ from random import Random
 
 from semiglue import (
     GluingCandidate,
+    HomologySummary,
     SemigroupGens,
     decide_pair,
     is_complete_intersection,
+    propagate,
     rank,
+    toric_ideal,
     verify_gluing,
 )
 from semiglue.toric import toric_ideal_of_matrix
-from support import chain_pairs
+from support import (
+    chain_pairs,
+    linear_binomial_pair,
+    monomial_curves_pair,
+    twisted_pair,
+)
 
 
 def frobenius_number(gens):
@@ -56,19 +64,43 @@ def test_any_two_numerical_semigroups_glue():
     assert gapped >= 100, gapped
 
 
+def count_rule_summary(gens):
+    """Return the homology summary that the generator count decides.
+
+    The ring is a complete intersection exactly when mu equals the
+    codimension; then pd is the codimension and depth the dimension.
+    """
+    dim = rank(gens.matrix)
+    codim = gens.count - dim
+    mu = toric_ideal(gens).mu
+    if mu == codim:
+        return HomologySummary.make(dim, codim, dim, ci=True, mu=mu)
+    return HomologySummary.make(dim, ci=False, mu=mu)
+
+
 def test_gluings_of_complete_intersections_are_complete_intersections():
     # The paper's inheritance claim, complete-intersection case: I_C is
     # I_A + I_B plus one binomial, so when I_A and I_B are complete
     # intersections, mu(C) = mu(A) + mu(B) + 1 is the codimension of C.
-    # The report's mu(C) is that sum, computed when read, so it is also
+    # On every yes the report's homology is the pieces' summaries
+    # propagated, so C is a complete intersection only if both pieces
+    # are; the chain pairs that glue have complete-intersection pieces,
+    # and three fixtures that glue have a piece that is not one.  The
+    # report's mu(C) is that sum, computed when read, so it is also
     # checked against the glued ideal's own generator count.
-    yes = higher = 0
-    for a, b in chain_pairs(300, seed=20261024):
+    fixtures = [twisted_pair(), monomial_curves_pair(),
+                linear_binomial_pair()]
+    yes = higher = not_ci = 0
+    for a, b in chain_pairs(300, seed=20261024) + fixtures:
         decision = decide_pair(a, b, 12)
         if decision.gluable is not True:
             continue
         report = verify_gluing(GluingCandidate(a, b, *decision.pair))
         assert report.is_gluing, (a, b, decision.pair, report.detail)
+        sa, sb = count_rule_summary(a), count_rule_summary(b)
+        assert report.homology == propagate(sa, sb, glued=True), (
+            a, b, decision.pair)
+        not_ci += report.homology.ci is False
         if not (is_complete_intersection(a)
                 and is_complete_intersection(b)):
             continue
@@ -79,4 +111,4 @@ def test_gluings_of_complete_intersections_are_complete_intersections():
         assert report.mu_c == codim == glued, (a, b, decision.pair)
         assert report.homology.ci is True, (a, b, decision.pair)
         higher += report.mu_c >= 4
-    assert yes >= 100 and higher >= 10, (yes, higher)
+    assert yes >= 100 and higher >= 10 and not_ci == 3, (yes, higher, not_ci)

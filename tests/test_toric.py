@@ -43,6 +43,7 @@ from support import (
     monomial_curves_pair,
     oracle_identity_sweep,
     random_gens,
+    run_optimized,
 )
 
 PLANE_CUBIC = SemigroupGens.from_columns(
@@ -371,18 +372,12 @@ def test_oracle_buckets_runs_like_the_leaf_reference():
 
 
 def test_oracle_buckets_runs_like_the_leaf_reference_under_optimization():
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(tests.parent / "src"), str(tests)]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from support import oracle_identity_sweep\n"
-         "mismatches, seen = oracle_identity_sweep()\n"
-         "print(mismatches, sorted(seen.items()))\n"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    out = run_optimized(
+        "from support import oracle_identity_sweep\n"
+        "mismatches, seen = oracle_identity_sweep()\n"
+        "print(mismatches, sorted(seen.items()))\n")
     mismatches, seen = oracle_identity_sweep()
-    assert done.stdout == f"{mismatches} {sorted(seen.items())}\n"
+    assert out == f"{mismatches} {sorted(seen.items())}\n"
     assert mismatches == []
 
 
@@ -444,12 +439,11 @@ def test_fiber_search_keeps_little_memory():
     assert peak < 4 * 2 ** 20, peak
 
 
-def test_fiber_degree_length_is_checked_under_optimization(tmp_path):
+def test_fiber_degree_length_is_checked_under_optimization():
     m = PLANE_CUBIC.matrix
     with pytest.raises(ValueError, match="the degree needs 2 entries, got 1"):
         fiber_monomials(m, (3,))
-    script = tmp_path / "short_degree.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import IntegerMatrix\n"
         "from semiglue.toric import fiber_monomials\n"
         "m = IntegerMatrix.from_columns([(1, 2), (2, 1)])\n"
@@ -458,12 +452,7 @@ def test_fiber_degree_length_is_checked_under_optimization(tmp_path):
         "        print('accepted:', fiber_monomials(m, degree))\n"
         "    except ValueError as exc:\n"
         "        print('refused:', exc)\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "refused: the degree needs 2 entries, got 1\n"
         "refused: the degree needs 2 entries, got 3\n")
 
@@ -618,12 +607,11 @@ def test_toric_ideals_agree_with_sympy_elimination():
         assert all(ours_gb.contains(f) for f in theirs), m
 
 
-def test_toric_self_checks_hold_under_optimization(tmp_path):
+def test_toric_self_checks_hold_under_optimization():
     # The saturation is replaced by one that returns a single wrong
     # element: x1*x2 - x2*x3 shares x2 between its sides, and x1 - x2 is
     # not homogeneous for the plane cubic.
-    script = tmp_path / "wrong_saturation.py"
-    script.write_text(
+    out = run_optimized(
         "from semiglue import SemigroupGens, toric\n"
         "gens = SemigroupGens.from_columns(\n"
         "    [(3, 0), (2, 1), (1, 2), (0, 3)], 'x')\n"
@@ -636,12 +624,7 @@ def test_toric_self_checks_hold_under_optimization(tmp_path):
         "        print('refused:', exc)\n"
         "    else:\n"
         "        print('accepted')\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "refused: toric Groebner element (1, 1, 0, 0) - (0, 1, 1, 0) has "
         "overlapping support\n"
         "refused: toric Groebner element (1, 0, 0, 0) - (0, 1, 0, 0) is not "
@@ -715,18 +698,12 @@ def test_groebner_driver_matches_the_seed_loop_reference():
 
 
 def test_groebner_driver_matches_the_seed_loop_reference_under_optimization():
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(tests.parent / "src"), str(tests)]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c",
-         "from support import driver_identity_sweep\n"
-         "mismatches, seen = driver_identity_sweep()\n"
-         "print(mismatches, sorted(seen.items()))\n"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    out = run_optimized(
+        "from support import driver_identity_sweep\n"
+        "mismatches, seen = driver_identity_sweep()\n"
+        "print(mismatches, sorted(seen.items()))\n")
     mismatches, seen = driver_identity_sweep()
-    assert done.stdout == f"{mismatches} {sorted(seen.items())}\n"
+    assert out == f"{mismatches} {sorted(seen.items())}\n"
     assert mismatches == []
 
 
@@ -746,9 +723,8 @@ def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
         m, VariableBlock.prefixed("x", 7)).ideal.generators
 
 
-def test_toric_input_checks_hold_under_optimization(tmp_path):
-    script = tmp_path / "bad_matrices.py"
-    script.write_text(
+def test_toric_input_checks_hold_under_optimization():
+    out = run_optimized(
         "from semiglue import IntegerMatrix, VariableBlock\n"
         "from semiglue.toric import toric_ideal_of_matrix\n"
         "for cols, size in ((((1, 2), (0, 0), (2, 1)), 3),\n"
@@ -761,12 +737,7 @@ def test_toric_input_checks_hold_under_optimization(tmp_path):
         "        print('refused:', exc)\n"
         "    else:\n"
         "        print('accepted')\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    done = subprocess.run([sys.executable, "-O", str(script)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == (
+    assert out == (
         "refused: zero columns are not allowed\n"
         "refused: the matrix must have nonnegative entries\n"
         "refused: one variable per column, in order\n")
