@@ -96,9 +96,12 @@ class VariableBlock(Value):
     __slots__ = _fields = ("names",)
 
     def __init__(self, names: tuple[str, ...]) -> None:
-        assert len(names) > 0, "a block needs at least one variable"
-        assert all(isinstance(nm, str) and nm for nm in names)
-        assert len(set(names)) == len(names), "names must be distinct"
+        if not names:
+            raise ValueError("a block needs at least one variable")
+        if not all(isinstance(nm, str) and nm for nm in names):
+            raise ValueError("names must be nonempty strings")
+        if len(set(names)) != len(names):
+            raise ValueError("names must be distinct")
         object.__setattr__(self, "names", names)
 
     @classmethod
@@ -110,7 +113,8 @@ class VariableBlock(Value):
         return len(self.names)
 
     def concat(self, other: "VariableBlock") -> "VariableBlock":
-        assert not set(self.names) & set(other.names), "blocks share a name"
+        if set(self.names) & set(other.names):
+            raise ValueError("blocks share a name")
         return VariableBlock(self.names + other.names)
 
     def index(self, name: str) -> int:
@@ -123,9 +127,11 @@ class Monomial(Value):
     __slots__ = _fields = ("block", "exponents")
 
     def __init__(self, block: VariableBlock, exponents: Exponents) -> None:
-        assert len(exponents) == block.size
-        # a list comprehension, not all() over a generator: no call per item
-        assert not [x for x in exponents if not isinstance(x, int) or x < 0]
+        if len(exponents) != block.size:
+            raise ValueError("one exponent per variable of the block")
+        # a list comprehension, not any() over a generator: no call per item
+        if [x for x in exponents if not isinstance(x, int) or x < 0]:
+            raise ValueError("exponents must be nonnegative integers")
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "exponents", exponents)
 
@@ -154,8 +160,10 @@ class Binomial(Value):
 
     def __init__(self, plus: Monomial, minus: Monomial) -> None:
         # identity first, the common case, as in _same_block
-        assert plus.block is minus.block or plus.block == minus.block
-        assert plus.exponents != minus.exponents, "zero binomial"
+        if plus.block is not minus.block and plus.block != minus.block:
+            raise ValueError("the two monomials are over different blocks")
+        if plus.exponents == minus.exponents:
+            raise ValueError("zero binomial")
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
 
@@ -596,7 +604,8 @@ def _saturate_raw(pairs, weights, variables=None) -> list[RawBinomial]:
 def buchberger(generators, order: MonomialOrder) -> tuple[Binomial, ...]:
     """Return the reduced Groebner basis of the given binomials."""
     gens = tuple(generators)
-    assert gens, "cannot infer the variable block from no generators"
+    if not gens:
+        raise ValueError("cannot infer the variable block from no generators")
     block = gens[0].block
     for g in gens:
         _same_block(block, g.block)
@@ -652,7 +661,8 @@ def normal_form(f, basis, order: MonomialOrder):
     if isinstance(f, Monomial):
         pk, packed, (m,) = held.fit([f.exponents])
         return Monomial(f.block, pk.unpack(_nf_mono(m, packed, pk.guard)))
-    assert isinstance(f, Binomial)
+    if not isinstance(f, Binomial):
+        raise ValueError("f must be a Binomial or a Monomial")
     pk, packed, (a, b) = held.fit(f.as_pair())
     a, b = _nf_mono(a, packed, pk.guard), _nf_mono(b, packed, pk.guard)
     if a == b:
@@ -674,7 +684,8 @@ class BinomialIdeal(Value):
 
     def __init__(self, block: VariableBlock, generators: tuple[Binomial, ...],
                  _bases: dict | None = None) -> None:
-        assert all(isinstance(g, Binomial) for g in generators)
+        if not all(isinstance(g, Binomial) for g in generators):
+            raise ValueError("generators must be Binomials")
         for g in generators:
             _same_block(block, g.block)
         canon = tuple(sorted(set(generators), key=_canonical_key))
@@ -776,8 +787,10 @@ def saturate(ideal: BinomialIdeal, variables=None, weights=None) -> BinomialIdea
 def embed(b: Binomial, target_block: VariableBlock, offset: int) -> Binomial:
     """Return b rewritten over a larger block containing its block at offset."""
     size = b.block.size
-    assert 0 <= offset and offset + size <= target_block.size
-    assert target_block.names[offset:offset + size] == b.block.names
+    if not (0 <= offset and offset + size <= target_block.size):
+        raise ValueError("the block does not fit the target at offset")
+    if target_block.names[offset:offset + size] != b.block.names:
+        raise ValueError("the target does not hold the block at offset")
     head, pad = (0,) * offset, (0,) * (target_block.size - offset - size)
     return Binomial.from_pair(target_block,
                               tuple(head + m + pad for m in b.as_pair()))
@@ -786,7 +799,8 @@ def embed(b: Binomial, target_block: VariableBlock, offset: int) -> Binomial:
 def binomial_from_vector(block: VariableBlock, v) -> Binomial:
     """Return x^(v+) - x^(v-) for an integer vector v."""
     v = tuple(int(x) for x in v)
-    assert len(v) == block.size
+    if len(v) != block.size:
+        raise ValueError("one entry per variable of the block")
     if all(x == 0 for x in v):
         raise ValueError("the zero vector gives the zero binomial")
     plus = tuple(x if x > 0 else 0 for x in v)

@@ -33,6 +33,7 @@ from .gluing import (
     GluingCandidate,
     RankConditionsFail,
     _meeting_line,
+    _verify_on_line,
     decide_pair,
     implication_chain_audit,
     is_member,
@@ -110,8 +111,12 @@ class InputDocument(Value):
     @classmethod
     def parse(cls, text: str) -> "InputDocument":
         if text.lstrip().startswith("{"):
-            return cls.from_dict(json.loads(text,
-                                            object_pairs_hook=_unique_keys))
+            try:
+                data = json.loads(text, object_pairs_hook=_unique_keys)
+            except RecursionError:
+                raise ValueError("the JSON input is nested too deeply") \
+                    from None
+            return cls.from_dict(data)
         return cls.from_dict(_parse_text(text))
 
 
@@ -386,8 +391,10 @@ def cmd_find_gluing(args) -> int:
               [f"no coprime pair within bound {kmax}: inconclusive"])
         return 3
     k1, k2 = d.pair
-    report = verify_gluing(GluingCandidate(a, b, k1, k2), work_limit)
-    # A self-check; explicit so that -O keeps it.
+    # A self-check, on the meeting line the decision computed; explicit
+    # so that -O keeps it.
+    report = _verify_on_line(GluingCandidate(a, b, k1, k2), d.rank, d.u,
+                             work_limit)
     if not report.is_gluing:
         raise AssertionError(f"coprime scalings k1={k1} k2={k2} failed "
                              f"verification: {report.detail}")

@@ -476,7 +476,12 @@ def verify_gluing(cand: GluingCandidate,
     computes no toric ideal, whatever the verdict; the report's detail,
     mu and homology are computed when read.
     """
-    rc, u = _meeting_line(cand.a, cand.b)
+    return _verify_on_line(cand, *_meeting_line(cand.a, cand.b), work_limit)
+
+
+def _verify_on_line(cand: GluingCandidate, rc: RankConditions,
+                    u: Vector | None, work_limit: int) -> GluingReport:
+    """Return verify_gluing's report, given the pair's ``_meeting_line``."""
     k1, k2 = cand.k1, cand.k2
     rho = lev = d = None
     if rc.ok:
@@ -703,25 +708,29 @@ def _numerical_multiples(scales: tuple, kmax: int) -> list:
     e is the lexicographically largest solution of sum s_j e_j = k with
     e >= 0.  reach[j] has bit t set iff t <= kmax is a sum over
     scales[j:]; e_1 is then the largest c with k - c s_1 in reach[1],
-    and so on down the columns.
+    and so on down the columns.  Each table takes log(kmax) shifts, and
+    each lookup reads one character of its binary digits, so the work
+    grows with kmax, not with its square.
     """
     full = (1 << kmax + 1) - 1
     reach = [1]
     for s in reversed(scales):
-        shifted = bits = reach[-1]
-        while shifted:
-            shifted = (shifted << s) & full
-            bits |= shifted
+        # doubling the step adds 0, s, .., (2^i - 1) s in i shifts
+        bits, step = reach[-1], s
+        while step <= kmax:
+            bits |= (bits << step) & full
+            step *= 2
         reach.append(bits)
-    reach.reverse()
+    # character t of each string is bit t of its table
+    reach = [f"{bits:0{kmax + 1}b}"[::-1] for bits in reversed(reach)]
     found = []
     for k in range(1, kmax + 1):
-        if not reach[0] >> k & 1:
+        if reach[0][k] == "0":
             continue
         rem, e = k, []
         for s, rest in zip(scales, reach[1:]):
             c = rem // s
-            while not rest >> (rem - c * s) & 1:
+            while rest[rem - c * s] == "0":
                 c -= 1
             e.append(c)
             rem -= c * s
@@ -752,14 +761,18 @@ def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
       witnesses off one reachability table per suffix of F.
 
     Any other face is swept by ``multiples_in_semigroup``, each search
-    within work_limit.  The first two paths search nothing and so spend
-    none of it.
+    within work_limit.  The first two paths search nothing, but what
+    they list counts against work_limit: the kmax // M witnesses of an
+    independent face, the kmax + 1 bits of a ray's tables.
     """
     solution, face = _cone_solution(u, gens.matrix, face=True)
     if not face:
         return None, ()
     first, mult = solution
     if all(first[j] for j in face):
+        if kmax // mult > work_limit:
+            raise BoundTooLarge(f"listing the multiples up to {kmax} "
+                                f"passed {work_limit} steps")
         found = [(k, tuple(k // mult * x for x in first))
                  for k in range(mult, kmax + 1, mult)]
     else:
@@ -768,6 +781,9 @@ def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
         nz = next(i for i, x in enumerate(u) if x)
         scales = tuple(c[nz] // u[nz] for c in cols)
         if all(tuple(s * x for x in u) == c for s, c in zip(scales, cols)):
+            if kmax >= work_limit:
+                raise BoundTooLarge(f"listing the multiples up to {kmax} "
+                                    f"passed {work_limit} steps")
             on_face = _numerical_multiples(scales, kmax)
         else:
             names = tuple(gens.block.names[j] for j in face)
@@ -786,6 +802,30 @@ def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
     return solution, tuple(found)
 
 
+def _smallest_coprime_pair(wa: tuple, wb: tuple, work_limit: int):
+    """Return the coprime (k1, k2, c, d) least by (k1 + k2, k1), or None.
+
+    (k2, c) runs over wa and (k1, d) over wb, both sorted by k.  For
+    each k1 the first coprime k2 is its best; k1 stops once no k2 can
+    beat the best sum.  Each pair looked at counts against work_limit.
+    """
+    best, looked = None, 0
+    for k1, d in wb:
+        if best is not None and k1 + wa[0][0] >= best[0] + best[1]:
+            break
+        for k2, c in wa:
+            if best is not None and k1 + k2 >= best[0] + best[1]:
+                break
+            looked += 1
+            if looked > work_limit:
+                raise BoundTooLarge(f"the pair search passed {work_limit} "
+                                    f"pairs")
+            if gcd(k1, k2) == 1:
+                best = (k1, k2, c, d)
+                break
+    return best
+
+
 def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
                     rc: RankConditions, u: Vector | None,
                     work_limit: int = 10 ** 6) -> PairDecision:
@@ -799,10 +839,9 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
     sol_b, wb = _face_multiples(u, b, kmax, work_limit)
     cones = sol_a, sol_a and sol_b
     if wa and wb:
-        best = min(((k1 + k2, k1, k2, c, d) for k2, c in wa for k1, d in wb
-                    if gcd(k1, k2) == 1), default=None)
+        best = _smallest_coprime_pair(wa, wb, work_limit)
         found = {} if best is None else dict(
-            pair=best[1:3], witness_a=best[3], witness_b=best[4])
+            pair=best[:2], witness_a=best[2], witness_b=best[3])
         return PairDecision(a, b, kmax, rc, u, wa, wb, True,
                             "multiples of the lattice point lie in both "
                             "semigroups", cone_solutions=cones, **found)

@@ -92,7 +92,8 @@ class SemigroupGens(Value):
         return self.matrix.matvec(exponents)
 
     def scaled(self, k: int) -> "SemigroupGens":
-        assert k >= 1
+        if k < 1:
+            raise ValueError("the scaling must be positive")
         return SemigroupGens(self.matrix.scaled(k), self.block)
 
 
@@ -105,7 +106,8 @@ class GradedBinomialSet:
     weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert set(self.adegrees) == set(self.ideal.generators)
+        if set(self.adegrees) != set(self.ideal.generators):
+            raise ValueError("one degree per generator of the ideal")
 
     @property
     def mu(self) -> int:

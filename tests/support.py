@@ -16,20 +16,15 @@ CLI's twelve-parser builder, which its command table replaced, is kept
 as the reference for every help, usage and error text, and the
 membership sweep over every face of the lattice point, which arithmetic
 on independent and ray faces replaced, for ``decide_pair``'s records.
-``run_optimized`` runs a check again under ``python -O``.
 """
 
 import argparse
-import os
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, islice, product, repeat, starmap
 from math import gcd
 from operator import lshift, sub
-from pathlib import Path
 from random import Random
 from typing import NamedTuple
 
@@ -87,25 +82,6 @@ from semiglue.toric import (
     toric_ideal,
     toric_ideal_of_matrix,
 )
-
-
-# -- python -O ----------------------------------------------------------------
-
-def run_optimized(source: str, *argv) -> str:
-    """Run source under ``python -O`` and return what it printed.
-
-    ``src`` and ``tests`` are on PYTHONPATH, so the source imports the
-    package and these helpers; argv becomes ``sys.argv[1:]``.  A child
-    that exits nonzero, or runs past two minutes, fails the caller.
-    """
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(tests.parent / "src"), str(tests)]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", source, *map(str, argv)], env=env,
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 # -- fixture pairs ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Binomials, term orders, Groebner bases and saturation."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -22,7 +23,7 @@ from semiglue import (
     normal_form,
     saturate,
 )
-from support import full_reduce_pair, random_gens, run_optimized
+from support import full_reduce_pair, random_gens
 
 X4 = VariableBlock.prefixed("x", 4)
 ORDER = MonomialOrder.degrevlex((1, 1, 1, 1))
@@ -41,14 +42,22 @@ CURVE = BinomialIdeal(X4, (G_SQ2, G_SQ3, G_MIX))
 CURVE_CI = BinomialIdeal(X4, (G_SQ2, G_SQ3))
 
 
+@pytest.mark.optimized
 def test_block_names_and_index():
     assert X4.names == ("x1", "x2", "x3", "x4")
     assert X4.size == 4
     assert X4.index("x3") == 2
     y = VariableBlock.prefixed("y", 2)
     assert X4.concat(y).names == ("x1", "x2", "x3", "x4", "y1", "y2")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="names must be distinct"):
         VariableBlock(("x1", "x1"))
+    with pytest.raises(ValueError, match="at least one variable"):
+        VariableBlock(())
+    for names in (("x1", ""), ("x1", 2)):
+        with pytest.raises(ValueError, match="nonempty strings"):
+            VariableBlock(names)
+    with pytest.raises(ValueError, match="blocks share a name"):
+        X4.concat(VariableBlock(("y1", "x2")))
 
 
 def test_monomial_degree_and_str():
@@ -58,10 +67,12 @@ def test_monomial_degree_and_str():
     assert str(Monomial(X4, (0, 0, 0, 0))) == "1"
 
 
+@pytest.mark.optimized
 def test_monomial_refuses_bad_exponents():
-    # a wrong length, a negative exponent, a non-int exponent
-    for bad in ((1, 0, 0), (1, -1, 0, 0), (1, 2.0, 0, 0)):
-        with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="one exponent per variable"):
+        Monomial(X4, (1, 0, 0))
+    for bad in ((1, -1, 0, 0), (1, 2.0, 0, 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
             Monomial(X4, bad)
     assert Monomial(X4, (3, 0, True, 0)).degree == 4
 
@@ -74,59 +85,41 @@ def test_make_cancels_common_factors():
         Binomial.make(X4, (1, 1, 0, 0), (1, 1, 0, 0))
 
 
+@pytest.mark.optimized
 def test_direct_constructor_keeps_raw_exponents():
     f = b4((2, 1, 0, 0), (1, 0, 1, 0))
     assert f.as_pair() == ((2, 1, 0, 0), (1, 0, 1, 0))
     assert f.negated().as_pair() == ((1, 0, 1, 0), (2, 1, 0, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="zero binomial"):
         b4((1, 0, 0, 0), (1, 0, 0, 0))
+    y4 = VariableBlock.prefixed("y", 4)
+    with pytest.raises(ValueError, match="over different blocks"):
+        Binomial(Monomial(X4, (1, 0, 0, 0)), Monomial(y4, (0, 1, 0, 0)))
 
 
-def binomial_batch_answers():
-    """Return what ``_binomial_batch`` gives for a good batch and three bad.
-
-    Plain values, so that the -O twin can print them.
-    """
+@pytest.mark.optimized
+def test_binomial_batch_builds_checked_binomials():
     exps = [(1, 0, 0, 2), (0, 1, 1, 0), (0, 0, 2, 1)]
     batch = binomial._binomial_batch(X4, exps, [(0, 1), (2, 0), (1, 2)])
-    answers = [batch == (b4(exps[0], exps[1]), b4(exps[2], exps[0]),
-                         b4(exps[1], exps[2]))
-               and all(g.block is X4 for g in batch)]
-    for bad, pairs in (([(1, 0, 0), (0, 1, 0)], [(0, 1)]),
-                       ([(1, -1, 0, 0), (0, 1, 0, 0)], [(0, 1)]),
-                       ([(1, 0, 0, 0), (1, 0, 0, 0)], [(0, 1)])):
-        try:
-            binomial._binomial_batch(X4, bad, pairs)
-        except ValueError as exc:
-            answers.append(str(exc))
-        else:
-            answers.append("accepted")
-    return answers
+    assert batch == (b4(exps[0], exps[1]), b4(exps[2], exps[0]),
+                     b4(exps[1], exps[2]))
+    assert all(g.block is X4 for g in batch)
+    for bad, message in (
+            ([(1, 0, 0), (0, 1, 0)], "length differs from the block's"),
+            ([(1, -1, 0, 0), (0, 1, 0, 0)], "exponents must be nonnegative"),
+            ([(1, 0, 0, 0), (1, 0, 0, 0)], "equal: zero binomial")):
+        with pytest.raises(ValueError, match=message):
+            binomial._binomial_batch(X4, bad, [(0, 1)])
 
 
-BATCH_ANSWERS = [
-    True,
-    "an exponent vector's length differs from the block's",
-    "exponents must be nonnegative",
-    "the two monomials are equal: zero binomial",
-]
-
-
-def test_binomial_batch_builds_checked_binomials():
-    assert binomial_batch_answers() == BATCH_ANSWERS
-
-
-def test_binomial_batch_checks_hold_under_optimization():
-    out = run_optimized("from test_binomial import binomial_batch_answers\n"
-                        "print(repr(binomial_batch_answers()))\n")
-    assert out == repr(BATCH_ANSWERS) + "\n"
-
-
+@pytest.mark.optimized
 def test_binomial_from_vector():
     f = binomial_from_vector(X4, (1, -2, 1, 0))
     assert f.as_pair() == ((1, 0, 1, 0), (0, 2, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero binomial"):
         binomial_from_vector(X4, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="one entry per variable"):
+        binomial_from_vector(X4, (1, -1, 0))
 
 
 def test_order_key_is_injective_and_graded():
@@ -159,83 +152,66 @@ def test_membership_separates_curve_from_complete_intersection():
     assert not CURVE.contains(b4((1, 0, 0, 0), (0, 1, 0, 0)))
 
 
-def block_mismatch_verdicts() -> list[str]:
-    """Return what membership, normal forms and equality say across blocks.
+def differ(other) -> str:
+    return re.escape(f"blocks differ: ('x1', 'x2', 'x3'), {other}")
 
-    Packing zips exponents against the held basis's variables, so a
-    binomial over another block was once silently cut short:
-    x1^2 x4^5 - x2 over x1..x4, and x1^2 - x2 over y1..y3, were members
-    of the toric ideal of <1, 2, 3>.  Nothing here asserts, so the
-    verdicts mean the same under -O.
-    """
+
+@pytest.mark.optimized
+def test_membership_refuses_a_binomial_over_another_block():
+    # Packing zips exponents against the held basis's variables, so a
+    # binomial over another block was once silently cut short:
+    # x1^2 x4^5 - x2 over x1..x4, and x1^2 - x2 over y1..y3, were members
+    # of the toric ideal of <1, 2, 3>.
     t = toric.toric_ideal(toric.SemigroupGens.from_columns([(1,), (2,), (3,)]))
     ideal, order = t.ideal, MonomialOrder.degrevlex(t.weights)
+    gb = ideal.groebner(order)
     y3 = VariableBlock.prefixed("y", 3)
-    calls = []
-    for f in (Binomial.from_pair(X4, ((2, 0, 0, 5), (0, 1, 0, 0))),
-              Binomial.from_pair(y3, ((2, 0, 0), (0, 1, 0))),
-              Binomial.from_pair(ideal.block, ((2, 0, 0), (0, 1, 0)))):
-        calls += [lambda f=f: ideal.contains(f),
-                  lambda f=f: normal_form(f, ideal.groebner(order), order)]
-    calls.append(lambda: ideal_equal(ideal, BinomialIdeal(y3, ())))
-    verdicts = []
-    for call in calls:
-        try:
-            verdicts.append(f"answered {call()}")
-        except ValueError as exc:
-            verdicts.append(f"refused: {exc}")
-    return verdicts
+    long = Binomial.from_pair(X4, ((2, 0, 0, 5), (0, 1, 0, 0)))
+    with pytest.raises(ValueError, match=differ(X4.names)):
+        ideal.contains(long)
+    with pytest.raises(ValueError, match="order and the block differ"):
+        normal_form(long, gb, order)
+    other = Binomial.from_pair(y3, ((2, 0, 0), (0, 1, 0)))
+    for call in (lambda: ideal.contains(other),
+                 lambda: normal_form(other, gb, order),
+                 lambda: ideal_equal(ideal, BinomialIdeal(y3, ()))):
+        with pytest.raises(ValueError, match=differ(y3.names)):
+            call()
+    same = Binomial.from_pair(ideal.block, ((2, 0, 0), (0, 1, 0)))
+    assert ideal.contains(same) is True
+    assert normal_form(same, gb, order) is None
 
 
-def test_membership_refuses_a_binomial_over_another_block():
-    differ = "refused: blocks differ: ('x1', 'x2', 'x3'), "
-    want = [differ + "('x1', 'x2', 'x3', 'x4')",
-            "refused: the order and the block differ in length",
-            differ + "('y1', 'y2', 'y3')", differ + "('y1', 'y2', 'y3')",
-            "answered True", "answered None", differ + "('y1', 'y2', 'y3')"]
-    assert block_mismatch_verdicts() == want
-    out = run_optimized("from test_binomial import block_mismatch_verdicts\n"
-                        "print(*block_mismatch_verdicts(), sep='\\n')\n")
-    assert out.splitlines() == want
-
-
-def construction_block_verdicts() -> list[str]:
-    """Return what Groebner bases and ideals say of mismatched blocks.
-
-    Packing zips exponents against the order's weights, so under -O
-    x1^2 x4^5 - x2 over x1..x4 once had the basis (x1^2 - x2) under
-    degrevlex((1, 1, 1)), and an ideal over x1..x3 accepted it as a
-    generator.  Nothing here asserts, so the verdicts mean the same
-    under -O.
-    """
+@pytest.mark.optimized
+def test_groebner_bases_refuse_another_block():
+    # Packing zips exponents against the order's weights, so under -O
+    # x1^2 x4^5 - x2 over x1..x4 once had the basis (x1^2 - x2) under
+    # degrevlex((1, 1, 1)), and an ideal over x1..x3 accepted it as a
+    # generator.
     x3 = VariableBlock.prefixed("x", 3)
     ord3 = MonomialOrder.degrevlex((1, 1, 1))
     long = Binomial.from_pair(X4, ((2, 0, 0, 5), (0, 1, 0, 0)))
     short = Binomial.from_pair(x3, ((2, 0, 0), (0, 1, 0)))
-    calls = [lambda: buchberger([long], ord3),
-             lambda: buchberger([short, long], ord3),
-             lambda: BinomialIdeal(x3, (long,)).generators,
-             lambda: BinomialIdeal(X4, (long,)).groebner(ord3),
-             lambda: buchberger([short], ord3)]
-    verdicts = []
-    for call in calls:
-        try:
-            verdicts.append(f"answered {', '.join(map(str, call()))}")
-        except ValueError as exc:
-            verdicts.append(f"refused: {exc}")
-    return verdicts
+    for call in (lambda: buchberger([long], ord3),
+                 lambda: BinomialIdeal(X4, (long,)).groebner(ord3)):
+        with pytest.raises(ValueError, match="order and the block differ"):
+            call()
+    for call in (lambda: buchberger([short, long], ord3),
+                 lambda: BinomialIdeal(x3, (long,))):
+        with pytest.raises(ValueError, match=differ(X4.names)):
+            call()
+    assert [str(g) for g in buchberger([short], ord3)] == ["x1^2 - x2"]
 
 
-def test_groebner_bases_refuse_another_block():
-    differ = ("refused: blocks differ: ('x1', 'x2', 'x3'), "
-              "('x1', 'x2', 'x3', 'x4')")
-    length = "refused: the order and the block differ in length"
-    want = [length, differ, differ, length, "answered x1^2 - x2"]
-    assert construction_block_verdicts() == want
-    out = run_optimized(
-        "from test_binomial import construction_block_verdicts\n"
-        "print(*construction_block_verdicts(), sep='\\n')\n")
-    assert out.splitlines() == want
+@pytest.mark.optimized
+def test_engine_entry_points_refuse_what_they_cannot_read():
+    with pytest.raises(ValueError, match="from no generators"):
+        buchberger([], ORDER)
+    with pytest.raises(ValueError, match="generators must be Binomials"):
+        BinomialIdeal(X4, (G_SQ2, G_SQ3.plus))
+    # an ideal has a block, so only the type check refuses it
+    with pytest.raises(ValueError, match="a Binomial or a Monomial"):
+        normal_form(CURVE, CURVE.groebner(ORDER), ORDER)
 
 
 def _count_buchberger(monkeypatch) -> list:
@@ -378,62 +354,41 @@ def test_saturate_requires_homogeneous_generators():
     assert ideal_equal(sat, ideal)
 
 
-def public_check_verdicts() -> list[str]:
-    """Return what the order, saturation and Betti index checks answer.
-
-    x1 - 1 is homogeneous for the weights (0, 1), and a Groebner run under
-    a zero weight need not end, so the saturation must refuse it before
-    its first run.  Plain values, so that the -O twin can print them.
-    """
+@pytest.mark.optimized
+def test_public_checks_refuse_bad_weights_and_indices():
+    with pytest.raises(ValueError, match="needs at least one weight"):
+        MonomialOrder(())
+    for weights in ((1, 0), (1, 1.5)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights must be positive ints, got {weights}")):
+            MonomialOrder(weights)
+    with pytest.raises(ValueError, match="cheapest variable 2 is not one "
+                                         "of the 2 variables"):
+        MonomialOrder((1, 1), cheapest=2)
+    # x1 - 1 is homogeneous for the weights (0, 1), and a Groebner run
+    # under a zero weight need not end, so the saturation must refuse it
+    # before its first run.
     x2 = VariableBlock.prefixed("x", 2)
     ideal = BinomialIdeal(x2, (Binomial.from_pair(x2, ((1, 0), (0, 0))),))
-    calls = [lambda: MonomialOrder(()),
-             lambda: MonomialOrder((1, 0)),
-             lambda: MonomialOrder((1, 1.5)),
-             lambda: MonomialOrder((1, 1), cheapest=2),
-             lambda: saturate(ideal, ["x1"], weights=(0, 1)),
-             lambda: BettiSequence.of(1, 3, 2)[-1],
-             lambda: BettiSequence.of(1, 3, 2)[3]]
-    verdicts = []
-    for call in calls:
-        try:
-            verdicts.append(f"answered {call()}")
-        except (ValueError, IndexError) as exc:
-            verdicts.append(f"refused: {type(exc).__name__}: {exc}")
-    return verdicts
+    with pytest.raises(ValueError, match=re.escape("got (0, 1)")):
+        saturate(ideal, ["x1"], weights=(0, 1))
+    with pytest.raises(IndexError, match="start at index 0, not -1"):
+        BettiSequence.of(1, 3, 2)[-1]
+    assert BettiSequence.of(1, 3, 2)[3] == 0
 
 
-PUBLIC_CHECK_VERDICTS = [
-    "refused: ValueError: an order needs at least one weight",
-    "refused: ValueError: weights must be positive ints, got (1, 0)",
-    "refused: ValueError: weights must be positive ints, got (1, 1.5)",
-    "refused: ValueError: cheapest variable 2 is not one of the 2 variables",
-    "refused: ValueError: weights must be positive ints, got (0, 1)",
-    "refused: IndexError: Betti numbers start at index 0, not -1",
-    "answered 0",
-]
-
-
-def test_public_checks_refuse_bad_weights_and_indices():
-    assert public_check_verdicts() == PUBLIC_CHECK_VERDICTS
-
-
-def test_public_checks_hold_under_optimization():
-    # With asserts, -O lets the saturation run without end and reads
-    # index -1 from the back of the Betti numbers.
-    out = run_optimized("from test_binomial import public_check_verdicts\n"
-                        "print(*public_check_verdicts(), sep='\\n')\n")
-    assert out.splitlines() == PUBLIC_CHECK_VERDICTS
-
-
+@pytest.mark.optimized
 def test_embed_pads_with_zeros():
     small = VariableBlock.prefixed("y", 2)
     target = VariableBlock(("x1", "y1", "y2", "z1"))
     f = Binomial(Monomial(small, (1, 0)), Monomial(small, (0, 2)))
     g = embed(f, target, 1)
     assert g.as_pair() == ((0, 1, 0, 0), (0, 0, 2, 0))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="does not hold the block"):
         embed(f, target, 0)
+    for offset in (-1, 3):
+        with pytest.raises(ValueError, match="does not fit the target"):
+            embed(f, target, offset)
 
 
 # -- the raw engine against a textbook Buchberger ----------------------------
@@ -555,16 +510,8 @@ def test_buchberger_matches_a_textbook_run(monkeypatch):
     assert sum(checked) > 0
 
 
-def wide_runs_against_the_textbook(seed, count):
-    """Return (runs that widened, runs unlike the textbook's) of a sweep.
-
-    The inputs are the lattice-basis ideals of seeded random 2 x 4
-    matrices with entries up to 9, under each choice of cheapest
-    variable.  Their Groebner bases reach several times the inputs'
-    weighted degree, so some runs pass their starting field width.
-    Nothing here asserts, so the counts mean the same under -O.
-    """
-    rng = random.Random(seed)
+def _count_attempts(monkeypatch) -> list:
+    """Count the packed attempts of each run: more than one widened it."""
     real = binomial._widening
     attempts = []
 
@@ -575,42 +522,33 @@ def wide_runs_against_the_textbook(seed, count):
         attempts.append(0)
         return real(order, pairs, attempt)
 
-    binomial._widening = counted
-    wrong = 0
-    try:
-        for _ in range(count):
-            columns = set()
-            while len(columns) < 4:
-                c = (rng.randint(0, 9), rng.randint(0, 9))
-                if any(c):
-                    columns.add(c)
-            m = IntegerMatrix.from_columns(sorted(columns))
-            pairs = [(tuple(max(x, 0) for x in v),
-                      tuple(max(-x, 0) for x in v))
-                     for v in kernel_lattice_basis(m)]
-            weights = tuple(sum(c) for c in m.columns())
-            for cheapest in range(4):
-                order = MonomialOrder.degrevlex(weights, cheapest)
-                got = binomial._buchberger(pairs, order)
-                want = textbook_groebner(pairs,
-                                         textbook_key(weights, cheapest))
-                wrong += got != want
-    finally:
-        binomial._widening = real
-    return sum(n > 1 for n in attempts), wrong
+    monkeypatch.setattr(binomial, "_widening", counted)
+    return attempts
 
 
-def test_a_run_past_its_field_width_restarts_wider():
-    widened, wrong = wide_runs_against_the_textbook(20261019, 40)
-    assert widened > 0 and wrong == 0, (widened, wrong)
-
-
-def test_the_width_guard_holds_under_optimization():
-    out = run_optimized(
-        "from test_binomial import wide_runs_against_the_textbook\n"
-        "print(*wide_runs_against_the_textbook(20261019, 40))\n")
-    widened, wrong = map(int, out.split())
-    assert widened > 0 and wrong == 0, (widened, wrong)
+@pytest.mark.optimized
+def test_a_run_past_its_field_width_restarts_wider(monkeypatch):
+    # The lattice-basis ideals of seeded random 2 x 4 matrices with
+    # entries up to 9, under each choice of cheapest variable: their
+    # Groebner bases reach several times the inputs' weighted degree, so
+    # some runs pass their starting field width.
+    rng = random.Random(20261019)
+    attempts = _count_attempts(monkeypatch)
+    for _ in range(40):
+        columns = set()
+        while len(columns) < 4:
+            c = (rng.randint(0, 9), rng.randint(0, 9))
+            if any(c):
+                columns.add(c)
+        m = IntegerMatrix.from_columns(sorted(columns))
+        pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+                 for v in kernel_lattice_basis(m)]
+        weights = tuple(sum(c) for c in m.columns())
+        for cheapest in range(4):
+            order = MonomialOrder.degrevlex(weights, cheapest)
+            assert binomial._buchberger(pairs, order) == textbook_groebner(
+                pairs, textbook_key(weights, cheapest)), (m, cheapest)
+    assert any(n > 1 for n in attempts)
 
 
 # -- top reduction against the full reduction -------------------------------
@@ -645,56 +583,29 @@ def test_top_reduction_keeps_the_lead_of_the_full_reduction(monkeypatch):
     assert len(seen) >= 2000 and 0 < sum(seen) < len(seen)
 
 
-def lazy_against_full(seed, count):
-    """Return (runs that widened, toric ideals unlike) of a seeded sweep.
-
-    Each of count random 3 x 5 to 3 x 7 matrices with entries up to 3
-    gets its toric ideal twice: with the engine's top reduction, and with
-    ``support.full_reduce_pair`` patched in.  The raw reduced basis and
-    the minimal generators must agree.  Nothing here asserts, so the
-    counts mean the same under -O.
-    """
-    rng = random.Random(seed)
-    lazy, real = binomial._reduce_pair, binomial._widening
-    attempts = []
-
-    def counted(order, pairs, run):
-        def attempt(pk):
-            attempts[-1] += 1
-            return run(pk)
-        attempts.append(0)
-        return real(order, pairs, attempt)
+@pytest.mark.optimized
+def test_top_reduction_gives_the_same_toric_ideals(monkeypatch):
+    # Each of 300 random 3 x 5 to 3 x 7 matrices with entries up to 3
+    # gets its toric ideal twice: with the engine's top reduction, and
+    # with ``support.full_reduce_pair`` patched in.  The raw reduced
+    # basis and the minimal generators must agree.
+    rng = random.Random(20261020)
+    lazy = binomial._reduce_pair
+    attempts = _count_attempts(monkeypatch)
 
     def ideal(gens, reduce_pair):
-        binomial._reduce_pair = reduce_pair
+        monkeypatch.setattr(binomial, "_reduce_pair", reduce_pair)
         toric.toric_ideal_of_matrix.cache_clear()
         t = toric.toric_ideal(gens)
         return [h.raw for h in t.ideal._bases.values()], t.ideal.generators
 
-    binomial._widening = counted
-    unlike = 0
     try:
-        for i in range(count):
+        for i in range(300):
             gens = random_gens(rng, 3, 5 + i % 3, 3)
-            unlike += ideal(gens, lazy) != ideal(gens, full_reduce_pair)
+            assert ideal(gens, lazy) == ideal(gens, full_reduce_pair), gens
     finally:
-        binomial._reduce_pair = lazy
-        binomial._widening = real
         toric.toric_ideal_of_matrix.cache_clear()
-    return sum(n > 1 for n in attempts), unlike
-
-
-def test_top_reduction_gives_the_same_toric_ideals():
-    widened, unlike = lazy_against_full(20261020, 300)
-    assert widened > 0 and unlike == 0, (widened, unlike)
-
-
-def test_top_reduction_gives_the_same_toric_ideals_under_optimization():
-    out = run_optimized(
-        "from test_binomial import lazy_against_full\n"
-        "print(*lazy_against_full(20261020, 300))\n")
-    widened, unlike = map(int, out.split())
-    assert widened > 0 and unlike == 0, (widened, unlike)
+    assert any(n > 1 for n in attempts)
 
 
 def test_normal_form_returns_irreducible_monomials():

@@ -4,15 +4,17 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from semiglue import cli, enumerate_oracle, gluing
 from semiglue.cli import InputDocument, main
-from support import run_optimized, seed_parser, twisted_pair
+from support import seed_parser, twisted_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -288,6 +290,66 @@ def test_find_gluing_passes_its_work_limit_to_every_search(capsys,
     assert {in_sweep for _, in_sweep in searches} == {True, False}
 
 
+def test_find_gluing_computes_the_meeting_line_once(capsys, monkeypatch):
+    # find-gluing verifies its pair on the meeting line that the decision
+    # computed, so one reduction of [A|B] serves both.
+    calls = []
+    real = gluing._meeting_line
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(gluing, "_meeting_line", spy)
+    for name in ("twisted_glue.txt", "monomial_curves_scaled_glue.txt"):
+        calls.clear()
+        code, _, _ = run(capsys, "find-gluing", CORPUS / name)
+        assert (code, len(calls)) == (0, 1), name
+
+
+WIDE = "A:\n1 0\n0 1\nB:\n1 1\nkmax: {}\n"
+
+
+def test_listing_multiples_counts_against_the_work_limit(capsys, tmp_path):
+    # u = (1, 1) lies on an independent face of A and on B's ray, so A
+    # lists one witness per k <= kmax and B builds (kmax + 1)-bit tables.
+    f = tmp_path / "wide.txt"
+    f.write_text(WIDE.format(200000))
+    code, out, err = run(capsys, "find-gluing", f, "--work-limit", "1000")
+    assert (code, out) == (3, "")
+    assert err == ("inconclusive: listing the multiples up to 200000 "
+                   "passed 1000 steps\n")
+    # Within the limit, the pair search stops at the first coprime pair
+    # instead of reading all 20000 * 20000.
+    f.write_text(WIDE.format(20000))
+    code, out, _ = run(capsys, "find-gluing", f)
+    assert code == 0 and "found scalings k1=1 k2=1" in out
+
+
+def test_a_huge_kmax_is_inconclusive_at_once(tmp_path):
+    # Run in a child with a capped address space, so that listing 10**11
+    # multiples fails on memory there instead of filling this process.
+    f = tmp_path / "huge.txt"
+    f.write_text(WIDE.format(10 ** 11))
+    cap = 2 ** 30
+    done = subprocess.run(
+        [sys.executable, "-m", "semiglue", "find-gluing", str(f)],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ("inconclusive: listing the multiples up to "
+                           "100000000000 passed 1000000 steps\n")
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text('{"a": ' + "[" * 3000 + "]" * 3000 + "}")
+    code, out, err = run(capsys, "toric", f)
+    assert (code, out) == (2, "")
+    assert err == "error: the JSON input is nested too deeply\n"
+
+
 def test_find_gluing_sweep_within_a_small_limit_is_inconclusive(capsys):
     # The pair's coprime scalings (3, 2) verify within 5 states; the
     # sweep for the multiples of its lattice point does not.
@@ -344,6 +406,7 @@ def test_missing_section_is_an_input_error(capsys, tmp_path):
     assert "needs an B: section" in err
 
 
+@pytest.mark.optimized
 def test_nonpositive_scaling_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt",
                        "--k1", "0")
@@ -358,6 +421,9 @@ def test_nonpositive_scaling_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "audit", CORPUS / "twisted_glue.txt",
                        "--k1", "-1", "--k2", "1")
     assert code == 2
+    code, _, err = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt",
+                       "--k2", "-3")
+    assert (code, err) == (2, "error: k1 and k2 must be positive\n")
 
 
 def test_audit_needs_both_scalings_or_neither(capsys, tmp_path):
@@ -378,6 +444,7 @@ def test_audit_needs_both_scalings_or_neither(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.optimized
 def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
     for command in ("find-gluing", "audit"):
         for kmax in ("0", "-3"):
@@ -431,6 +498,7 @@ def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.optimized
 def test_membership_vector_of_the_wrong_length(capsys, tmp_path):
     f = tmp_path / "long.txt"
     f.write_text("A:\n1 0\n0 1\nv: 1 2 3\n")
@@ -451,6 +519,7 @@ def test_malformed_json_fields_are_input_errors(capsys, tmp_path):
         assert err.startswith("error: "), payload
 
 
+@pytest.mark.optimized
 def test_degree_bound_of_the_wrong_length(capsys, tmp_path):
     f = tmp_path / "plane.txt"
     f.write_text("A:\n1 0\n0 1\n1 1\n")
@@ -463,6 +532,7 @@ def test_degree_bound_of_the_wrong_length(capsys, tmp_path):
     assert "nonnegative" in err
 
 
+@pytest.mark.optimized
 def test_betti_numbers_must_start_with_one(capsys, tmp_path):
     f = tmp_path / "betti.txt"
     f.write_text("betti_a: 2 3 1\nbetti_b: 1 3 2\n")
@@ -476,6 +546,7 @@ def test_betti_numbers_must_start_with_one(capsys, tmp_path):
     assert "nonnegative" in err
 
 
+@pytest.mark.optimized
 def test_repeated_keys_are_input_errors(capsys, tmp_path):
     text = (CORPUS / "twisted_glue.txt").read_text()
     for extra in ("k1: 2\nk1: 3\n", "i: 1\nindex: 2\n",
@@ -492,69 +563,28 @@ def test_repeated_keys_are_input_errors(capsys, tmp_path):
     assert "repeated key 'k1'" in err
 
 
-def test_input_errors_hold_under_optimization(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    long_v = tmp_path / "long.txt"
-    long_v.write_text("A:\n1 0\n0 1\nv: 1 2 3\n")
-    zero_kmax = tmp_path / "zero.txt"
-    zero_kmax.write_text((CORPUS / "twisted_glue.txt").read_text()
-                         + "kmax: 0\n")
-    betti = tmp_path / "betti.txt"
-    betti.write_text("betti_a: 2 3 1\nbetti_b: 1 3 2\n")
-    twice = tmp_path / "twice.txt"
-    twice.write_text((CORPUS / "twisted_glue.txt").read_text()
-                     + "k1: 2\nk1: 3\n")
-    plane = tmp_path / "plane.txt"
-    plane.write_text("A:\n1 0\n0 1\n1 1\n")
-    for argv in (("membership", long_v), ("find-gluing", zero_kmax),
-                 ("betti-glue", betti), ("check-gluing", twice),
-                 ("check-gluing", CORPUS / "twisted_glue.txt", "--k2", "-3"),
-                 ("toric", plane, "--degree-bound", "5 5 5")):
-        done = subprocess.run(
-            [sys.executable, "-O", "-m", "semiglue", *map(str, argv)],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert done.returncode == 2, (argv, done.stdout, done.stderr)
-        assert "Traceback" not in done.stderr
-
-
-def test_embed_glue_input_checks_hold_under_optimization(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+@pytest.mark.optimized
+def test_embed_glue_refuses_bad_steps(capsys, tmp_path):
     cubic = "B:\n3 0\n1 2\n0 3\ni: 1\n"
-    negative = tmp_path / "negative.txt"
-    negative.write_text("A:\n4 0\n5 -1\n0 4\n" + cubic)
-    unordered = tmp_path / "unordered.txt"
-    unordered.write_text("A:\n4 0\n2 2\n3 1\n0 4\n" + cubic)
-    for path in (negative, unordered):
-        for flags in ((), ("-O",)):
-            done = subprocess.run(
-                [sys.executable, *flags, "-m", "semiglue", "embed-glue",
-                 str(path)], env=env, capture_output=True, text=True,
-                timeout=60)
-            assert done.returncode == 2, (path.name, flags, done.stdout)
-            assert done.stderr.startswith("error: steps "), done.stderr
-            assert "Traceback" not in done.stderr
+    for name, a in (("negative", "4 0\n5 -1\n0 4\n"),
+                    ("unordered", "4 0\n2 2\n3 1\n0 4\n")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text("A:\n" + a + cubic)
+        code, out, err = run(capsys, "embed-glue", f)
+        assert code == 2, (name, out)
+        assert err.startswith("error: steps "), err
 
 
-def test_find_gluing_self_check_holds_under_optimization():
-    # verify_gluing is replaced by one that refuses every candidate, so
-    # the coprime pair that find-gluing found fails its self-check.
-    out = run_optimized(
-        "import sys\n"
-        "from dataclasses import replace\n"
-        "from semiglue import cli\n"
-        "real = cli.verify_gluing\n"
-        "cli.verify_gluing = lambda cand, limit: replace(\n"
-        "    real(cand, limit), is_gluing=False)\n"
-        "try:\n"
-        "    cli.main(['find-gluing', sys.argv[1]])\n"
-        "except AssertionError as exc:\n"
-        "    print('refused:', exc)\n"
-        "else:\n"
-        "    print('accepted')\n", CORPUS / "twisted_glue.txt")
-    assert out.startswith(
-        "refused: coprime scalings k1=3 k2=2 failed verification"), out
+@pytest.mark.optimized
+def test_find_gluing_self_check_refuses_a_failed_verification(monkeypatch):
+    # The verification is replaced by one that refuses every candidate,
+    # so the coprime pair that find-gluing found fails its self-check.
+    real = cli._verify_on_line
+    monkeypatch.setattr(cli, "_verify_on_line", lambda *args: replace(
+        real(*args), is_gluing=False))
+    with pytest.raises(AssertionError, match="coprime scalings k1=3 k2=2 "
+                                             "failed verification"):
+        main(["find-gluing", str(CORPUS / "twisted_glue.txt")])
 
 
 def corpus_command(text):

@@ -7,6 +7,7 @@ import pytest
 
 from semiglue import (
     IntegerMatrix,
+    SemigroupGens,
     ZeroVector,
     kernel_lattice_basis,
     primitive,
@@ -17,7 +18,6 @@ from support import (
     fraction_independent_suffix,
     fraction_rank,
     integer_combination,
-    run_optimized,
 )
 
 QUARTIC = IntegerMatrix.from_rows([(4, 3, 2, 1), (0, 1, 2, 3), (0, 0, 0, 0)])
@@ -106,20 +106,15 @@ def test_primitive_normalizes():
         primitive((0, 0, 0))
 
 
-def test_matvec_length_is_checked_under_optimization():
+@pytest.mark.optimized
+def test_matvec_length_is_checked():
     with pytest.raises(ValueError, match="the vector needs 4 entries, got 3"):
         CUBIC.matvec((1, 1, 5))
-    out = run_optimized(
-        "from semiglue import SemigroupGens\n"
-        "gens = SemigroupGens.from_columns([(1, 2), (2, 1)])\n"
-        "for exponents in ((3,), (1, 1, 5)):\n"
-        "    try:\n"
-        "        print('accepted:', gens.adegree(exponents))\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n")
-    assert out == (
-        "refused: the vector needs 2 entries, got 1\n"
-        "refused: the vector needs 2 entries, got 3\n")
+    gens = SemigroupGens.from_columns([(1, 2), (2, 1)])
+    for exponents in ((3,), (1, 1, 5)):
+        with pytest.raises(ValueError, match=f"the vector needs 2 entries, "
+                                             f"got {len(exponents)}"):
+            gens.adegree(exponents)
 
 
 def test_independent_suffix_matches_fraction_elimination():
@@ -163,26 +158,18 @@ def test_independent_suffix_matches_fraction_elimination():
     assert got.start == 2 and got.denominator > 10 ** 6
 
 
-def test_matrix_shape_is_checked_under_optimization():
+@pytest.mark.optimized
+def test_matrix_shape_is_checked():
     with pytest.raises(ValueError, match="ragged rows"):
         IntegerMatrix.from_rows([[1, 2], [3]])
-    out = run_optimized(
-        "from semiglue import IntegerMatrix\n"
-        "for rows in ([[1, 2], [3]], [], [[]], [[1, 2.5]]):\n"
-        "    try:\n"
-        "        print('accepted:', IntegerMatrix(tuple(map(tuple, rows))))\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n"
-        "m = IntegerMatrix.from_rows([[1, 2]])\n"
-        "for bad in (lambda: m.hstack(m.transpose()), lambda: m.scaled(0)):\n"
-        "    try:\n"
-        "        print('accepted:', bad())\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n")
-    assert out == (
-        "refused: ragged rows\n"
-        "refused: matrix needs at least one row\n"
-        "refused: matrix needs at least one column\n"
-        "refused: entries must be ints\n"
-        "refused: stacked matrices need equal row counts\n"
-        "refused: the scale must be nonzero\n")
+    for rows, message in (([[1, 2], [3]], "^ragged rows$"),
+                          ([], "^matrix needs at least one row$"),
+                          ([[]], "^matrix needs at least one column$"),
+                          ([[1, 2.5]], "^entries must be ints$")):
+        with pytest.raises(ValueError, match=message):
+            IntegerMatrix(tuple(map(tuple, rows)))
+    m = IntegerMatrix.from_rows([[1, 2]])
+    with pytest.raises(ValueError, match="need equal row counts"):
+        m.hstack(m.transpose())
+    with pytest.raises(ValueError, match="the scale must be nonzero"):
+        m.scaled(0)

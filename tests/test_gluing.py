@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -50,7 +51,6 @@ from support import (
     random_plane_gens,
     random_rank2_gens,
     random_ray_gens,
-    run_optimized,
     shared_column_pair,
     shared_factor_pair,
     twisted_bad_pair,
@@ -92,27 +92,15 @@ def test_rank_conditions_need_equal_ambient():
         GluingCandidate(a, plane)
 
 
+@pytest.mark.optimized
 def test_gluing_candidate_rejects_bad_scalings_and_shared_blocks():
     a, b = twisted_pair()
     for k1, k2 in ((-3, 2), (2, 0)):
         with pytest.raises(ValueError, match="k1 and k2 must be positive"):
             GluingCandidate(a, b, k1, k2)
-    with pytest.raises(ValueError, match="must not share names"):
+    with pytest.raises(ValueError, match="^the two variable blocks must "
+                       "not share names$"):
         GluingCandidate(a, a)
-    out = run_optimized(
-        "from semiglue.gluing import GluingCandidate\n"
-        "from support import twisted_pair\n"
-        "a, b = twisted_pair()\n"
-        "for args in ((a, b, -3, 2), (a, a)):\n"
-        "    try:\n"
-        "        GluingCandidate(*args)\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n"
-        "    else:\n"
-        "        print('accepted')\n")
-    assert out == ("refused: k1 and k2 must be positive\n"
-                   "refused: the two variable blocks must not share "
-                   "names\n")
 
 
 def test_lattice_points_of_the_fixtures():
@@ -305,25 +293,17 @@ def test_membership_search_stops_at_its_work_limit():
         is_member((1000, 1000), gens, 2923)
 
 
-def test_coprime_witness_checks_hold_under_optimization():
+@pytest.mark.optimized
+def test_verify_gluing_refuses_a_witness_off_its_degree(monkeypatch):
     # is_member is replaced by one that answers for twice the target, so
     # A c is 4 u instead of (L / k1) u = 2 u, with L = 6 and k1 = 3.
-    out = run_optimized(
-        "from semiglue import gluing\n"
-        "from semiglue.gluing import GluingCandidate, verify_gluing\n"
-        "from support import twisted_pair\n"
-        "real = gluing.is_member\n"
-        "gluing.is_member = lambda v, g, limit: real(\n"
-        "    tuple(2 * x for x in v), g, limit)\n"
-        "a, b = twisted_pair()\n"
-        "try:\n"
-        "    verify_gluing(GluingCandidate(a, b, 3, 2))\n"
-        "except AssertionError as exc:\n"
-        "    print('refused:', exc)\n"
-        "else:\n"
-        "    print('accepted')\n")
-    assert out == ("refused: the first exponents (0, 1, 0, 1) of rho "
-                   "miss the degree (2, 2, 0)\n")
+    real = gluing.is_member
+    monkeypatch.setattr(gluing, "is_member", lambda v, g, limit: real(
+        tuple(2 * x for x in v), g, limit))
+    with pytest.raises(AssertionError, match=re.escape(
+            "the first exponents (0, 1, 0, 1) of rho miss the degree "
+            "(2, 2, 0)")):
+        verify_gluing(GluingCandidate(*twisted_pair(), 3, 2))
 
 
 def test_kmax_must_be_positive():
@@ -417,6 +397,7 @@ def test_face_sweep_matches_the_sweep_over_every_multiple():
     assert pruned >= 20, pruned
 
 
+@pytest.mark.optimized
 def test_decide_pair_matches_the_face_search_reference():
     # Independent and ray faces are decided by arithmetic, other faces by
     # the membership sweep; whole records must equal those of the sweep
@@ -428,14 +409,14 @@ def test_decide_pair_matches_the_face_search_reference():
     assert min(seen.values()) >= 50, seen
 
 
-def test_decide_pair_matches_the_face_search_reference_under_optimization():
-    out = run_optimized(
-        "from support import face_identity_sweep\n"
-        "bad, seen = face_identity_sweep()\n"
-        "print(len(bad), min(seen.values()))\n"
-        "print(*bad[:3], sep='\\n')\n")
-    bad, least = map(int, out.split("\n", 1)[0].split())
-    assert bad == 0 and least >= 50, out
+def test_the_pair_search_counts_the_pairs_it_reads():
+    evens = tuple((k, (k,)) for k in range(2, 41, 2))
+    odds = tuple((k, (k,)) for k in range(3, 41, 2))
+    assert gluing._smallest_coprime_pair(evens, odds, 1) == (3, 2, (2,), (3,))
+    # No pair is coprime, so all 400 are read.
+    assert gluing._smallest_coprime_pair(evens, evens, 400) is None
+    with pytest.raises(BoundTooLarge, match="passed 399 pairs"):
+        gluing._smallest_coprime_pair(evens, evens, 399)
 
 
 def test_no_multiple_possible_detects_the_skewed_cubic():
@@ -611,14 +592,19 @@ def test_a_yes_computes_no_glued_ideal(monkeypatch):
         assert verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing
 
 
-def lazy_report_facts():
-    """Return what a report computes in verify_gluing and what on reading.
+def homology(dim, mu, known=(None, None, False, None, None)) -> str:
+    pd, depth, ci, cm, gor = known
+    return (f"HomologySummary(dim={dim}, pd={pd}, depth={depth}, ci={ci}, "
+            f"cm={cm}, gorenstein={gor}, mu={mu})")
 
-    A counting spy on ``toric_ideal_of_matrix``, in ``toric`` (behind
-    ``toric_ideal``) and in ``gluing``, records the column count of each
-    matrix it is asked for; it sits outside the cache, so hits count
-    too.  Plain values, so that the -O twin can print them.
-    """
+
+@pytest.mark.optimized
+def test_report_invariants_are_computed_when_read(monkeypatch):
+    # verify_gluing computes no toric ideal, whatever the verdict; the
+    # report computes each fact on its first read, with the seed code's
+    # values.  A counting spy on toric_ideal_of_matrix, in toric (behind
+    # toric_ideal) and in gluing, records the column count of each
+    # matrix it is asked for; it sits outside the cache, so hits count.
     calls = []
     real = toric.toric_ideal_of_matrix
 
@@ -629,70 +615,35 @@ def lazy_report_facts():
     def invariants(report):
         return (report.mu_a, report.mu_b, report.mu_c, repr(report.homology))
 
-    facts = {}
-    toric.toric_ideal_of_matrix = gluing.toric_ideal_of_matrix = spy
-    try:
-        yes = verify_gluing(GluingCandidate(*twisted_pair()))
-        facts["yes"] = (yes.is_gluing, tuple(calls))
-        facts["yes read"] = invariants(yes)
-        invariants(yes)
-        facts["yes spy"] = tuple(calls)
-        calls.clear()
-        no = verify_gluing(GluingCandidate(*linear_binomial_pair()))
-        facts["no call"] = tuple(calls)
-        facts["no"] = (no.is_gluing, no.detail, tuple(calls))
-        facts["no read"] = invariants(no)
-        calls.clear()
-        far = verify_gluing(GluingCandidate(*crossing_plane_pair()))
-        facts["rank no"] = (far.is_gluing, tuple(calls))
-        facts["rank no read"] = invariants(far)
-        calls.clear()
-        copy = dataclasses.replace(yes, is_gluing=False)
-        facts["replaced"] = (type(copy).__name__, copy.is_gluing,
-                             copy.rho is yes.rho, copy.detail)
-        facts["replaced read"] = invariants(copy)
-        facts["replaced spy"] = tuple(calls)
-    finally:
-        toric.toric_ideal_of_matrix = gluing.toric_ideal_of_matrix = real
-    return facts
-
-
-# verify_gluing computes no toric ideal, whatever the verdict; the report
-# computes each fact on its first read, with the seed code's values.
-LAZY_FACTS = {
-    "yes": (True, ()),
-    "yes read": (3, 3, 7, "HomologySummary(dim=3, pd=None, depth=None, "
-                          "ci=False, cm=None, gorenstein=None, mu=7)"),
+    monkeypatch.setattr(toric, "toric_ideal_of_matrix", spy)
+    monkeypatch.setattr(gluing, "toric_ideal_of_matrix", spy)
+    yes = verify_gluing(GluingCandidate(*twisted_pair()))
+    assert yes.is_gluing and calls == []
+    assert invariants(yes) == (3, 3, 7, homology(3, 7))
+    invariants(yes)
     # I_A and I_B on the first of two reads; mu_c is their sum plus one.
-    "yes spy": (4, 4),
+    assert calls == [4, 4]
+    calls.clear()
+    no = verify_gluing(GluingCandidate(*linear_binomial_pair()))
+    assert not no.is_gluing and calls == []
     # Reading the no's detail reads mu_a, mu_b and mu_c, in that order.
-    "no call": (),
-    "no": (False, "generator counts rule it out: 13 != 4 + 3 + 1",
-           (5, 5, 10)),
-    "no read": (4, 3, 13, "HomologySummary(dim=3, pd=None, depth=None, "
-                          "ci=False, cm=None, gorenstein=None, mu=13)"),
-    "rank no": (False, ()),
-    "rank no read": (0, 0, 2, "HomologySummary(dim=2, pd=2, depth=2, "
-                              "ci=True, cm=True, gorenstein=True, mu=2)"),
+    assert no.detail == "generator counts rule it out: 13 != 4 + 3 + 1"
+    assert calls == [5, 5, 10]
+    assert invariants(no) == (4, 3, 13, homology(3, 13))
+    calls.clear()
+    far = verify_gluing(GluingCandidate(*crossing_plane_pair()))
+    assert not far.is_gluing and calls == []
+    assert invariants(far) == (0, 0, 2, homology(
+        2, 2, (2, 2, True, True, True)))
+    calls.clear()
     # replace copies the decision only: a no reads I_C, whose mu is 7,
     # and its detail agrees with the copied verdict.
-    "replaced": ("GluingReport", False, True,
-                 "no single mixed binomial completes the two ideals"),
-    "replaced read": (3, 3, 7, "HomologySummary(dim=3, pd=None, "
-                               "depth=None, ci=False, cm=None, "
-                               "gorenstein=None, mu=7)"),
-    "replaced spy": (4, 4, 8),
-}
-
-
-def test_report_invariants_are_computed_when_read():
-    assert lazy_report_facts() == LAZY_FACTS
-
-
-def test_report_invariants_are_computed_when_read_under_optimization():
-    out = run_optimized("from test_gluing import lazy_report_facts\n"
-                        "print(repr(lazy_report_facts()))\n")
-    assert out == repr(LAZY_FACTS) + "\n"
+    copy = dataclasses.replace(yes, is_gluing=False)
+    assert type(copy) is type(yes) and not copy.is_gluing
+    assert copy.rho is yes.rho
+    assert copy.detail == "no single mixed binomial completes the two ideals"
+    assert invariants(copy) == (3, 3, 7, homology(3, 7))
+    assert calls == [4, 4, 8]
 
 
 # -- levels ------------------------------------------------------------------
@@ -719,35 +670,24 @@ def test_level_requires_coprime_scalings():
         level(w, cand)
 
 
-def test_level_checks_hold_under_optimization():
+@pytest.mark.optimized
+def test_level_refuses_a_drop_off_the_meeting_line(monkeypatch):
     # A wrong meeting point u, planted in gluable_lattice_point: the drop
     # 6 * (1, 1, 0) of the twisted gluing binomial is off the line
     # through (1, 2, 0), and its level over (4, 4, 0) would be 3/2.
-    out = run_optimized(
-        "from semiglue import Binomial, Monomial, gluing\n"
-        "from semiglue.gluing import GluingCandidate, level\n"
-        "from support import twisted_pair\n"
-        "cand = GluingCandidate(*twisted_pair())\n"
-        "block = cand.c_block\n"
-        "w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),\n"
-        "             Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))\n"
-        "print(level(w, cand))\n"
-        "for u in ((1, 2, 0), (4, 4, 0)):\n"
-        "    gluing.gluable_lattice_point = lambda a, b, u=u: u\n"
-        "    try:\n"
-        "        level(w, cand)\n"
-        "    except AssertionError as exc:\n"
-        "        print('refused:', exc)\n"
-        "    else:\n"
-        "        print('accepted')\n")
-    assert out == (
-        "6\n"
-        "refused: the glued-homogeneous drop (-6, -6, 0) misses the "
-        "meeting line\n"
-        "refused: the glued-homogeneous drop (-6, -6, 0) has level -3/2, "
-        "not an integer\n")
+    cand = GluingCandidate(*twisted_pair())
+    w = mixed(cand, (0, 0, 0, 0, 2, 0, 0, 0), (1, 0, 0, 2, 0, 0, 0, 0))
+    assert level(w, cand) == 6
+    for u, message in (((1, 2, 0), "misses the meeting line"),
+                       ((4, 4, 0), "has level -3/2, not an integer")):
+        monkeypatch.setattr(gluing, "gluable_lattice_point",
+                            lambda a, b, u=u: u)
+        with pytest.raises(AssertionError, match=re.escape(
+                "the glued-homogeneous drop (-6, -6, 0) " + message)):
+            level(w, cand)
 
 
+@pytest.mark.optimized
 def test_level_requires_the_candidates_block():
     # The twisted gluing binomial, written over a z block instead.
     cand = GluingCandidate(*twisted_pair())
@@ -756,19 +696,6 @@ def test_level_requires_the_candidates_block():
                  Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="not the candidate's block"):
         level(w, cand)
-    out = run_optimized(
-        "from semiglue import Binomial, Monomial, VariableBlock\n"
-        "from semiglue.gluing import GluingCandidate, level\n"
-        "from support import twisted_pair\n"
-        "cand = GluingCandidate(*twisted_pair())\n"
-        "block = VariableBlock.prefixed('z', 8)\n"
-        "w = Binomial(Monomial(block, (0, 0, 0, 0, 2, 0, 0, 0)),\n"
-        "             Monomial(block, (1, 0, 0, 2, 0, 0, 0, 0)))\n"
-        "try:\n"
-        "    print(level(w, cand))\n"
-        "except ValueError as exc:\n"
-        "    print('refused:', type(exc).__name__)\n")
-    assert out == "refused: ValueError\n"
 
 
 def test_level_rejects_inhomogeneous_binomials():

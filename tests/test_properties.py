@@ -1,10 +1,12 @@
 """Randomized invariants, with hypothesis shrinking the counterexamples."""
 
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
 from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from semiglue import (
@@ -299,3 +301,71 @@ def test_one_command_parser_parses_as_the_full_parser(command, rest):
                 return exc.code, out.getvalue(), err.getvalue()
 
     assert parse(command) == parse(None)
+
+
+# -- every command over small input documents --------------------------------
+
+json_values = st.recursive(
+    st.one_of(st.integers(-2, 60), st.booleans(), st.none(),
+              st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def documents(draw) -> dict:
+    """Draw an input document: generators of one length, mostly valid."""
+    dim = draw(st.integers(1, 3))
+    low = draw(st.sampled_from([0, 0, 0, -1]))
+    column = st.lists(st.integers(low, 5), min_size=dim,
+                      max_size=dim).filter(any)
+    doc = {name: draw(st.lists(column, min_size=1, max_size=4,
+                               unique_by=tuple))
+           for name in ("a", "b") if draw(st.integers(0, 5))}
+    for name in cli._SCALARS:
+        if draw(st.booleans()):
+            doc[name] = draw(st.integers(-1, 5000 if name == "work_limit"
+                                         else 12))
+    for name in cli._VECTORS:
+        if draw(st.booleans()):
+            size = draw(st.sampled_from([dim, dim, dim + 1]))
+            doc[name] = draw(st.lists(st.integers(low, 6), min_size=size,
+                                      max_size=size))
+            if name.startswith("betti") and draw(st.integers(0, 3)):
+                doc[name][0] = 1
+    return doc
+
+
+def as_text(doc: dict) -> str:
+    lines = []
+    for key, value in doc.items():
+        if key in ("a", "b"):
+            lines += [f"{key.upper()}:", *(" ".join(map(str, row))
+                                           for row in value)]
+        else:
+            vals = value if isinstance(value, list) else [value]
+            lines.append(f"{'i' if key == 'index' else key}: "
+                         f"{' '.join(map(str, vals))}")
+    return "\n".join(lines) + "\n"
+
+
+inputs = st.one_of(
+    documents().map(as_text), documents().map(json.dumps),
+    st.dictionaries(st.sampled_from(["a", "b", "v", "k1", "kmax", "x"]),
+                    json_values, max_size=3).map(json.dumps),
+    st.text(alphabet="AB:{}[]\", -0123456789ikv#\n", max_size=40))
+
+
+@pytest.mark.optimized
+@settings(deadline=None, max_examples=150)
+@example(command="toric", text='{"a": ' + "[" * 3000 + "]" * 3000 + "}",
+         as_json=False)
+@given(st.sampled_from(list(cli._COMMANDS)), inputs, st.booleans())
+def test_every_command_exits_with_a_code_on_any_document(
+        tmp_path_factory, command, text, as_json):
+    path = tmp_path_factory.mktemp("doc") / "input.txt"
+    path.write_text(text)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([command, str(path), *["--json"] * as_json])
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

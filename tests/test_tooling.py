@@ -155,3 +155,26 @@ def test_readme_library_example_runs():
             assert out == line.split("#", 1)[1].strip(), (line, out)
         elif line.startswith("print(report.homology)"):
             assert out.startswith("HomologySummary(dim=3, "), out
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O drops assert statements, so every check in src/ is an
+    # explicit raise.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "semiglue").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_marked_tests_pass_under_optimization():
+    # One python -O run of every test marked optimized; under -O this
+    # test has nothing to add, so it cannot start itself again.
+    if sys.flags.optimize:
+        return
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-m", "optimized",
+         "-p", "no:cacheprovider", "tests/"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert " passed" in done.stdout.splitlines()[-1], done.stdout[-400:]

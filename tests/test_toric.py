@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -43,7 +44,6 @@ from support import (
     monomial_curves_pair,
     oracle_identity_sweep,
     random_gens,
-    run_optimized,
 )
 
 PLANE_CUBIC = SemigroupGens.from_columns(
@@ -358,6 +358,7 @@ def test_oracle_matches_a_brute_force():
     assert nonempty >= 50
 
 
+@pytest.mark.optimized
 def test_oracle_buckets_runs_like_the_leaf_reference():
     # enumerate_oracle pairs the fibers of the box walk's runs; the
     # reference buckets every leaf, as the oracle did before.  Same
@@ -369,16 +370,6 @@ def test_oracle_buckets_runs_like_the_leaf_reference():
     assert seen["zero bound"] >= 40
     assert seen["last column fits 0 times"] >= 100
     assert seen["nonempty"] >= 60
-
-
-def test_oracle_buckets_runs_like_the_leaf_reference_under_optimization():
-    out = run_optimized(
-        "from support import oracle_identity_sweep\n"
-        "mismatches, seen = oracle_identity_sweep()\n"
-        "print(mismatches, sorted(seen.items()))\n")
-    mismatches, seen = oracle_identity_sweep()
-    assert out == f"{mismatches} {sorted(seen.items())}\n"
-    assert mismatches == []
 
 
 def test_contains_matches_the_normal_form_past_the_packing_limit():
@@ -439,22 +430,12 @@ def test_fiber_search_keeps_little_memory():
     assert peak < 4 * 2 ** 20, peak
 
 
-def test_fiber_degree_length_is_checked_under_optimization():
-    m = PLANE_CUBIC.matrix
-    with pytest.raises(ValueError, match="the degree needs 2 entries, got 1"):
-        fiber_monomials(m, (3,))
-    out = run_optimized(
-        "from semiglue import IntegerMatrix\n"
-        "from semiglue.toric import fiber_monomials\n"
-        "m = IntegerMatrix.from_columns([(1, 2), (2, 1)])\n"
-        "for degree in ((3,), (3, 3, 3)):\n"
-        "    try:\n"
-        "        print('accepted:', fiber_monomials(m, degree))\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n")
-    assert out == (
-        "refused: the degree needs 2 entries, got 1\n"
-        "refused: the degree needs 2 entries, got 3\n")
+@pytest.mark.optimized
+def test_fiber_degree_length_is_checked():
+    for degree in ((3,), (3, 3, 3)):
+        with pytest.raises(ValueError, match=f"the degree needs 2 entries, "
+                                             f"got {len(degree)}"):
+            fiber_monomials(PLANE_CUBIC.matrix, degree)
 
 
 def test_enumeration_answers_the_same_under_optimization(tmp_path):
@@ -607,28 +588,23 @@ def test_toric_ideals_agree_with_sympy_elimination():
         assert all(ours_gb.contains(f) for f in theirs), m
 
 
-def test_toric_self_checks_hold_under_optimization():
+@pytest.mark.optimized
+def test_toric_ideal_refuses_a_wrong_saturation(monkeypatch):
     # The saturation is replaced by one that returns a single wrong
     # element: x1*x2 - x2*x3 shares x2 between its sides, and x1 - x2 is
     # not homogeneous for the plane cubic.
-    out = run_optimized(
-        "from semiglue import SemigroupGens, toric\n"
-        "gens = SemigroupGens.from_columns(\n"
-        "    [(3, 0), (2, 1), (1, 2), (0, 3)], 'x')\n"
-        "for wrong in (((1, 1, 0, 0), (0, 1, 1, 0)),\n"
-        "              ((1, 0, 0, 0), (0, 1, 0, 0))):\n"
-        "    toric._saturate_raw = lambda pairs, weights, variables=None: [wrong]\n"
-        "    try:\n"
-        "        toric.toric_ideal(gens)\n"
-        "    except AssertionError as exc:\n"
-        "        print('refused:', exc)\n"
-        "    else:\n"
-        "        print('accepted')\n")
-    assert out == (
-        "refused: toric Groebner element (1, 1, 0, 0) - (0, 1, 1, 0) has "
-        "overlapping support\n"
-        "refused: toric Groebner element (1, 0, 0, 0) - (0, 1, 0, 0) is not "
-        "homogeneous\n")
+    for wrong, message in ((((1, 1, 0, 0), (0, 1, 1, 0)),
+                            "has overlapping support"),
+                           (((1, 0, 0, 0), (0, 1, 0, 0)),
+                            "is not homogeneous")):
+        monkeypatch.setattr(toric, "_saturate_raw",
+                            lambda pairs, weights, variables=None,
+                            wrong=wrong: [wrong])
+        toric_ideal_of_matrix.cache_clear()
+        with pytest.raises(AssertionError, match=re.escape(
+                f"toric Groebner element {wrong[0]} - {wrong[1]} {message}")):
+            toric.toric_ideal(PLANE_CUBIC)
+    toric_ideal_of_matrix.cache_clear()
 
 
 def _lattice_pairs(m):
@@ -689,22 +665,13 @@ def test_skipping_a_conflicting_pair_loses_a_generator():
                             order)) == 3
 
 
+@pytest.mark.optimized
 def test_groebner_driver_matches_the_seed_loop_reference():
     mismatches, seen = driver_identity_sweep()
     assert mismatches == []
     assert seen["buchberger runs"] >= 1000
     assert seen["minimal generator scans"] >= 350
     assert seen["non-homogeneous sets"] == 200
-
-
-def test_groebner_driver_matches_the_seed_loop_reference_under_optimization():
-    out = run_optimized(
-        "from support import driver_identity_sweep\n"
-        "mismatches, seen = driver_identity_sweep()\n"
-        "print(mismatches, sorted(seen.items()))\n")
-    mismatches, seen = driver_identity_sweep()
-    assert out == f"{mismatches} {sorted(seen.items())}\n"
-    assert mismatches == []
 
 
 def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
@@ -723,21 +690,23 @@ def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
         m, VariableBlock.prefixed("x", 7)).ideal.generators
 
 
-def test_toric_input_checks_hold_under_optimization():
-    out = run_optimized(
-        "from semiglue import IntegerMatrix, VariableBlock\n"
-        "from semiglue.toric import toric_ideal_of_matrix\n"
-        "for cols, size in ((((1, 2), (0, 0), (2, 1)), 3),\n"
-        "                   (((1, 2), (-1, 0), (2, 1)), 3),\n"
-        "                   (((1, 2), (2, 1)), 3)):\n"
-        "    m = IntegerMatrix.from_columns(cols)\n"
-        "    try:\n"
-        "        toric_ideal_of_matrix(m, VariableBlock.prefixed('x', size))\n"
-        "    except ValueError as exc:\n"
-        "        print('refused:', exc)\n"
-        "    else:\n"
-        "        print('accepted')\n")
-    assert out == (
-        "refused: zero columns are not allowed\n"
-        "refused: the matrix must have nonnegative entries\n"
-        "refused: one variable per column, in order\n")
+@pytest.mark.optimized
+def test_toric_input_checks():
+    for cols, size, message in (
+            (((1, 2), (0, 0), (2, 1)), 3, "zero columns are not allowed"),
+            (((1, 2), (-1, 0), (2, 1)), 3, "must have nonnegative entries"),
+            (((1, 2), (2, 1)), 3, "one variable per column, in order")):
+        with pytest.raises(ValueError, match=message):
+            toric_ideal_of_matrix(IntegerMatrix.from_columns(cols),
+                                  VariableBlock.prefixed("x", size))
+
+
+@pytest.mark.optimized
+def test_scalings_and_graded_sets_are_checked():
+    with pytest.raises(ValueError, match="the scaling must be positive"):
+        PLANE_CUBIC.scaled(0)
+    t = toric_ideal(PLANE_CUBIC)
+    degrees = dict(t.adegrees)
+    degrees.popitem()
+    with pytest.raises(ValueError, match="one degree per generator"):
+        GradedBinomialSet(t.ideal, degrees, t.weights)
