@@ -6,6 +6,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -417,6 +418,25 @@ def test_the_pair_search_counts_the_pairs_it_reads():
     assert gluing._smallest_coprime_pair(evens, evens, 400) is None
     with pytest.raises(BoundTooLarge, match="passed 399 pairs"):
         gluing._smallest_coprime_pair(evens, evens, 399)
+
+
+def test_numerical_multiples_match_every_exponent_vector():
+    # The reachability tables add s, 2s, 4s, .. per column; a member k of
+    # the monoid must come with the lexicographically largest e of
+    # sum s_j e_j = k, found here by trying every e.  kmax spans several
+    # doublings of each scale, once ending exactly at 16 * 5 = 80, and
+    # scales repeat, divide one another, end in 1 or leave gaps.
+    for scales, kmax in (((3,), 40), ((1, 1), 30), ((4, 1), 30),
+                         ((2, 3), 61), ((5,), 80), ((5, 3, 2), 90),
+                         ((4, 6, 9), 100), ((7, 7, 4), 64),
+                         ((6, 10, 15), 120)):
+        best = {}
+        for e in product(*(range(kmax // s + 1) for s in scales)):
+            k = sum(s * x for s, x in zip(scales, e))
+            if 0 < k <= kmax and e > best.get(k, ()):
+                best[k] = e
+        assert gluing._numerical_multiples(scales, kmax) == sorted(
+            best.items()), scales
 
 
 def test_no_multiple_possible_detects_the_skewed_cubic():
