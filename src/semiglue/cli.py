@@ -5,8 +5,8 @@ open generator sections with one generator per line (generators are the
 columns of the matrix), ``k1: 3`` style lines set scalars, ``v: 2 2 4``
 style lines set inline vectors, and ``#`` starts a comment.  A file
 whose first nonblank character is ``{`` is read as JSON with the same
-field names.  Command line flags beat SEMIGLUE_* environment variables,
-which beat values from the file, which beat defaults.
+field names.  A command line flag beats the file's value, which beats
+the default; nothing else, the environment included, changes an answer.
 
 Each command is one row of ``_COMMANDS``: handler, help, shared flags
 and own flags, each flag an (option, type, help) triple.  A call whose
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -184,41 +183,25 @@ def _read_document(args) -> InputDocument:
     return InputDocument.parse(text)
 
 
-def _truthy(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _resolve(flag, env_name: str, file_value, default, cast=int):
+def _setting(flag, file_value, default=None):
+    """Return the flag's value, else the file's, else the default."""
     if flag is not None:
         return flag
-    env = os.environ.get(env_name)
-    if env:
-        return cast(env)
-    if file_value is not None:
-        return file_value
-    return default
+    return default if file_value is None else file_value
 
 
 def _kmax(args, doc: InputDocument) -> int:
-    kmax = _resolve(args.kmax, "SEMIGLUE_KMAX", doc.kmax, 50)
+    kmax = _setting(args.kmax, doc.kmax, 50)
     if kmax < 1:
         raise ValueError("kmax must be positive")
     return kmax
 
 
 def _work_limit(args, doc: InputDocument) -> int:
-    work_limit = _resolve(args.work_limit, "SEMIGLUE_WORK_LIMIT",
-                          doc.work_limit, 10 ** 6)
+    work_limit = _setting(args.work_limit, doc.work_limit, 10 ** 6)
     if work_limit < 1:
         raise ValueError("work limit must be positive")
     return work_limit
-
-
-def _json_wanted(args) -> bool:
-    if args.json_out is not None:
-        return args.json_out
-    env = os.environ.get("SEMIGLUE_JSON")
-    return _truthy(env) if env else False
 
 
 def _gens(doc: InputDocument, which: str, command: str) -> SemigroupGens:
@@ -243,7 +226,7 @@ def _rankdict(rc) -> dict:
 
 def _emit(args, command: str, doc: InputDocument, bounds: dict,
           result: dict, lines: list) -> None:
-    if _json_wanted(args):
+    if args.json:
         payload = {"command": command, "version": __version__,
                    "input_sha256": doc.sha256(), "bounds": bounds,
                    "result": result}
@@ -323,8 +306,7 @@ def cmd_toric(args) -> int:
     bounds: dict = {"work_limit": work_limit}
     flag_bound = (None if args.degree_bound is None
                   else _vector(args.degree_bound))
-    bound = _resolve(flag_bound, "SEMIGLUE_DEGREE_BOUND",
-                     doc.degree_bound, None, _vector)
+    bound = _setting(flag_bound, doc.degree_bound)
     if bound is not None:
         bound = tuple(bound)
         bounds["degree_bound"] = list(bound)
@@ -341,14 +323,16 @@ def cmd_membership(args) -> int:
     gens = _gens(doc, "a", "membership")
     if doc.v is None:
         raise ValueError("membership needs a v: vector")
-    sol = is_member(doc.v, gens)
+    work_limit = _work_limit(args, doc)
+    sol = is_member(doc.v, gens, work_limit)
     result = {"member": sol is not None,
               "witness": None if sol is None else list(sol)}
+    bounds = {"work_limit": work_limit}
     if sol is None:
-        _emit(args, "membership", doc, {}, result,
+        _emit(args, "membership", doc, bounds, result,
               [f"{doc.v} is not in the semigroup"])
         return 1
-    _emit(args, "membership", doc, {}, result,
+    _emit(args, "membership", doc, bounds, result,
           [f"{doc.v} = combination with exponents {sol}"])
     return 0
 
@@ -357,10 +341,8 @@ def cmd_check_gluing(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "check-gluing")
     b = _gens(doc, "b", "check-gluing")
-    k1 = args.k1 if args.k1 is not None else doc.k1
-    k2 = args.k2 if args.k2 is not None else doc.k2
-    cand = GluingCandidate(a, b, 1 if k1 is None else k1,
-                           1 if k2 is None else k2)
+    cand = GluingCandidate(a, b, _setting(args.k1, doc.k1, 1),
+                           _setting(args.k2, doc.k2, 1))
     work_limit = _work_limit(args, doc)
     report = verify_gluing(cand, work_limit)
     _emit(args, "check-gluing", doc, {"work_limit": work_limit},
@@ -411,8 +393,9 @@ def cmd_audit(args) -> int:
     a = _gens(doc, "a", "audit")
     b = _gens(doc, "b", "audit")
     kmax = _kmax(args, doc)
-    k1 = args.k1 if args.k1 is not None else doc.k1
-    k2 = args.k2 if args.k2 is not None else doc.k2
+    work_limit = _work_limit(args, doc)
+    k1 = _setting(args.k1, doc.k1)
+    k2 = _setting(args.k2, doc.k2)
     if (k1 is not None and k1 < 1) or (k2 is not None and k2 < 1):
         raise ValueError("k1 and k2 must be positive")
     if (k1 is None) != (k2 is None):
@@ -420,7 +403,7 @@ def cmd_audit(args) -> int:
         raise ValueError(f"audit tries scalings only as a pair: {missing} "
                          "is missing")
     try_pairs = [] if k1 is None else [(k1, k2)]
-    audit = implication_chain_audit(a, b, kmax, try_pairs)
+    audit = implication_chain_audit(a, b, kmax, try_pairs, work_limit)
     result = {
         "gluing": audit.gluing,
         "multiples": audit.multiples,
@@ -444,7 +427,8 @@ def cmd_audit(args) -> int:
              f"semigroups meet: {show(audit.semigroup_meet)}"]
     for v in audit.violations:
         lines.append(f"VIOLATION: {v}")
-    _emit(args, "audit", doc, {"kmax": kmax}, result, lines)
+    _emit(args, "audit", doc, {"kmax": kmax, "work_limit": work_limit},
+          result, lines)
     return 1 if audit.violations else 0
 
 
@@ -455,7 +439,7 @@ def cmd_embed_glue(args) -> int:
                          "generators")
     p = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc.a))
     q = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc.b))
-    index = args.i if args.i is not None else doc.index
+    index = _setting(args.i, doc.index)
     if index is None:
         raise ValueError("embed-glue needs a step index (i: in the file "
                          "or --i)")
@@ -507,14 +491,15 @@ _COMMANDS = {
               (_WORK,), (("--degree-bound", str, "also list all ideal "
                           "binomials within this degree"),)),
     "membership": (cmd_membership,
-                   "decide whether v lies in the semigroup A", (), ()),
+                   "decide whether v lies in the semigroup A", (_WORK,),
+                   ()),
     "check-gluing": (cmd_check_gluing, "decide whether k1 A and k2 B glue",
                      (_WORK,), _K12),
     "find-gluing": (cmd_find_gluing,
                     "search scalings that make A and B glue",
                     (_KMAX, _WORK), ()),
     "audit": (cmd_audit, "evaluate the implication chain for A and B",
-              (_KMAX,), _K12),
+              (_KMAX, _WORK), _K12),
     "embed-glue": (cmd_embed_glue,
                    "embed two plane semigroups so that they glue", (),
                    (("--i", int, "1-based step index of A used for the "
@@ -541,8 +526,8 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
         func, text, shared, own = _COMMANDS[name]
         sp = sub.add_parser(name, help=text)
         sp.add_argument("input", help="input file, or - for stdin")
-        sp.add_argument("--json", dest="json_out", action="store_true",
-                        default=None, help="machine readable output")
+        sp.add_argument("--json", action="store_true",
+                        help="machine readable output")
         for flag, cast, flag_help in (*shared, *own):
             sp.add_argument(flag, type=cast, default=None, help=flag_help)
         sp.set_defaults(func=func)

@@ -507,14 +507,15 @@ def _verify_on_line(cand: GluingCandidate, rc: RankConditions,
     return GluingReport(cand, rc, u, rho is not None, rho, lev)
 
 
-def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
-    """Return (exponents, multiplier) with matrix*exponents == multiplier*v.
+def _cone_solution(v, matrix: IntegerMatrix):
+    """Return (first, face) for v, which must be nonzero, in the columns.
 
-    The exponents are nonnegative integers and the multiplier positive,
-    so this witnesses that v, which must be nonzero, lies in the
-    rational cone of the columns; None when it does not.  A subset S of
-    s columns is one fraction-free reduction of [S | v] on the rows
-    where v is nonzero: S is independent when its columns are the first
+    first is (exponents, multiplier) with matrix*exponents ==
+    multiplier*v, the exponents nonnegative integers and the multiplier
+    positive, so it witnesses that v lies in the rational cone of the
+    columns; None when it does not.  A subset S of s columns is one
+    fraction-free reduction of [S | v] on the rows where v is nonzero:
+    S is independent when its columns are the first
     s pivots, v is in its span unless column s is one too, and then row
     i gives lambda_i = x_i / d.  M lambda is integral exactly when M is
     a multiple of every reduced denominator, so the least multiplier is
@@ -525,9 +526,8 @@ def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
     at a size with no independent subset left to try: every subset of
     an independent set is independent.
 
-    With face=True the loop runs on through every basic nonnegative
-    solution of matrix * lambda = v and returns (solution, face): the
-    first solution, or None, and the indices, in order, of the columns
+    The loop runs on through every basic nonnegative solution of
+    matrix * lambda = v: face is the indices, in order, of the columns
     in their supports, which lie on the smallest face of the cone
     holding v; () when v misses the cone.  A subset inside the face
     found so far adds nothing and is skipped.
@@ -562,12 +562,10 @@ def _cone_solution(v, matrix: IntegerMatrix, face: bool = False):
                 for j, x in zip(subset, lam):
                     exps[j] = x
                 first = tuple(exps), d // g
-                if not face:
-                    return first
             support.update(j for j, x in zip(subset, lam) if x)
         if not independent:
             break
-    return (first, tuple(sorted(support))) if face else None
+    return first, tuple(sorted(support))
 
 
 def in_cone(v, matrix: IntegerMatrix) -> bool:
@@ -579,7 +577,7 @@ def in_cone(v, matrix: IntegerMatrix) -> bool:
     v = tuple(int(x) for x in v)
     if all(x == 0 for x in v):
         return True
-    return _cone_solution(v, matrix) is not None
+    return _cone_solution(v, matrix)[0] is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -765,7 +763,7 @@ def _face_multiples(u: Vector, gens: SemigroupGens, kmax: int,
     they list counts against work_limit: the kmax // M witnesses of an
     independent face, the kmax + 1 bits of a ray's tables.
     """
-    solution, face = _cone_solution(u, gens.matrix, face=True)
+    solution, face = _cone_solution(u, gens.matrix)
     if not face:
         return None, ()
     first, mult = solution
@@ -830,11 +828,11 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
                     rc: RankConditions, u: Vector | None,
                     work_limit: int = 10 ** 6) -> PairDecision:
     """Return decide_pair's record, given the pair's ``_meeting_line``."""
+    if kmax < 1:
+        raise ValueError("kmax must be positive")
     if not rc.ok:
         return PairDecision(a, b, kmax, rc, None, (), (), False,
                             "the column spaces do not meet in a line")
-    if kmax < 1:
-        raise ValueError("kmax must be positive")
     sol_a, wa = _face_multiples(u, a, kmax, work_limit)
     sol_b, wb = _face_multiples(u, b, kmax, work_limit)
     cones = sol_a, sol_a and sol_b
@@ -883,15 +881,17 @@ class ChainAudit:
 
 
 def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
-                            kmax: int = 50, try_pairs=()) -> ChainAudit:
+                            kmax: int = 50, try_pairs=(),
+                            work_limit: int = 10 ** 6) -> ChainAudit:
     """Evaluate the implication chain on one pair of semigroups.
 
     The gluing link is decide_pair's verdict; without a coprime pair,
-    any explicitly supplied (k1, k2) pairs are fully verified.  A
-    nonzero common semigroup element is constructed whenever the cones
-    meet, making the last equivalence concrete.
+    any explicitly supplied (k1, k2) pairs are fully verified.  Every
+    search, the decision's and each verification's, runs within
+    work_limit.  A nonzero common semigroup element is constructed
+    whenever the cones meet, making the last equivalence concrete.
     """
-    d = decide_pair(a, b, kmax)
+    d = decide_pair(a, b, kmax, work_limit)
     if not d.rank.ok:
         return ChainAudit(d.rank, None, False, None, None, None, None, None,
                           ())
@@ -900,7 +900,8 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
     glue, pair = d.gluable, d.pair
     if pair is None:
         for k1, k2 in try_pairs:
-            if verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing:
+            if verify_gluing(GluingCandidate(a, b, k1, k2),
+                             work_limit).is_gluing:
                 glue, pair = True, (k1, k2)
                 break
     violations = []

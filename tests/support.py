@@ -434,7 +434,7 @@ def ideal_identity_gluing(cand: GluingCandidate,
 # solution and the meeting line read off integer kernels, and the
 # independent suffix computed over Fraction.
 
-def kernel_cone_solution(v, matrix, face=False):
+def kernel_cone_solution(v, matrix):
     """Return ``gluing._cone_solution``'s answer from kernels of [S | v].
 
     A column subset S solves for v exactly when the kernel of [S | v] is
@@ -469,12 +469,10 @@ def kernel_cone_solution(v, matrix, face=False):
                 for j, x in zip(subset, lam):
                     exps[j] = x
                 first = tuple(exps), abs(d[-1])
-                if not face:
-                    return first
             support.update(j for j, x in zip(subset, lam) if x)
         if not independent:
             break
-    return (first, tuple(sorted(support))) if face else None
+    return first, tuple(sorted(support))
 
 
 def kernel_meeting_line(a, b):
@@ -620,28 +618,25 @@ def driver_identity_sweep(matrices=300, sets=200, seed=20261023):
     generators, degrees and held bases of ``scan_minimal_generators``.
     Then seeded binomial sets (2-5 variables, 1-4 binomials, exponents
     0..3, weights 1..3, any cheapest variable) through the public
-    ``buchberger``, until ``sets`` of them are not homogeneous.  Returns the mismatches, as strings, and a Counter
-    of what was compared.  Nothing is asserted, so that the sweep checks
-    the same under ``python -O``.
+    ``buchberger``, until ``sets`` of them are not homogeneous.  Asserts
+    each comparison and returns a Counter of what was compared.
     """
     rng = Random(seed)
-    bad, seen = [], Counter()
+    seen = Counter()
     real_run, real_scan = binomial._buchberger, toric.minimal_generators
 
     def checked_run(raw, order):
         got = real_run(raw, order)
-        if got != seed_loop_buchberger(raw, order):
-            bad.append(f"_buchberger {raw} {order}")
+        assert got == seed_loop_buchberger(raw, order), (raw, order)
         seen["buchberger runs"] += 1
         return got
 
     def checked_scan(gset):
         got, want = real_scan(gset), scan_minimal_generators(gset)
-        if (got.ideal.generators, got.adegrees) != (
-                want.ideal.generators, want.adegrees) or [
-                h.raw for h in got.ideal._bases.values()] != [
-                h.raw for h in want.ideal._bases.values()]:
-            bad.append(f"minimal_generators {gset.ideal.generators}")
+        assert (got.ideal.generators, got.adegrees) == (
+            want.ideal.generators, want.adegrees), gset.ideal.generators
+        assert [h.raw for h in got.ideal._bases.values()] == [
+            h.raw for h in want.ideal._bases.values()], gset.ideal.generators
         seen["minimal generator scans"] += 1
         return got
 
@@ -669,12 +664,11 @@ def driver_identity_sweep(matrices=300, sets=200, seed=20261023):
             if u != v:
                 gens.append(Binomial.from_pair(block, (tuple(u), tuple(v))))
         raw = [g.as_pair() for g in gens]
-        if tuple(g.as_pair() for g in buchberger(gens, order)) != \
-                seed_loop_buchberger(raw, order):
-            bad.append(f"buchberger {raw} {order}")
+        assert tuple(g.as_pair() for g in buchberger(gens, order)) == \
+            seed_loop_buchberger(raw, order), (raw, order)
         seen["non-homogeneous sets"] += not _is_homogeneous(raw,
                                                             order.weights)
-    return bad, seen
+    return seen
 
 
 # -- reference for the brute-force oracle's run bucketing -------------------
@@ -780,12 +774,11 @@ def oracle_identity_sweep(trials=400, seed=20261022):
     has one column, every seventh bound is zero and the next one is too
     small for the last column in one entry.  Each is compared at a work
     limit of exactly the walk's node count, where both answer, and one
-    less, where both raise.  Returns the mismatches, as strings, and a
-    Counter of the kinds of case met.  Nothing is asserted, so that the
-    sweep checks the same under ``python -O``.
+    less, where both raise.  Asserts each comparison and returns a
+    Counter of the kinds of case met.
     """
     rng = Random(seed)
-    bad, seen = [], Counter()
+    seen = Counter()
 
     def answer(oracle, gens, bound, limit):
         try:
@@ -806,17 +799,16 @@ def oracle_identity_sweep(trials=400, seed=20261022):
         nodes = box_walk_nodes(gens.matrix, bound)
         for limit in (nodes - 1, nodes):
             got = answer(enumerate_oracle, gens, bound, limit)
-            want = answer(leaf_oracle, gens, bound, limit)
-            if got != want or isinstance(got, str) != (limit < nodes):
-                bad.append(f"{gens.matrix.columns()} {bound} {limit}: "
-                           f"{got!r} != {want!r}")
+            case = gens.matrix.columns(), bound, limit
+            assert got == answer(leaf_oracle, gens, bound, limit), case
+            assert isinstance(got, str) == (limit < nodes), case
         seen["single column"] += gens.count == 1
         seen["zero entry"] += any(0 in c for c in gens.matrix.columns())
         seen["zero bound"] += not any(bound)
         seen["last column fits 0 times"] += any(
             b < x for b, x in zip(bound, last))
         seen["nonempty"] += bool(got)
-    return bad, seen
+    return seen
 
 
 # -- reference for decide_pair's arithmetic faces ---------------------------
@@ -828,7 +820,7 @@ def search_face_multiples(u, gens, kmax, work_limit):
     by arithmetic, kept verbatim as the reference: every face is searched
     by ``multiples_in_semigroup``.
     """
-    solution, face = _cone_solution(u, gens.matrix, face=True)
+    solution, face = _cone_solution(u, gens.matrix)
     if not face:
         return None, ()
     cols, names = gens.matrix.columns(), gens.block.names
@@ -925,7 +917,7 @@ def face_pair(rng):
 
 def face_kind(u, gens):
     """Return which path of ``_face_multiples`` decides u's face in gens."""
-    solution, face = _cone_solution(u, gens.matrix, face=True)
+    solution, face = _cone_solution(u, gens.matrix)
     if not face:
         return "cone miss"
     if all(solution[0][j] for j in face):
@@ -945,9 +937,8 @@ def face_identity_sweep(pairs=200, seed=20261024,
 
     The pool is the ``chain_sweep`` benchmark's 200 pairs and ``pairs``
     seeded ``face_pair`` pairs, each decided at every kmax in ``kmaxes``.
-    Returns the mismatches, as strings, and a Counter of the face kinds
-    met (both sides of every pair) and of the verdicts.  Nothing is
-    asserted, so that the sweep checks the same under ``python -O``.
+    Asserts each comparison and returns a Counter of the face kinds met
+    (both sides of every pair) and of the verdicts.
     """
     rng = Random(seed)
     pool = chain_pairs(200)
@@ -955,25 +946,27 @@ def face_identity_sweep(pairs=200, seed=20261024,
         pair = face_pair(rng)
         if pair is not None:
             pool.append(pair)
-    bad, seen = [], Counter()
+    seen = Counter()
     for a, b in pool:
         u = gluable_lattice_point(a, b)
         for gens in (a, b):
             seen[face_kind(u, gens)] += 1
         for kmax in kmaxes:
             got, want = decide_pair(a, b, kmax), search_decide_pair(a, b, kmax)
-            if [getattr(got, f.name) for f in fields(got)] != [
-                    getattr(want, f.name) for f in fields(want)]:
-                bad.append(f"{a.matrix.columns()} {b.matrix.columns()} "
-                           f"{kmax}: {got} != {want}")
+            assert [getattr(got, f.name) for f in fields(got)] == [
+                getattr(want, f.name) for f in fields(want)], (
+                a.matrix.columns(), b.matrix.columns(), kmax)
             seen[f"gluable {got.gluable}"] += 1
-    return bad, seen
+    return seen
 
 
 # -- the CLI parser before its command table ---------------------------------
 
 def seed_parser() -> argparse.ArgumentParser:
-    """Build the CLI parser as it was built before ``cli._COMMANDS``."""
+    """Build the CLI parser as it was built before ``cli._COMMANDS``.
+
+    Its flags follow the commands' flags of today.
+    """
     parser = argparse.ArgumentParser(
         prog="semiglue",
         description="decide, certify and construct gluings of affine "
@@ -982,8 +975,8 @@ def seed_parser() -> argparse.ArgumentParser:
                         version=f"semiglue {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input file, or - for stdin")
-    common.add_argument("--json", dest="json_out", action="store_true",
-                        default=None, help="machine readable output")
+    common.add_argument("--json", action="store_true",
+                        help="machine readable output")
     kmax_flag = argparse.ArgumentParser(add_help=False)
     kmax_flag.add_argument("--kmax", type=int, default=None,
                            help="bound on searched multiples")
@@ -1002,7 +995,7 @@ def seed_parser() -> argparse.ArgumentParser:
                     help="also list all ideal binomials within this degree")
     sp.set_defaults(func=cli.cmd_toric)
 
-    sp = sub.add_parser("membership", parents=[common],
+    sp = sub.add_parser("membership", parents=[common, work_flag],
                         help="decide whether v lies in the semigroup A")
     sp.set_defaults(func=cli.cmd_membership)
 
@@ -1016,7 +1009,7 @@ def seed_parser() -> argparse.ArgumentParser:
                         help="search scalings that make A and B glue")
     sp.set_defaults(func=cli.cmd_find_gluing)
 
-    sp = sub.add_parser("audit", parents=[common, kmax_flag],
+    sp = sub.add_parser("audit", parents=[common, kmax_flag, work_flag],
                         help="evaluate the implication chain for A and B")
     sp.add_argument("--k1", type=int, default=None)
     sp.add_argument("--k2", type=int, default=None)

@@ -212,9 +212,9 @@ def test_json_payload_shape(capsys):
     assert payload["input_sha256"] == doc.sha256()
 
 
-def test_json_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("SEMIGLUE_JSON", "1")
-    code, out, _ = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt")
+def test_json_check_gluing_result(capsys):
+    code, out, _ = run(capsys, "check-gluing", CORPUS / "twisted_glue.txt",
+                       "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["is_gluing"] is True
@@ -233,27 +233,42 @@ def test_json_find_gluing_result(capsys):
     assert payload["bounds"] == {"kmax": 50, "work_limit": 10 ** 6}
 
 
-# -- precedence of flag, environment and file --------------------------------
+# -- precedence of flag and file ---------------------------------------------
 
-def test_kmax_env_beats_file_flag_beats_env(capsys, monkeypatch, tmp_path):
+def test_kmax_flag_beats_file(capsys, tmp_path):
     f = tmp_path / "low.txt"
     f.write_text((CORPUS / "twisted_glue.txt").read_text() + "kmax: 2\n")
     code, _, _ = run(capsys, "find-gluing", f)
     assert code == 3
-    monkeypatch.setenv("SEMIGLUE_KMAX", "50")
-    code, _, _ = run(capsys, "find-gluing", f)
-    assert code == 0
-    monkeypatch.setenv("SEMIGLUE_KMAX", "2")
     code, out, _ = run(capsys, "find-gluing", f, "--kmax", "50")
     assert code == 0
     assert "found scalings" in out
 
 
-def test_degree_bound_env(capsys, monkeypatch):
-    monkeypatch.setenv("SEMIGLUE_DEGREE_BOUND", "8 8 0")
-    code, out, _ = run(capsys, "toric", CORPUS / "twisted_glue.txt")
+def test_degree_bound_file_key(capsys, tmp_path):
+    f = tmp_path / "bound.txt"
+    f.write_text((CORPUS / "twisted_glue.txt").read_text()
+                 + "degree_bound: 8 8 0\n")
+    code, out, _ = run(capsys, "toric", f)
     assert code == 0
     assert "binomials with degree within (8, 8, 0):" in out
+    code, out, _ = run(capsys, "toric", f, "--degree-bound", "2 2 0")
+    assert code == 0
+    assert "binomials with degree within (2, 2, 0):" in out
+
+
+def test_the_environment_changes_no_answer(capsys, monkeypatch):
+    # Answers come from argv and the input file alone.
+    settings = {"SEMIGLUE_KMAX": "2", "SEMIGLUE_WORK_LIMIT": "3",
+                "SEMIGLUE_JSON": "1", "SEMIGLUE_DEGREE_BOUND": "8 8 0"}
+    glue = CORPUS / "twisted_glue.txt"
+    commands = ("find-gluing", "toric")
+    for name in settings:
+        monkeypatch.delenv(name, raising=False)
+    plain = [run(capsys, command, glue) for command in commands]
+    for name, value in settings.items():
+        monkeypatch.setenv(name, value)
+    assert [run(capsys, command, glue) for command in commands] == plain
 
 
 def test_work_limit_flag_gives_inconclusive(capsys):
@@ -288,6 +303,54 @@ def test_find_gluing_passes_its_work_limit_to_every_search(capsys,
     assert {limit for limit, _ in searches} == {50}
     # Both the sweep and the verification searched.
     assert {in_sweep for _, in_sweep in searches} == {True, False}
+
+
+def test_membership_and_audit_honour_their_work_limit(capsys, tmp_path):
+    f = tmp_path / "member.txt"
+    f.write_text("A:\n2 1\n1 2\n3 0\n0 3\nv: 20 21\nwork_limit: 5\n")
+    code, out, err = run(capsys, "membership", f)
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: membership search passed 5 states\n"
+    code, out, _ = run(capsys, "membership", f, "--work-limit", "1000",
+                       "--json")
+    assert code == 1
+    assert json.loads(out)["bounds"] == {"work_limit": 1000}
+    f = tmp_path / "audit.txt"
+    f.write_text("A:\n1 0\n0 1\nB:\n1 1\nwork_limit: 1\n")
+    for command in ("find-gluing", "audit"):
+        code, _, err = run(capsys, command, f)
+        assert code == 3, command
+        assert err.startswith("inconclusive: "), command
+    code, out, _ = run(capsys, "audit", f, "--work-limit", "1000", "--json")
+    assert code == 0
+    assert json.loads(out)["bounds"] == {"kmax": 50, "work_limit": 1000}
+
+
+def test_audit_passes_its_work_limit_to_every_search(capsys, monkeypatch):
+    # twisted_noglue has no pair up to kmax, so the audit verifies the
+    # pair it is given; both the decision and that verification search.
+    searches = []   # (work_limit, whether a verification made it)
+    verifying = []
+    real_member, real_verify = gluing.is_member, gluing.verify_gluing
+
+    def member(v, gens, work_limit=10 ** 6):
+        searches.append((work_limit, bool(verifying)))
+        return real_member(v, gens, work_limit)
+
+    def verify(cand, work_limit=10 ** 6):
+        verifying.append(work_limit)
+        try:
+            return real_verify(cand, work_limit)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(gluing, "is_member", member)
+    monkeypatch.setattr(gluing, "verify_gluing", verify)
+    code, _, _ = run(capsys, "audit", CORPUS / "twisted_noglue.txt",
+                     "--k1", "3", "--k2", "2", "--work-limit", "77")
+    assert code == 0
+    assert {limit for limit, _ in searches} == {77}
+    assert {in_verify for _, in_verify in searches} == {True, False}
 
 
 def test_find_gluing_computes_the_meeting_line_once(capsys, monkeypatch):
@@ -445,7 +508,7 @@ def test_audit_needs_both_scalings_or_neither(capsys, tmp_path):
 
 
 @pytest.mark.optimized
-def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
+def test_nonpositive_kmax_is_an_input_error(capsys, tmp_path):
     for command in ("find-gluing", "audit"):
         for kmax in ("0", "-3"):
             code, _, err = run(capsys, command, CORPUS / "twisted_glue.txt",
@@ -454,18 +517,15 @@ def test_nonpositive_kmax_is_an_input_error(capsys, monkeypatch, tmp_path):
             assert "kmax must be positive" in err
     f = tmp_path / "zero.txt"
     f.write_text((CORPUS / "twisted_glue.txt").read_text() + "kmax: 0\n")
-    code, _, err = run(capsys, "find-gluing", f)
-    assert code == 2
-    assert "kmax must be positive" in err
-    monkeypatch.setenv("SEMIGLUE_KMAX", "0")
-    code, _, _ = run(capsys, "audit", CORPUS / "twisted_glue.txt")
-    assert code == 2
+    for command in ("find-gluing", "audit"):
+        code, _, err = run(capsys, command, f)
+        assert code == 2
+        assert "kmax must be positive" in err
 
 
-def test_nonpositive_work_limit_is_an_input_error(capsys, monkeypatch,
-                                                  tmp_path):
+def test_nonpositive_work_limit_is_an_input_error(capsys, tmp_path):
     glue = CORPUS / "twisted_glue.txt"
-    for command in ("toric", "check-gluing", "find-gluing"):
+    for command in ("toric", "check-gluing", "find-gluing", "audit"):
         for limit in ("0", "-5"):
             code, out, err = run(capsys, command, glue, "--work-limit", limit)
             assert code == 2, (command, limit)
@@ -474,11 +534,6 @@ def test_nonpositive_work_limit_is_an_input_error(capsys, monkeypatch,
         f = tmp_path / "zero.txt"
         f.write_text(glue.read_text() + "work_limit: 0\n")
         code, _, err = run(capsys, command, f)
-        assert code == 2, command
-        assert "work limit must be positive" in err
-        monkeypatch.setenv("SEMIGLUE_WORK_LIMIT", "-5")
-        code, _, err = run(capsys, command, glue)
-        monkeypatch.delenv("SEMIGLUE_WORK_LIMIT")
         assert code == 2, command
         assert "work limit must be positive" in err
     code, _, _ = run(capsys, "toric", glue, "--degree-bound", "2 2 0",
@@ -493,7 +548,8 @@ def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
         main(["betti-glue", str(f), "--kmax", "5"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["audit", str(CORPUS / "twisted_glue.txt"), "--work-limit", "5"])
+        main(["lattice-point", str(CORPUS / "twisted_glue.txt"),
+              "--work-limit", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -167,6 +167,28 @@ def test_the_package_has_no_assert_statement():
     assert found == []
 
 
+def test_the_package_reads_no_environment():
+    # An answer comes from argv and the input file alone, so no module
+    # imports os or names environ, getenv or putenv.
+    banned = {"os", "environ", "getenv", "putenv"}
+    found = []
+    for path in sorted((ROOT / "src" / "semiglue").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0],
+                         *(alias.name for alias in node.names)]
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = [node.attr if isinstance(node, ast.Attribute)
+                         else node.id]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in banned]
+    assert found == []
+
+
 def test_marked_tests_pass_under_optimization():
     # One python -O run of every test marked optimized; under -O this
     # test has nothing to add, so it cannot start itself again.
