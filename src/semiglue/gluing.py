@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .binomial import (  # noqa: F401  (perfbench wraps ideal_equal)
@@ -195,6 +196,7 @@ class _MemberPlan(NamedTuple):
     denominator: int
     tail: tuple[Vector, ...]       # the tail columns, row by row
     shift: Vector                  # inverse * (free column on rows)
+    bounds: tuple                  # (form, a): form * rem - c * a >= 0
 
 
 @lru_cache(maxsize=64)
@@ -202,14 +204,32 @@ def _member_plan(matrix: IntegerMatrix) -> _MemberPlan:
     cols = matrix.columns()
     suffix = independent_suffix(matrix)
     start, rows, inverse = suffix.start, suffix.rows, suffix.inverse
+
+    def times(col):
+        return tuple(sum(a * col[i] for a, i in zip(row, rows))
+                     for row in inverse)
+
     shift: Vector = ()
+    bounds: list = []
     if start > 0:
-        free_col = cols[start - 1]
-        shift = tuple(sum(a * free_col[i] for a, i in zip(row, rows))
-                      for row in inverse)
+        shift = times(cols[start - 1])
+    if start > 1:
+        # The rows of num - c * a - f * shift >= 0 with f >= 0 eliminated
+        # (see is_member), num = inverse * rem on rows: each row where
+        # f = 0 fits, and -s_k * row i + s_i * row k for s_i > 0 > s_k.
+        a = times(cols[start - 2])
+        for i, s in enumerate(shift):
+            if s >= 0:
+                bounds.append((inverse[i], a[i]))
+            for k, t in enumerate(shift):
+                if s > 0 > t:
+                    bounds.append((
+                        tuple(s * y - t * x
+                              for x, y in zip(inverse[i], inverse[k])),
+                        s * a[k] - t * a[i]))
     tail = tuple(row[start:] for row in matrix.entries)
     return _MemberPlan(cols, start - 1, rows, inverse, suffix.denominator,
-                       tail, shift)
+                       tail, shift, tuple(bounds))
 
 
 def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
@@ -228,6 +248,19 @@ def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
     target.  Every state the search enters, a memoized one or the tail
     included, counts against work_limit, and the search raises
     ``BoundTooLarge`` when their number passes it.
+
+    Each searched coefficient runs down from its box bound, except the
+    last one, c, just before the free column.  With num the tail
+    solution's numerator for the rest of v, a that of c's column and f
+    the free column's coefficient, the tail is (num - c * a - f * shift)
+    / D, and c is scanned only over the c >= 0 for which some real
+    f >= 0 keeps that tail >= 0.  Eliminating f (Fourier-Motzkin) leaves
+    one row for each i with shift_i >= 0, where f = 0 must fit, and one
+    for each pair of an upper and a lower bound on f; each row,
+    n - c * a' >= 0 in integers, bounds c by one floor or ceiling
+    division.  A c outside that range has no real completion, so no
+    integer one: the search skips no solution, and the answer is the
+    same as the full box scan's.
     """
     v = tuple(int(x) for x in v)
     if len(v) != gens.ambient:
@@ -235,7 +268,8 @@ def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
                          f"{gens.ambient}")
     if any(x < 0 for x in v):
         return None
-    cols, free, rows, inverse, den, tail, shift = _member_plan(gens.matrix)
+    cols, free, rows, inverse, den, tail, shift, bounds = \
+        _member_plan(gens.matrix)
 
     def last(rem: Vector):
         # The tail solution for rem - c * cols[free] is (num - c * shift) / den.
@@ -279,9 +313,19 @@ def is_member(v, gens: SemigroupGens, work_limit: int = 10 ** 6):
         if state in memo:
             return memo[state]
         col = cols[j]
-        cmax = min(r // c for r, c in zip(rem, col) if c > 0)
+        cmin, cmax = 0, min(r // c for r, c in zip(rem, col) if c > 0)
+        if j == free - 1:
+            part = [rem[i] for i in rows]
+            for form, a in bounds:
+                n = sum(map(mul, form, part))
+                if a > 0:
+                    cmax = min(cmax, n // a)
+                elif a < 0:
+                    cmin = max(cmin, -(n // -a))
+                elif n < 0:
+                    cmax = -1
         found = None
-        for c in range(cmax, -1, -1):
+        for c in range(cmax, cmin - 1, -1):
             rest = solve(j + 1, tuple(r - c * x for r, x in zip(rem, col)))
             if rest is not None:
                 found = (c,) + rest
@@ -305,7 +349,8 @@ def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50,
     (``_line_index``): A e = k u puts k u in that meet, so m divides k.
     m = 0 when u is outside the span RA, and then no multiple of u lies
     in the semigroup.  ``decide_pair`` calls this on the face F of u,
-    whose index is g; each search runs within work_limit.
+    whose index is g; each search runs within work_limit, and so does
+    the sweep's length kmax // m, checked before any search.
     """
     u = tuple(int(x) for x in u)
     if kmax < 1:
@@ -315,6 +360,9 @@ def multiples_in_semigroup(u, gens: SemigroupGens, kmax: int = 50,
     step = _line_index(gens, u)
     if not step:
         return {}
+    if kmax // step > work_limit:
+        raise BoundTooLarge(f"listing the multiples up to {kmax} "
+                            f"passed {work_limit} steps")
     out = {}
     for k in range(step, kmax + 1, step):
         sol = is_member(tuple(k * x for x in u), gens, work_limit)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
+from math import factorial
 from operator import and_, floordiv, lshift, mul, rshift, sub
 
 from .binomial import (
@@ -278,10 +279,33 @@ def _walk(matrix: IntegerMatrix, start, work_limit: int,
     top * unit of each such run.  The last column's tops of the top + 1
     children of a node are counted per field, over the arithmetic
     progression of that field, without a call per child.
+
+    Before walking, a volume bound may raise at once.  Let r_j be the
+    least start_i / a_ij over a_ij > 0, and leave out the columns with
+    r_j = 0.  Over the other n columns, the rest of m zero, the simplex
+    sum m_j / r_j <= 1 lies in S = {m >= 0 : matrix * m <= start}.  S
+    is down-closed, so the unit cubes at its lattice points cover it,
+    and it has at least vol S >= prod r_j / n! of them.  Each is a leaf
+    the walk counts, in box and exact mode alike, so when that bound
+    passes work_limit the walk would raise anyway.
     """
     cols = matrix.columns()
     if not all(max(col) > 0 for col in cols):
         # Such a column fits any number of times: the walk never ends.
+        raise _too_large(exact, work_limit)
+    # prod r_j = volume / scale, each r_j = b / a compared crosswise
+    volume = scale = 1
+    usable = 0
+    for col in cols:
+        b, a = None, 1
+        for x, y in zip(start, col):
+            if y > 0 and (b is None or x * a < b * y):
+                b, a = x, y
+        if b:
+            volume *= b
+            scale *= a
+            usable += 1
+    if volume > work_limit * factorial(usable) * scale:
         raise _too_large(exact, work_limit)
     width = _width(start)
     field = (1 << width) - 1

@@ -15,7 +15,10 @@ leaf of the box walk, which bucketing the walk's runs replaced.  The
 CLI's twelve-parser builder, which its command table replaced, is kept
 as the reference for every help, usage and error text, and the
 membership sweep over every face of the lattice point, which arithmetic
-on independent and ray faces replaced, for ``decide_pair``'s records.
+on independent and ray faces replaced, for ``decide_pair``'s records,
+and the membership search that scanned every column from its box
+bound, which the exact range of the column before the free one
+replaced, for ``is_member``.
 """
 
 import argparse
@@ -62,6 +65,7 @@ from semiglue.binomial import (
 from semiglue.exactlin import (
     IndependentSuffix,
     IntegerMatrix,
+    independent_suffix,
     kernel_lattice_basis,
     primitive,
 )
@@ -808,6 +812,121 @@ def oracle_identity_sweep(trials=400, seed=20261022):
         seen["last column fits 0 times"] += any(
             b < x for b, x in zip(bound, last))
         seen["nonempty"] += bool(got)
+    return seen
+
+
+# -- reference for the membership search's box bound ------------------------
+
+def box_bound_member(v, gens):
+    """Return ``is_member``'s answer and the states its search entered.
+
+    The search as it was before the column just before the free one was
+    scanned over its exact rational range, kept as the reference: every
+    searched column is scanned from its box bound down to 0.
+    """
+    v = tuple(int(x) for x in v)
+    cols = gens.matrix.columns()
+    suffix = independent_suffix(gens.matrix)
+    free, rows, inverse = suffix.start - 1, suffix.rows, suffix.inverse
+    den = suffix.denominator
+    tail = tuple(row[suffix.start:] for row in gens.matrix.entries)
+    shift = ()
+    if free >= 0:
+        shift = tuple(sum(a * cols[free][i] for a, i in zip(row, rows))
+                      for row in inverse)
+
+    def last(rem):
+        num = [sum(a * rem[i] for a, i in zip(row, rows)) for row in inverse]
+        for trow, x in zip(tail, rem):
+            if den * x != sum(t * n for t, n in zip(trow, num)):
+                return None
+        if free < 0:
+            if any(n < 0 or n % den for n in num):
+                return None
+            return tuple(n // den for n in num)
+        col = cols[free]
+        lo, hi = 0, min(r // x for r, x in zip(rem, col) if x > 0)
+        for n, s in zip(num, shift):
+            if s > 0:
+                hi = min(hi, n // s)
+            elif s < 0:
+                lo = max(lo, -(n // -s))
+            elif n < 0:
+                return None
+        for c in range(hi, max(lo, hi - den + 1) - 1, -1):
+            if all((n - c * s) % den == 0 for n, s in zip(num, shift)):
+                return (c,) + tuple((n - c * s) // den
+                                    for n, s in zip(num, shift))
+        return None
+
+    memo = {}
+    spent = 0
+
+    def solve(j, rem):
+        nonlocal spent
+        spent += 1
+        if j >= free:
+            return last(rem)
+        if (j, rem) in memo:
+            return memo[j, rem]
+        col = cols[j]
+        found = None
+        for c in range(min(r // x for r, x in zip(rem, col) if x > 0), -1, -1):
+            rest = solve(j + 1, tuple(r - c * x for r, x in zip(rem, col)))
+            if rest is not None:
+                found = (c,) + rest
+                break
+        memo[j, rem] = found
+        return found
+
+    if any(x < 0 for x in v):
+        return None, 0
+    return solve(0, v), spent
+
+
+def member_identity_sweep(sets=300, seed=20261025):
+    """Compare ``is_member`` with ``box_bound_member`` on seeded sets.
+
+    Each set has 2-3 rows and 3-5 columns, some parallel to another and
+    some sums of two others, so that many are rank-deficient.  Each is
+    asked for members, near misses and a random vector.
+    Asserts that the answers agree and that ``is_member`` fits within
+    the reference's states, and returns a Counter of the cases met.
+    """
+    rng = Random(seed)
+    seen = Counter()
+    for _ in range(sets):
+        n = rng.randint(2, 3)
+        size, cols = rng.randint(3, 5), []
+        while len(cols) < size:
+            roll = rng.random()
+            if cols and roll < 0.2:
+                col = tuple(rng.randint(2, 3) * x for x in rng.choice(cols))
+            elif len(cols) > 1 and roll < 0.4:
+                c, d = rng.sample(cols, 2)
+                col = tuple(map(sum, zip(c, d)))
+            else:
+                col = tuple(rng.randrange(6) for _ in range(n))
+            if any(col) and col not in cols:
+                cols.append(col)
+        gens = SemigroupGens.from_columns(cols, "x")
+        targets = [gens.matrix.matvec([rng.randrange(5) for _ in cols])
+                   for _ in range(3)]
+        targets += [tuple(max(0, x + rng.choice((-1, 1))) for x in t)
+                    for t in targets[:2]]
+        targets.append(tuple(rng.randrange(30) for _ in range(n)))
+        for v in targets:
+            want, states = box_bound_member(v, gens)
+            case = cols, v
+            assert is_member(v, gens, states) == want, case
+            try:
+                is_member(v, gens, states - 1)
+                seen["fewer states"] += 1
+            except BoundTooLarge:
+                pass
+            seen["member" if want is not None else "non-member"] += 1
+        seen["rank-deficient"] += fraction_rank(cols) < len(cols)
+        seen["searched range"] += independent_suffix(gens.matrix).start > 1
     return seen
 
 

@@ -414,12 +414,32 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
 
 
 def test_find_gluing_sweep_within_a_small_limit_is_inconclusive(capsys):
-    # The pair's coprime scalings (3, 2) verify within 5 states; the
-    # sweep for the multiples of its lattice point does not.
+    # The pair's coprime scalings (3, 2) verify within 5 states, and so
+    # does each membership of the sweep; listing the multiples of its
+    # lattice point up to kmax 50 does not fit in 5 steps.
     code, _, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt",
                        "--work-limit", "5")
     assert code == 3
-    assert err == "inconclusive: membership search passed 5 states\n"
+    assert err == ("inconclusive: listing the multiples up to 50 passed 5 "
+                   "steps\n")
+
+
+def test_a_huge_kmax_over_a_searched_face_is_inconclusive_at_once(tmp_path):
+    # Without k1 and k2, find-gluing sweeps A's face of u, which is
+    # neither independent nor a ray: kmax // g multiples would each be
+    # searched, so their count is checked against the limit first.
+    text = (CORPUS / "twisted_glue.txt").read_text()
+    f = tmp_path / "huge.txt"
+    f.write_text("".join(line for line in text.splitlines(keepends=True)
+                         if not line.startswith(("k1:", "k2:")))
+                 + "kmax: 100000000000\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "semiglue", "find-gluing", str(f)],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ("inconclusive: listing the multiples up to "
+                           "100000000000 passed 1000000 steps\n")
 
 
 # -- input errors ------------------------------------------------------------

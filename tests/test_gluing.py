@@ -47,6 +47,7 @@ from support import (
     kernel_cone_solution,
     kernel_meeting_line,
     linear_binomial_pair,
+    member_identity_sweep,
     monomial_curves_pair,
     random_gens,
     random_plane_gens,
@@ -292,6 +293,17 @@ def test_membership_search_stops_at_its_work_limit():
     assert is_member((1000, 1000), gens, 2924) == (102, 136, 3, 2)
     with pytest.raises(BoundTooLarge):
         is_member((1000, 1000), gens, 2923)
+
+
+@pytest.mark.optimized
+def test_membership_matches_the_box_bound_reference():
+    # The column before the free one is scanned over its exact rational
+    # range: the same answers as the box-bound scan, in no more states.
+    seen = member_identity_sweep()
+    assert seen["member"] >= 800 and seen["non-member"] >= 500, seen
+    assert seen["rank-deficient"] >= 200, seen
+    assert seen["searched range"] >= 150, seen
+    assert seen["fewer states"] >= 400, seen
 
 
 @pytest.mark.optimized

@@ -324,6 +324,30 @@ def test_walk_counts_nodes_like_the_recursive_walk():
     assert wide > 100
 
 
+@pytest.mark.optimized
+def test_a_huge_box_is_refused_before_the_walk(monkeypatch):
+    # Each column fits 10**9 // 2 times under (10**9, 10**9): the simplex
+    # under those three intercepts holds more than 10**6 lattice points,
+    # so the walk raises before it packs a single column.  In the second
+    # box the columns with a 1 over the zero bound are left out, and the
+    # one left, (1, 0), fits 10**9 times.
+    def unwalkable(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(toric, "_fits_in", unwalkable)
+    gens = SemigroupGens.from_columns([(1, 2), (2, 1), (2, 2)], "x")
+    with pytest.raises(BoundTooLarge,
+                       match="^box enumeration passed 1000000 steps$"):
+        enumerate_oracle(gens, (10 ** 9, 10 ** 9))
+    with pytest.raises(BoundTooLarge,
+                       match="^fiber enumeration passed 1000000 steps$"):
+        fiber_monomials(gens.matrix, (10 ** 9, 10 ** 9))
+    gens = SemigroupGens.from_columns([(1, 0), (0, 1), (1, 1)], "x")
+    with pytest.raises(BoundTooLarge,
+                       match="^box enumeration passed 1000000 steps$"):
+        enumerate_oracle(gens, (10 ** 9, 0))
+
+
 def _brute_force_oracle(gens, bound):
     """Pair up the monomials of each degree under the bound, box by box."""
     m = gens.matrix
