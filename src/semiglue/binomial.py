@@ -65,10 +65,17 @@ the seed top-reduced unless it reduces to zero.  ``_buchberger`` then
 completes the rest; ``_minimal_subset`` returns the kept seeds, for a
 homogeneous ideal a minimal generating set.  Live critical pairs are
 packed records ``(lcm key, i, j, lcm)``: basis indices i < j, the lcm
-of their leading terms, and that lcm's order key.  ``(lcm key, i, j)``
-is unique, so the smallest record is the next pair to process and the
-lcm itself is never compared; it is stored so that the Gebauer-Moeller
-update reads it instead of recomputing it for every surviving pair.
+of their leading terms, and that lcm's order key.  The Gebauer-Moeller
+update computes the key with the lcm: with e its exponent fields and d
+its weighted degree, the lcm is (d << top) | e and its key, as
+``_Packing.key`` gives it, (d << top) - e.  ``(lcm key, i, j)`` is
+unique, so the smallest record is the next pair to process and the lcm
+itself is never compared; it is stored so that the update reads it
+instead of recomputing it for every surviving pair.  The records are
+kept sorted with the smallest last: the update merges its new pairs
+into the survivors with one sort, and ``_complete`` pops the next pair
+off the end.  ``_reduced`` sorts the final basis once on its leads'
+keys, which both finds the minimal leads and orders the result.
 
 A ``BinomialIdeal`` keeps one cache, order to raw reduced basis, and
 builds ``Binomial`` values only when ``groebner`` is read; ``contains``
@@ -190,6 +197,11 @@ class Binomial(Value):
 
     def as_pair(self) -> RawBinomial:
         return (self.plus.exponents, self.minus.exponents)
+
+    def __hash__(self) -> int:
+        # Equal binomials have equal exponents, so these alone make a
+        # hash consistent with equality, without hashing the blocks.
+        return hash((self.plus.exponents, self.minus.exponents))
 
     def negated(self) -> "Binomial":
         return Binomial(self.minus, self.plus)
@@ -408,22 +420,30 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
     """Add the pairs for the new element basis[t], pruned Gebauer-Moeller style.
 
     ``pairs`` holds live critical pairs as (lcm key, i, j, lcm) with
-    i < j; it is filtered and extended in place.  Returns False, and the
-    run must restart wider, when an lcm passes the packing's limit.
+    i < j, sorted with the smallest record last; it is filtered and
+    extended in place and stays sorted.  Returns False, and the run must
+    restart wider, when an lcm passes the packing's limit.
     """
     guard, mask, rev, limit = pk.guard, pk.mask, pk.rev, pk.limit
     top, low, field = pk.top, pk.width - 1, pk.field
+    shift = top - pk.width
     lt = basis[t][0]
-    lcms = []
+    fields = lt & mask
+    lcms, keys = [], []
     for lead, _ in basis[:t]:
         # fieldwise max: a guard bit survives where lead >= lt, and
-        # spreads to a mask of the field below it
-        ge = ((lead | guard) - lt) & guard
-        e = (lt ^ ((lead ^ lt) & (ge - (ge >> low)))) & mask
-        d = (e * rev >> (top - pk.width)) & field
+        # spreads to a mask of the field below it, where diff holds
+        # lead - lt; the other fields keep lt's
+        diff = (lead | guard) - lt
+        ge = diff & guard
+        e = fields + (diff & (ge - (ge >> low)))
+        d = (e * rev >> shift) & field
         if d > limit:  # an explicit check, so that -O keeps it
             return False
-        lcms.append((d << top) | e)
+        d <<= top
+        lcms.append(d | e)
+        # the lcm's order key, as _Packing.key computes it from d | e
+        keys.append(d - e)
     # drop old pairs whose S-polynomial the new element now takes care of
     survivors = []
     for entry in pairs:
@@ -433,11 +453,10 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
             continue
         survivors.append(entry)
     # among the new pairs keep only minimal lcms, one per value, and
-    # finally discard those with coprime leading terms
+    # finally discard those with coprime leading terms; a stable sort
+    # on the keys visits them by (key, i), as the records order them
     chosen: list[int] = []
-    # the order keys, as _Packing.key computes them
-    for k, i in sorted([(lij - ((lij & mask) << 1), i)
-                        for i, lij in enumerate(lcms)]):
+    for i in sorted(range(t), key=keys.__getitem__):
         lij = lcms[i]
         if lij == basis[i][0] + lt:  # coprime: the lcm is the product
             chosen.append(lij)
@@ -448,7 +467,9 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
                 break
         else:
             chosen.append(lij)
-            survivors.append((k, i, t, lij))
+            survivors.append((keys[i], i, t, lij))
+    # two sorted runs, the survivors' and the new pairs': one merge
+    survivors.sort(reverse=True)
     pairs[:] = survivors
     return True
 
@@ -456,8 +477,10 @@ def _gm_update(pk: _Packing, basis, pairs, t: int) -> bool:
 def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     """Process critical pairs, smallest lcm first, extending basis in place.
 
-    Each S-polynomial is only top-reduced (``_reduce_pair``), so a new
-    element has an irreducible lead but maybe a reducible tail.
+    ``pairs`` is sorted with the smallest record last, as ``_gm_update``
+    keeps it, so the next pair is popped off its end.  Each S-polynomial
+    is only top-reduced (``_reduce_pair``), so a new element has an
+    irreducible lead but maybe a reducible tail.
 
     With ``upto`` given, stop once every remaining pair has an lcm of
     weighted degree above it.  For a homogeneous ideal the basis is then
@@ -465,14 +488,14 @@ def _complete(pk: _Packing, basis, pairs, upto: int | None = None) -> bool:
     weighted degree at most ``upto`` reduces to zero.  Returns False when
     the run must restart wider.
     """
-    # a key above upto << top is exactly a weighted degree above upto
-    bound = None if upto is None else upto << pk.top
+    # A key above upto << top is exactly a weighted degree above upto.
+    # Every lcm's degree is within the limit, so without upto no key
+    # reaches the bound.
+    bound = (pk.limit + 1 if upto is None else upto) << pk.top
     while pairs:
-        entry = min(pairs)
-        if bound is not None and entry[0] > bound:
+        if pairs[-1][0] > bound:
             return True
-        pairs.remove(entry)
-        _, i, j, lij = entry
+        _, i, j, lij = pairs.pop()
         if basis[i][1] == basis[j][1]:
             continue
         # each side of the S-polynomial is lcm - lead + tail
@@ -516,10 +539,18 @@ def _buchberger(raw_gens, order: MonomialOrder) -> tuple[RawBinomial, ...]:
     raw_gens = list(raw_gens)
 
     def run(pk):
-        k = pk.key
-        seeds = sorted({(a, b) if k(a) > k(b) else (b, a)
-                        for a, b in (map(pk.pack, pr) for pr in raw_gens)
-                        if a != b}, key=lambda g: (k(g[0]), k(g[1])))
+        pack, mask = pk.pack, pk.mask
+        keyed = set()
+        for pr in raw_gens:
+            a, b = map(pack, pr)
+            # the order keys, as _Packing.key computes them; the larger
+            # monomial leads
+            ka, kb = a - ((a & mask) << 1), b - ((b & mask) << 1)
+            if ka > kb:
+                keyed.add((ka, kb, a, b))
+            elif kb > ka:
+                keyed.add((kb, ka, b, a))
+        seeds = [(a, b) for _, _, a, b in sorted(keyed)]
         basis, pairs = [], []
         if _grow(pk, seeds, basis, pairs) is None:
             return None
@@ -536,21 +567,31 @@ def _minimal_subset(raw, order: MonomialOrder) -> list[int]:
 
 
 def _reduced(pk: _Packing, basis) -> tuple[RawBinomial, ...]:
-    """Return the raw reduced Groebner basis given any packed one."""
-    k, guard = pk.key, pk.guard
-    minimal: list = []
-    for lead, step in sorted(basis, key=lambda g: (k(g[0]), k(g[0] + g[1]))):
+    """Return the raw reduced Groebner basis given any packed one.
+
+    One sort on the leads' order keys gives both the order in which the
+    minimal leads are found, since a divisor's key is never larger, and
+    the order of the result.
+    """
+    guard, mask, unpack = pk.guard, pk.mask, pk.unpack
+    minimal = []
+    # the order keys, as _Packing.key computes them; equal keys are equal
+    # leads, and the tail reduced below makes either one the same element
+    for _, lead, step in sorted([(lead - ((lead & mask) << 1), lead, step)
+                                 for lead, step in basis]):
         g = lead | guard
-        if not any((g - c) & guard == guard for c, _ in minimal):
+        for c, _ in minimal:
+            if (g - c) & guard == guard:
+                break
+        else:
             minimal.append((lead, step))
     reduced = []
     for lead, step in minimal:
         tail = _nf_mono(lead + step, minimal, guard)
         if tail == lead:  # an explicit check, so that -O keeps it
             raise AssertionError("a Groebner element reduced to zero")
-        reduced.append((k(lead), lead, tail))
-    reduced.sort()
-    return tuple((pk.unpack(u), pk.unpack(v)) for _, u, v in reduced)
+        reduced.append((unpack(lead), unpack(tail)))
+    return tuple(reduced)
 
 
 def _interreduce(basis, order: MonomialOrder) -> tuple[RawBinomial, ...]:

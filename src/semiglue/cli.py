@@ -7,6 +7,8 @@ style lines set inline vectors, and ``#`` starts a comment.  A file
 whose first nonblank character is ``{`` is read as JSON with the same
 field names.  A command line flag beats the file's value, which beats
 the default; nothing else, the environment included, changes an answer.
+A ``kmax`` or ``work_limit`` key is bad input to a command that has no
+such flag, as the flag would be.
 
 Each command is one row of ``_COMMANDS``: handler, help, shared flags
 and own flags, each flag an (option, type, help) triple.  A call whose
@@ -180,7 +182,12 @@ def _read_document(args) -> InputDocument:
     else:
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
-    return InputDocument.parse(text)
+    doc = InputDocument.parse(text)
+    # A bound key is refused where its flag is: by a command that has none.
+    for name in ("kmax", "work_limit"):
+        if getattr(doc, name) is not None and not hasattr(args, name):
+            raise ValueError(f"{args.command} reads no {name!r} key")
+    return doc
 
 
 def _setting(flag, file_value, default=None):
@@ -226,14 +233,29 @@ def _rankdict(rc) -> dict:
 
 def _emit(args, command: str, doc: InputDocument, bounds: dict,
           result: dict, lines: list) -> None:
-    if args.json:
-        payload = {"command": command, "version": __version__,
-                   "input_sha256": doc.sha256(), "bounds": bounds,
-                   "result": result}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for ln in lines:
-            print(ln)
+    """Print the JSON payload or the lines: the one writer to stdout.
+
+    A reader that closes the pipe early is not bad input, so the command
+    keeps its verdict's exit code.  As the note on SIGPIPE in Python's
+    ``signal`` docs advises, the output is flushed here, where a
+    BrokenPipeError is caught, and nothing more may reach the closed
+    pipe, not even the flush at exit.  The docs point the descriptor at
+    devnull; stdout need not have one (an in-process run may write to a
+    StringIO), so stdout is dropped instead: print and that flush skip a
+    None stdout.
+    """
+    try:
+        if args.json:
+            payload = {"command": command, "version": __version__,
+                       "input_sha256": doc.sha256(), "bounds": bounds,
+                       "result": result}
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for ln in lines:
+                print(ln)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = None
 
 
 def _check_result(report) -> dict:

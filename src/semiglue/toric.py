@@ -33,7 +33,6 @@ from .binomial import (
     VariableBlock,
     _binomial_batch,
     _buchberger,  # noqa: F401  (unused here; perfbench/spans.py wraps it)
-    _canonical_key,
     _coprime,
     _interreduce,
     _minimal_subset,
@@ -127,14 +126,16 @@ def minimal_generators(gset: GradedBinomialSet) -> GradedBinomialSet:
     (``_minimal_subset``).  The kept set spans the same ideal as all the
     generators, so it keeps the Groebner bases that their ideal holds.
     """
-    gens = sorted(gset.ideal.generators,
-                  key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
-                                 _canonical_key(g)))
+    # The generators come sorted by _canonical_key, so a stable sort on
+    # the degrees breaks their ties as that key would; each is read once.
+    gens = gset.ideal.generators
+    ranked = sorted([(sum(d), d, n) for n, d in
+                     enumerate(map(gset.adegrees.__getitem__, gens))])
     order = MonomialOrder.degrevlex(gset.weights)
-    kept = [gens[i] for i in _minimal_subset([g.as_pair() for g in gens],
-                                             order)]
-    ideal = gset.ideal.spanned_by(kept)
-    return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
+    kept = [ranked[i] for i in _minimal_subset(
+        [gens[n].as_pair() for _, _, n in ranked], order)]
+    ideal = gset.ideal.spanned_by([gens[n] for _, _, n in kept])
+    return GradedBinomialSet(ideal, {gens[n]: d for _, d, n in kept},
                              gset.weights)
 
 
@@ -213,16 +214,19 @@ def toric_ideal_of_matrix(matrix: IntegerMatrix,
     # The last sweep already leaves a Groebner basis under this order.
     sweeps = _sweep_variables(basis, matrix.cols)
     gb = _interreduce(_saturate_raw(pairs, weights, sweeps), order)
-    for u, v in gb:
+    degrees = {}
+    for pair in gb:
+        u, v = pair
         # Self-checks of the saturation; explicit so that -O keeps them.
         if not _coprime(u, v):
             raise AssertionError(
                 f"toric Groebner element {u} - {v} has overlapping support")
-        if matrix.matvec(u) != matrix.matvec(v):
+        degrees[pair] = degree = matrix.matvec(u)
+        if degree != matrix.matvec(v):
             raise AssertionError(
                 f"toric Groebner element {u} - {v} is not homogeneous")
     ideal = BinomialIdeal.from_basis(block, order, gb)
-    adegrees = {g: matrix.matvec(g.plus.exponents) for g in ideal.generators}
+    adegrees = {g: degrees[g.as_pair()] for g in ideal.generators}
     return minimal_generators(GradedBinomialSet(ideal, adegrees, weights))
 
 

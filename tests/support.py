@@ -18,11 +18,16 @@ membership sweep over every face of the lattice point, which arithmetic
 on independent and ray faces replaced, for ``decide_pair``'s records,
 and the membership search that scanned every column from its box
 bound, which the exact range of the column before the free one
-replaced, for ``is_member``.
+replaced, for ``is_member``.  The pair update, the min() scan of the
+pairs and the two-sort finishing pass that the sorted pair queue
+replaced, with the post-basis toric path before it reused the
+homogeneity check's degrees, are kept as the reference for the toric
+pipeline.
 """
 
 import argparse
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, islice, product, repeat, starmap
@@ -672,6 +677,213 @@ def driver_identity_sweep(matrices=300, sets=200, seed=20261023):
             seed_loop_buchberger(raw, order), (raw, order)
         seen["non-homogeneous sets"] += not _is_homogeneous(raw,
                                                             order.weights)
+    return seen
+
+
+# -- reference for the pair queue, the finishing pass and the toric path ---
+
+def min_scan_gm_update(pk, basis, pairs, t):
+    """Return ``binomial._gm_update``'s answer with pairs in any order.
+
+    The update before the pair queue was kept sorted, kept verbatim as
+    the reference: each new pair's key comes from ``_Packing.key`` in a
+    sorted list of (key, i) tuples, and ``pairs`` is left unsorted.
+    """
+    guard, mask, rev, limit = pk.guard, pk.mask, pk.rev, pk.limit
+    top, low, field = pk.top, pk.width - 1, pk.field
+    lt = basis[t][0]
+    lcms = []
+    for lead, _ in basis[:t]:
+        ge = ((lead | guard) - lt) & guard
+        e = (lt ^ ((lead ^ lt) & (ge - (ge >> low)))) & mask
+        d = (e * rev >> (top - pk.width)) & field
+        if d > limit:
+            return False
+        lcms.append((d << top) | e)
+    survivors = []
+    for entry in pairs:
+        _, i, j, lij = entry
+        if (((lij | guard) - lt) & guard == guard and lcms[i] != lij
+                and lcms[j] != lij):
+            continue
+        survivors.append(entry)
+    chosen = []
+    for k, i in sorted([(lij - ((lij & mask) << 1), i)
+                        for i, lij in enumerate(lcms)]):
+        lij = lcms[i]
+        if lij == basis[i][0] + lt:
+            chosen.append(lij)
+            continue
+        g = lij | guard
+        for c in chosen:
+            if (g - c) & guard == guard:
+                break
+        else:
+            chosen.append(lij)
+            survivors.append((k, i, t, lij))
+    pairs[:] = survivors
+    return True
+
+
+def min_scan_complete(pk, basis, pairs, upto=None):
+    """Return ``binomial._complete``'s answer by a min() scan of the pairs.
+
+    Kept verbatim as the reference: the next pair is ``min(pairs)``,
+    then removed from the list.
+    """
+    bound = None if upto is None else upto << pk.top
+    while pairs:
+        entry = min(pairs)
+        if bound is not None and entry[0] > bound:
+            return True
+        pairs.remove(entry)
+        _, i, j, lij = entry
+        if basis[i][1] == basis[j][1]:
+            continue
+        r = _reduce_pair(pk, basis, lij + basis[i][1], lij + basis[j][1])
+        if r is None:
+            continue
+        basis.append(r)
+        if not min_scan_gm_update(pk, basis, pairs, len(basis) - 1):
+            return False
+    return True
+
+
+def two_sort_reduced(pk, basis):
+    """Return ``binomial._reduced``'s answer by its earlier two sorts.
+
+    Kept verbatim as the reference: the leads are sorted with two
+    ``_Packing.key`` calls each and filtered by an ``any()`` generator,
+    and the result is sorted again.
+    """
+    k, guard = pk.key, pk.guard
+    minimal = []
+    for lead, step in sorted(basis, key=lambda g: (k(g[0]), k(g[0] + g[1]))):
+        g = lead | guard
+        if not any((g - c) & guard == guard for c, _ in minimal):
+            minimal.append((lead, step))
+    reduced = []
+    for lead, step in minimal:
+        tail = _nf_mono(lead + step, minimal, guard)
+        if tail == lead:
+            raise AssertionError("a Groebner element reduced to zero")
+        reduced.append((k(lead), lead, tail))
+    reduced.sort()
+    return tuple((pk.unpack(u), pk.unpack(v)) for _, u, v in reduced)
+
+
+def min_scan_buchberger(raw_gens, order):
+    """Return ``binomial._buchberger``'s answer by the engine above.
+
+    Kept verbatim as the reference, seeds sorted with ``_Packing.key``;
+    ``binomial._grow`` must run the reference update and completion
+    (``min_scan_engine``).
+    """
+    raw_gens = list(raw_gens)
+
+    def run(pk):
+        k = pk.key
+        seeds = sorted({(a, b) if k(a) > k(b) else (b, a)
+                        for a, b in (map(pk.pack, pr) for pr in raw_gens)
+                        if a != b}, key=lambda g: (k(g[0]), k(g[1])))
+        basis, pairs = [], []
+        if binomial._grow(pk, seeds, basis, pairs) is None:
+            return None
+        return basis if min_scan_complete(pk, basis, pairs) else None
+
+    return two_sort_reduced(*_widening(order, raw_gens, run))
+
+
+@contextmanager
+def min_scan_engine():
+    """Run ``binomial``'s drivers on the reference engine above."""
+    names = ("_gm_update", "_complete", "_reduced", "_buchberger")
+    real = [getattr(binomial, name) for name in names]
+    for name, ref in zip(names, (min_scan_gm_update, min_scan_complete,
+                                 two_sort_reduced, min_scan_buchberger)):
+        setattr(binomial, name, ref)
+    try:
+        yield
+    finally:
+        for name, fn in zip(names, real):
+            setattr(binomial, name, fn)
+
+
+def per_lookup_minimal_generators(gset):
+    """Return ``toric.minimal_generators``'s answer, degrees read per key.
+
+    Kept verbatim as the reference: the sort key reads each degree twice
+    and adds ``_canonical_key``.
+    """
+    gens = sorted(gset.ideal.generators,
+                  key=lambda g: (sum(gset.adegrees[g]), gset.adegrees[g],
+                                 _canonical_key(g)))
+    order = MonomialOrder.degrevlex(gset.weights)
+    kept = [gens[i] for i in binomial._minimal_subset(
+        [g.as_pair() for g in gens], order)]
+    ideal = gset.ideal.spanned_by(kept)
+    return GradedBinomialSet(ideal, {g: gset.adegrees[g] for g in kept},
+                             gset.weights)
+
+
+def min_scan_toric_ideal(matrix, block):
+    """Return ``toric_ideal_of_matrix``'s answer by the reference path.
+
+    The kernel and the sweeps as the package runs them, on the reference
+    engine, then the post-basis path as it was: a degree computed apart
+    from the homogeneity check, and ``per_lookup_minimal_generators``.
+    """
+    weights = tuple(sum(c) for c in matrix.columns())
+    order = MonomialOrder.degrevlex(weights)
+    basis = kernel_lattice_basis(matrix)
+    pairs = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+             for v in basis]
+    if not pairs:
+        return GradedBinomialSet(BinomialIdeal(block, ()), {}, weights)
+    with min_scan_engine():
+        gb = binomial._interreduce(binomial._saturate_raw(
+            pairs, weights, toric._sweep_variables(basis, matrix.cols)),
+            order)
+        for u, v in gb:
+            if not binomial._coprime(u, v):
+                raise AssertionError(f"{u} - {v} has overlapping support")
+            if matrix.matvec(u) != matrix.matvec(v):
+                raise AssertionError(f"{u} - {v} is not homogeneous")
+        ideal = BinomialIdeal.from_basis(block, order, gb)
+        adegrees = {g: matrix.matvec(g.plus.exponents)
+                    for g in ideal.generators}
+        return per_lookup_minimal_generators(
+            GradedBinomialSet(ideal, adegrees, weights))
+
+
+def pair_queue_identity_sweep(matrices=300, seed=20261026):
+    """Compare the toric pipeline with ``min_scan_toric_ideal``.
+
+    Toric ideals of the ``toric_ideals`` benchmark pool (100 random 3 x 5
+    to 3 x 7 matrices, entries 0..3, drawn from seed 20260823) and of
+    ``matrices`` seeded ones (2-4 rows, 4-7 columns, entries 0..3): the
+    held reduced bases, under their orders, the minimal generators in
+    order, and their degrees, in order, must be the reference's.
+    Asserts each comparison and returns a Counter of what was compared.
+    """
+    rng = Random(seed)
+    pool_rng = Random(20260823)
+    pool = [random_gens(pool_rng, 3, 5 + i % 3, 3) for i in range(100)]
+    for _ in range(matrices):
+        pool.append(random_gens(rng, rng.randint(2, 4), rng.randint(4, 7), 3))
+    seen = Counter()
+    for gens in pool:
+        m, block = gens.matrix, gens.block
+        got = toric_ideal_of_matrix.__wrapped__(m, block)
+        want = min_scan_toric_ideal(m, block)
+        cols = m.columns()
+        assert [(order, held.raw) for order, held in got.ideal._bases.items()
+                ] == [(order, held.raw) for order, held
+                      in want.ideal._bases.items()], cols
+        assert got.ideal.generators == want.ideal.generators, cols
+        assert list(got.adegrees.items()) == list(want.adegrees.items()), cols
+        seen["toric ideals"] += 1
+        seen["generators"] += got.mu
     return seen
 
 

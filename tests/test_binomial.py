@@ -483,6 +483,8 @@ def test_buchberger_matches_a_textbook_run(monkeypatch):
                                     pk.unpack(basis[j][0])))
             assert lij == pk.pack(big)
             assert lkey == pk.key(lij)
+        # the queue stays sorted, the next pair to process last
+        assert pairs == sorted(pairs, reverse=True)
         # packed keys order the lcms exactly as the order's own key does
         by_packed = sorted(pairs)
         assert [pk.unpack(e[3]) for e in by_packed] == sorted(

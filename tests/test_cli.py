@@ -572,6 +572,53 @@ def test_bound_flags_belong_to_the_commands_that_read_them(capsys, tmp_path):
               "--work-limit", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    # The same bounds as file keys are refused, naming the key, by the
+    # commands that have no such flag; the others read them.
+    for name, command, extra, key in (
+            ("twisted_glue.txt", "lattice-point", "kmax: 0\nwork_limit: -4\n",
+             "kmax"),
+            ("twisted_glue.txt", "lattice-point", "work_limit: 5\n",
+             "work_limit"),
+            ("plane_embed_selfglue.txt", "embed-glue", "work_limit: 1\n",
+             "work_limit"),
+            ("twisted_glue.txt", "check-gluing", "kmax: 5\n", "kmax")):
+        f = tmp_path / "bounded.txt"
+        f.write_text((CORPUS / name).read_text() + extra)
+        code, out, err = run(capsys, command, f)
+        assert (code, out) == (2, ""), (command, extra)
+        assert err == f"error: {command} reads no {key!r} key\n", err
+    f.write_text(json.dumps({"betti_a": [1, 3, 2], "betti_b": [1, 3, 2],
+                             "kmax": 5}))
+    assert run(capsys, "betti-glue", f)[:2] == (2, "")
+    f.write_text((CORPUS / "twisted_glue.txt").read_text()
+                 + "kmax: 5\nwork_limit: 10000\n")
+    assert run(capsys, "find-gluing", f)[0] == 0
+    assert run(capsys, "check-gluing", f)[0] == 2
+    f.write_text((CORPUS / "twisted_glue.txt").read_text()
+                 + "work_limit: 10000\n")
+    assert run(capsys, "check-gluing", f)[0] == 0
+
+
+def test_a_closed_stdout_pipe_keeps_the_verdict():
+    # A reader that stops early, as `| head -1` does, is not bad input:
+    # the command exits with its verdict and prints no error, neither its
+    # own nor Python's at exit.  The read end is closed before the
+    # command writes, so every write meets a broken pipe.
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    for argv, verdict in (
+            (["embed-glue", "plane_embed_selfglue.txt", "--json"], 0),
+            (["embed-glue", "plane_embed_selfglue.txt"], 0),
+            (["check-gluing", "monomial_curves_union_noglue.txt"], 1)):
+        argv[1] = str(CORPUS / argv[1])
+        proc = subprocess.Popen([sys.executable, "-m", "semiglue", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (verdict, b""), (argv, err)
 
 
 @pytest.mark.optimized

@@ -29,6 +29,53 @@ def test_perfbench_spans_find_every_wrapped_name():
     assert done.returncode == 0, done.stderr
 
 
+def test_a_traced_toric_ideal_keeps_its_spans_and_counters():
+    # perfbench counts a saturation sweep as a binomial.buchberger span
+    # directly under binomial.saturation, and reads the minimal
+    # generators off the toric.minimal_generators span.  A refactor that
+    # routes a sweep or the scan around a wrapped name fails here, not
+    # later as a counter that silently reads zero.
+    cols = [(3, 0, 1), (0, 2, 1), (1, 1, 0), (2, 0, 2), (0, 1, 3),
+            (1, 3, 1), (2, 2, 0)]
+    gens = toric.SemigroupGens.from_columns(cols)
+    sweeps = len(toric._sweep_variables(
+        toric.kernel_lattice_basis(gens.matrix), gens.count))
+    script = (
+        "import json\n"
+        "from spans import NAME, PARENT, Recorder, summarize\n"
+        "from semiglue import toric\n"
+        "recorder = Recorder()\n"
+        "recorder.install()\n"
+        f"gens = toric.SemigroupGens.from_columns({cols!r})\n"
+        "recorder.run_op(0, toric.toric_ideal, gens)\n"
+        "spans = recorder.spans\n"
+        "print(json.dumps([[s[NAME], None if s[PARENT] is None\n"
+        "                   else spans[s[PARENT]][NAME]] for s in spans]))\n"
+        "print(json.dumps({k: v for k, (v, unit) in\n"
+        "                  summarize(recorder, 0, 1).items()\n"
+        "                  if unit != 's'}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    spans, metrics = map(json.loads, done.stdout.splitlines())
+    assert sweeps == 5
+    assert spans.count(["binomial.buchberger", "binomial.saturation"]) == \
+        sweeps
+    assert spans.count(["toric.minimal_generators", "toric.toric_ideal"]) \
+        == 1
+    assert metrics["binomial.buchberger.calls"] == sweeps
+    assert metrics["binomial.saturation.sweeps"] == sweeps
+    assert metrics["toric.toric_ideal.calls"] == 1
+    # the scan keeps mu of the reduced basis it is given, which the
+    # minimal generators' ideal still holds
+    t = toric.toric_ideal(gens)
+    (held,) = t.ideal._bases.values()
+    assert metrics["toric.minimal_generators.kept_ratio"] == \
+        t.mu / len(held.raw) < 1
+
+
 def test_workload_answers_match_the_recording(monkeypatch):
     # A change that alters one recorded answer of any workload fails
     # here, not first in a benchmark run.

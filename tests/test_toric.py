@@ -43,6 +43,7 @@ from support import (
     linear_binomial_pair,
     monomial_curves_pair,
     oracle_identity_sweep,
+    pair_queue_identity_sweep,
     random_gens,
 )
 
@@ -694,6 +695,15 @@ def test_groebner_driver_matches_the_seed_loop_reference():
     assert seen["buchberger runs"] >= 1000
     assert seen["minimal generator scans"] >= 350
     assert seen["non-homogeneous sets"] == 200
+
+
+@pytest.mark.optimized
+def test_pair_queue_matches_the_min_scan_reference():
+    # The sorted pair queue, the keyed pair update, the one-sort finishing
+    # pass and the post-basis path that reuses the homogeneity check's
+    # degrees give the reference's held bases, generators and degrees.
+    seen = pair_queue_identity_sweep()
+    assert seen == {"toric ideals": 400, "generators": 1976}
 
 
 def test_toric_ideal_sweeps_only_the_required_variables(monkeypatch):
