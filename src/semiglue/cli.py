@@ -17,7 +17,9 @@ other call (``-h``, ``--version``, no arguments, an unknown command)
 builds the parser of all eight, so every message reads the same.
 
 Exit codes: 0 for an affirmative answer, 1 for a definitive negative,
-2 for unusable input, 3 for inconclusive within the given bounds.
+2 for unusable input, 3 for inconclusive within the given bounds, 4 for
+an internal error (a fault of this program, printed with its traceback).
+A reader that closes stdout early changes no exit code.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .constructions import PlaneHomogeneousGens, embed_and_glue
 from .exactlin import IntegerMatrix
 from .gluing import (
     GluingCandidate,
-    RankConditionsFail,
     _meeting_line,
     _verify_on_line,
     decide_pair,
@@ -42,83 +43,40 @@ from .gluing import (
 )
 from .homology import BettiSequence, glued_betti
 from .toric import BoundTooLarge, SemigroupGens, enumerate_oracle, toric_ideal
-from .value import Value
 
 _SCALARS = ("k1", "k2", "kmax", "index", "work_limit")
 _VECTORS = ("v", "betti_a", "betti_b", "degree_bound")
 
 
-class InputDocument(Value):
-    """Everything an input file can carry; unused fields stay None."""
+def _document(text: str) -> dict:
+    """Parse the text or JSON form and return the checked JSON object.
 
-    __slots__ = _fields = ("a", "b", "k1", "k2", "kmax", "index", "v",
-                           "betti_a", "betti_b", "degree_bound", "work_limit")
-
-    def __init__(self, a: tuple | None = None, b: tuple | None = None,
-                 k1: int | None = None, k2: int | None = None,
-                 kmax: int | None = None, index: int | None = None,
-                 v: tuple | None = None, betti_a: tuple | None = None,
-                 betti_b: tuple | None = None,
-                 degree_bound: tuple | None = None,
-                 work_limit: int | None = None) -> None:
-        self._store(a, b, k1, k2, kmax, index, v, betti_a, betti_b,
-                    degree_bound, work_limit)
-
-    def canonical(self) -> dict:
-        """Return the JSON-ready dict, omitting absent fields."""
-        out: dict = {}
-        for name in ("a", "b"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = [list(col) for col in val]
-        for name in _SCALARS:
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        for name in _VECTORS:
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = list(val)
-        return out
-
-    def serialize(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True)
-
-    def sha256(self) -> str:
-        import hashlib  # only --json reads the digest; OpenSSL loads slowly
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InputDocument":
-        known = {"a", "b", *_SCALARS, *_VECTORS}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown input fields: {sorted(unknown)}")
-        fields: dict = {}
-        for name in ("a", "b"):
-            if name in data:
-                if not isinstance(data[name], list):
-                    raise ValueError(f"{name} must be a list of generators")
-                fields[name] = tuple(_ints(col, f"a generator of {name}")
-                                     for col in data[name])
-        for name in _SCALARS:
-            if name in data:
-                fields[name] = _ints([data[name]], name)[0]
-        for name in _VECTORS:
-            if name in data:
-                fields[name] = _ints(data[name], name)
-        return cls(**fields)
-
-    @classmethod
-    def parse(cls, text: str) -> "InputDocument":
-        if text.lstrip().startswith("{"):
-            try:
-                data = json.loads(text, object_pairs_hook=_unique_keys)
-            except RecursionError:
-                raise ValueError("the JSON input is nested too deeply") \
-                    from None
-            return cls.from_dict(data)
-        return cls.from_dict(_parse_text(text))
+    The object is what ``--json`` hashes, as sorted-key JSON, so a text
+    file and its JSON form hash alike; a command reads only its fields.
+    """
+    if text.lstrip().startswith("{"):
+        try:
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("the JSON input is nested too deeply") from None
+    else:
+        doc = _parse_text(text)
+    unknown = set(doc) - {"a", "b", *_SCALARS, *_VECTORS}
+    if unknown:
+        raise ValueError(f"unknown input fields: {sorted(unknown)}")
+    for name in ("a", "b"):
+        if name in doc:
+            if not isinstance(doc[name], list):
+                raise ValueError(f"{name} must be a list of generators")
+            for col in doc[name]:
+                _ints(col, f"a generator of {name}")
+    for name in _SCALARS:
+        if name in doc:
+            _ints([doc[name]], name)
+    for name in _VECTORS:
+        if name in doc:
+            _ints(doc[name], name)
+    return doc
 
 
 def _unique_keys(pairs) -> dict:
@@ -130,10 +88,9 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
-def _ints(value, what: str) -> tuple:
+def _ints(value, what: str) -> None:
     if not isinstance(value, list) or any(type(x) is not int for x in value):
         raise ValueError(f"{what} must be integers")
-    return tuple(value)
 
 
 def _vector(text: str) -> list:
@@ -176,16 +133,16 @@ def _parse_text(text: str) -> dict:
     return data
 
 
-def _read_document(args) -> InputDocument:
+def _read_document(args) -> dict:
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
-    doc = InputDocument.parse(text)
+    doc = _document(text)
     # A bound key is refused where its flag is: by a command that has none.
     for name in ("kmax", "work_limit"):
-        if getattr(doc, name) is not None and not hasattr(args, name):
+        if name in doc and not hasattr(args, name):
             raise ValueError(f"{args.command} reads no {name!r} key")
     return doc
 
@@ -197,25 +154,25 @@ def _setting(flag, file_value, default=None):
     return default if file_value is None else file_value
 
 
-def _kmax(args, doc: InputDocument) -> int:
-    kmax = _setting(args.kmax, doc.kmax, 50)
+def _kmax(args, doc: dict) -> int:
+    kmax = _setting(args.kmax, doc.get("kmax"), 50)
     if kmax < 1:
         raise ValueError("kmax must be positive")
     return kmax
 
 
-def _work_limit(args, doc: InputDocument) -> int:
-    work_limit = _setting(args.work_limit, doc.work_limit, 10 ** 6)
+def _work_limit(args, doc: dict) -> int:
+    work_limit = _setting(args.work_limit, doc.get("work_limit"), 10 ** 6)
     if work_limit < 1:
         raise ValueError("work limit must be positive")
     return work_limit
 
 
-def _gens(doc: InputDocument, which: str, command: str) -> SemigroupGens:
-    cols = getattr(doc, which)
-    if cols is None:
+def _gens(doc: dict, which: str, command: str) -> SemigroupGens:
+    if which not in doc:
         raise ValueError(f"{command} needs an {which.upper()}: section")
-    return SemigroupGens.from_columns(cols, "x" if which == "a" else "y")
+    return SemigroupGens.from_columns(doc[which],
+                                      "x" if which == "a" else "y")
 
 
 def _bino(b: Binomial | None):
@@ -231,9 +188,8 @@ def _rankdict(rc) -> dict:
             "ok": rc.ok}
 
 
-def _emit(args, command: str, doc: InputDocument, bounds: dict,
-          result: dict, lines: list) -> None:
-    """Print the JSON payload or the lines: the one writer to stdout.
+def _write(text: str) -> None:
+    """Write text to stdout and flush it: the one writer to stdout.
 
     A reader that closes the pipe early is not bad input, so the command
     keeps its verdict's exit code.  As the note on SIGPIPE in Python's
@@ -242,20 +198,28 @@ def _emit(args, command: str, doc: InputDocument, bounds: dict,
     pipe, not even the flush at exit.  The docs point the descriptor at
     devnull; stdout need not have one (an in-process run may write to a
     StringIO), so stdout is dropped instead: print and that flush skip a
-    None stdout.
+    None stdout.  Help and version text, which argparse prints itself,
+    is flushed by an empty write.
     """
     try:
-        if args.json:
-            payload = {"command": command, "version": __version__,
-                       "input_sha256": doc.sha256(), "bounds": bounds,
-                       "result": result}
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            for ln in lines:
-                print(ln)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         sys.stdout = None
+
+
+def _emit(args, command: str, doc: dict, bounds: dict,
+          result: dict, lines: list) -> None:
+    """Print the JSON payload or the lines."""
+    if not args.json:
+        _write("".join(f"{ln}\n" for ln in lines))
+        return
+    import hashlib  # only --json reads the digest; OpenSSL loads slowly
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    payload = {"command": command, "version": __version__,
+               "input_sha256": digest.hexdigest(), "bounds": bounds,
+               "result": result}
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _check_result(report) -> dict:
@@ -328,7 +292,7 @@ def cmd_toric(args) -> int:
     bounds: dict = {"work_limit": work_limit}
     flag_bound = (None if args.degree_bound is None
                   else _vector(args.degree_bound))
-    bound = _setting(flag_bound, doc.degree_bound)
+    bound = _setting(flag_bound, doc.get("degree_bound"))
     if bound is not None:
         bound = tuple(bound)
         bounds["degree_bound"] = list(bound)
@@ -343,19 +307,20 @@ def cmd_toric(args) -> int:
 def cmd_membership(args) -> int:
     doc = _read_document(args)
     gens = _gens(doc, "a", "membership")
-    if doc.v is None:
+    if "v" not in doc:
         raise ValueError("membership needs a v: vector")
+    v = tuple(doc["v"])
     work_limit = _work_limit(args, doc)
-    sol = is_member(doc.v, gens, work_limit)
+    sol = is_member(v, gens, work_limit)
     result = {"member": sol is not None,
               "witness": None if sol is None else list(sol)}
     bounds = {"work_limit": work_limit}
     if sol is None:
         _emit(args, "membership", doc, bounds, result,
-              [f"{doc.v} is not in the semigroup"])
+              [f"{v} is not in the semigroup"])
         return 1
     _emit(args, "membership", doc, bounds, result,
-          [f"{doc.v} = combination with exponents {sol}"])
+          [f"{v} = combination with exponents {sol}"])
     return 0
 
 
@@ -363,8 +328,8 @@ def cmd_check_gluing(args) -> int:
     doc = _read_document(args)
     a = _gens(doc, "a", "check-gluing")
     b = _gens(doc, "b", "check-gluing")
-    cand = GluingCandidate(a, b, _setting(args.k1, doc.k1, 1),
-                           _setting(args.k2, doc.k2, 1))
+    cand = GluingCandidate(a, b, _setting(args.k1, doc.get("k1"), 1),
+                           _setting(args.k2, doc.get("k2"), 1))
     work_limit = _work_limit(args, doc)
     report = verify_gluing(cand, work_limit)
     _emit(args, "check-gluing", doc, {"work_limit": work_limit},
@@ -416,8 +381,8 @@ def cmd_audit(args) -> int:
     b = _gens(doc, "b", "audit")
     kmax = _kmax(args, doc)
     work_limit = _work_limit(args, doc)
-    k1 = _setting(args.k1, doc.k1)
-    k2 = _setting(args.k2, doc.k2)
+    k1 = _setting(args.k1, doc.get("k1"))
+    k2 = _setting(args.k2, doc.get("k2"))
     if (k1 is not None and k1 < 1) or (k2 is not None and k2 < 1):
         raise ValueError("k1 and k2 must be positive")
     if (k1 is None) != (k2 is None):
@@ -456,12 +421,12 @@ def cmd_audit(args) -> int:
 
 def cmd_embed_glue(args) -> int:
     doc = _read_document(args)
-    if doc.a is None or doc.b is None:
+    if "a" not in doc or "b" not in doc:
         raise ValueError("embed-glue needs A: and B: sections of plane "
                          "generators")
-    p = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc.a))
-    q = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc.b))
-    index = _setting(args.i, doc.index)
+    p = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc["a"]))
+    q = PlaneHomogeneousGens.from_matrix(IntegerMatrix.from_columns(doc["b"]))
+    index = _setting(args.i, doc.get("index"))
     if index is None:
         raise ValueError("embed-glue needs a step index (i: in the file "
                          "or --i)")
@@ -490,10 +455,10 @@ def cmd_embed_glue(args) -> int:
 
 def cmd_betti_glue(args) -> int:
     doc = _read_document(args)
-    if doc.betti_a is None or doc.betti_b is None:
+    if "betti_a" not in doc or "betti_b" not in doc:
         raise ValueError("betti-glue needs betti_a: and betti_b: lines")
-    ba = BettiSequence(doc.betti_a)
-    bb = BettiSequence(doc.betti_b)
+    ba = BettiSequence(doc["betti_a"])
+    bb = BettiSequence(doc["betti_b"])
     glued = glued_betti(ba, bb)
     result = {"betti": list(glued.values), "pd": glued.pd}
     _emit(args, "betti-glue", doc, {}, result,
@@ -559,18 +524,25 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     only = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(only).parse_args(argv)
+    try:
+        args = _build_parser(only).parse_args(argv)
+    except SystemExit:
+        _write("")
+        raise
     try:
         return args.func(args)
     except BoundTooLarge as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except RankConditionsFail as exc:
-        print(f"no: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Python's own exit code, 1, would read as a proven no.
+        import traceback
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

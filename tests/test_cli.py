@@ -1,6 +1,7 @@
 """The command line interface, driven over the corpus files."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from semiglue import cli, enumerate_oracle, gluing
-from semiglue.cli import InputDocument, main
+from semiglue import cli, enumerate_oracle, gluing, toric
+from semiglue.cli import main
 from support import seed_parser, twisted_pair
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -23,6 +24,18 @@ def run(capsys, *argv):
     code = main([str(x) for x in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """Return the environment of a CLI child process.
+
+    The child imports this checkout's package, and its stdout is
+    buffered whatever the caller's PYTHONUNBUFFERED says, as it is for a
+    user: an unbuffered child would hide a failed flush at exit.
+    """
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 # -- exit codes over the corpus ----------------------------------------------
@@ -208,8 +221,9 @@ def test_json_payload_shape(capsys):
                                "result", "version"]
     assert payload["command"] == "lattice-point"
     assert payload["result"]["u"] == [1, 1, 0]
-    doc = InputDocument.parse((CORPUS / "twisted_glue.txt").read_text())
-    assert payload["input_sha256"] == doc.sha256()
+    doc = cli._document((CORPUS / "twisted_glue.txt").read_text())
+    canonical = json.dumps(doc, sort_keys=True).encode()
+    assert payload["input_sha256"] == hashlib.sha256(canonical).hexdigest()
 
 
 def test_json_check_gluing_result(capsys):
@@ -397,7 +411,7 @@ def test_a_huge_kmax_is_inconclusive_at_once(tmp_path):
     cap = 2 ** 30
     done = subprocess.run(
         [sys.executable, "-m", "semiglue", "find-gluing", str(f)],
-        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        env=child_env(),
         capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert done.returncode == 3, done.stderr
@@ -435,7 +449,7 @@ def test_a_huge_kmax_over_a_searched_face_is_inconclusive_at_once(tmp_path):
                  + "kmax: 100000000000\n")
     done = subprocess.run(
         [sys.executable, "-m", "semiglue", "find-gluing", str(f)],
-        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        env=child_env(),
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 3, done.stderr
     assert done.stderr == ("inconclusive: listing the multiples up to "
@@ -604,15 +618,18 @@ def test_a_closed_stdout_pipe_keeps_the_verdict():
     # the command exits with its verdict and prints no error, neither its
     # own nor Python's at exit.  The read end is closed before the
     # command writes, so every write meets a broken pipe.
-    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"))
+    # Help and version text are printed by argparse, outside the
+    # command's writer, and are flushed as quietly.
     for argv, verdict in (
-            (["embed-glue", "plane_embed_selfglue.txt", "--json"], 0),
-            (["embed-glue", "plane_embed_selfglue.txt"], 0),
-            (["check-gluing", "monomial_curves_union_noglue.txt"], 1)):
-        argv[1] = str(CORPUS / argv[1])
-        proc = subprocess.Popen([sys.executable, "-m", "semiglue", *argv],
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env)
+            (["embed-glue", CORPUS / "plane_embed_selfglue.txt", "--json"],
+             0),
+            (["embed-glue", CORPUS / "plane_embed_selfglue.txt"], 0),
+            (["check-gluing", CORPUS / "monomial_curves_union_noglue.txt"],
+             1),
+            (["-h"], 0), (["toric", "-h"], 0), (["--version"], 0)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "semiglue", *map(str, argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
         proc.stdout.close()
         try:
             _, err = proc.communicate(timeout=60)
@@ -699,15 +716,21 @@ def test_embed_glue_refuses_bad_steps(capsys, tmp_path):
 
 
 @pytest.mark.optimized
-def test_find_gluing_self_check_refuses_a_failed_verification(monkeypatch):
+def test_find_gluing_self_check_refuses_a_failed_verification(capsys,
+                                                              monkeypatch):
     # The verification is replaced by one that refuses every candidate,
-    # so the coprime pair that find-gluing found fails its self-check.
+    # so the coprime pair that find-gluing found fails its self-check:
+    # an internal error, exit 4, since exit 1 is a proven no.
     real = cli._verify_on_line
     monkeypatch.setattr(cli, "_verify_on_line", lambda *args: replace(
         real(*args), is_gluing=False))
-    with pytest.raises(AssertionError, match="coprime scalings k1=3 k2=2 "
-                                             "failed verification"):
-        main(["find-gluing", str(CORPUS / "twisted_glue.txt")])
+    code, out, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt")
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback (most recent call last):\n"), err
+    message = ("coprime scalings k1=3 k2=2 failed verification: no single "
+               "mixed binomial completes the two ideals")
+    assert err.endswith(f"AssertionError: {message}\n"
+                        f"internal error: {message}\n"), err
 
 
 def corpus_command(text):
@@ -722,8 +745,7 @@ def corpus_command(text):
 
 
 def test_every_corpus_file_answers_the_same_under_optimization():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = child_env()
     files = sorted(CORPUS.glob("*.txt"))
     assert len(files) >= 11
     for path in files:
@@ -830,19 +852,39 @@ def test_a_call_builds_only_the_parser_of_its_command(capsys, monkeypatch):
 def test_document_roundtrip_and_hash_stability():
     for name in ("twisted_glue.txt", "plane_embed_selfglue.txt",
                  "shared_column_glue.txt"):
-        doc = InputDocument.parse((CORPUS / name).read_text())
-        again = InputDocument.parse(doc.serialize())
+        doc = cli._document((CORPUS / name).read_text())
+        again = cli._document(json.dumps(doc, sort_keys=True))
         assert again == doc
-        assert again.sha256() == doc.sha256()
 
 
 def test_text_and_json_forms_hash_identically():
     text = "A:\n1 0\n0 1\nk1: 2\n"
-    doc = InputDocument.parse(text)
+    doc = cli._document(text)
     as_json = json.dumps({"a": [[1, 0], [0, 1]], "k1": 2})
-    assert InputDocument.parse(as_json) == doc
+    assert cli._document(as_json) == doc
 
 
 def test_unknown_json_field_is_rejected():
-    with pytest.raises(ValueError):
-        InputDocument.parse(json.dumps({"a": [[1, 0]], "q": 3}))
+    with pytest.raises(ValueError, match=r"unknown input fields: \['q'\]"):
+        cli._document(json.dumps({"a": [[1, 0]], "q": 3}))
+
+
+def test_the_json_form_answers_as_the_text_form_does(capsys, tmp_path):
+    # Each corpus file's checked document, written as indented JSON with
+    # its keys reversed, must give the file's command the same exit
+    # code, output and digest as the text it came from.
+    files = sorted(CORPUS.glob("*.txt"))
+    assert len(files) == 11
+    for path in files:
+        text = path.read_text()
+        doc = cli._document(text)
+        as_json = tmp_path / f"{path.stem}.json"
+        reverse = dict(sorted(doc.items(), reverse=True))
+        as_json.write_text(json.dumps(reverse, indent=2))
+        for flags in ((), ("--json",)):
+            outcomes = []
+            for source in (path, as_json):
+                toric.toric_ideal_of_matrix.cache_clear()
+                outcomes.append(run(capsys, corpus_command(text), source,
+                                    *flags))
+            assert outcomes[0] == outcomes[1], (path.name, flags)

@@ -177,7 +177,7 @@ def test_importing_the_cli_generates_no_value_class_code():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "[]", "14",
+        "[]", "13",
         "semiglue.gluing.ChainAudit semiglue.gluing.GluingReport "
         "semiglue.gluing.PairDecision semiglue.toric.GradedBinomialSet"]
 

@@ -25,7 +25,6 @@ from semiglue import (
     VariableBlock,
     embed_and_glue,
 )
-from semiglue.cli import InputDocument
 from semiglue.gluing import RankConditions
 
 X2 = VariableBlock(("x1", "x2"))
@@ -67,10 +66,6 @@ CASES = [
      "gorenstein=None, mu=None)"),
     (PlaneHomogeneousGens, {"degree": 3, "steps": (1, 2)},
      "PlaneHomogeneousGens(degree=3, steps=(1, 2))"),
-    (InputDocument, {"a": ((1,), (2,)), "b": None, "k1": 2},
-     "InputDocument(a=((1,), (2,)), b=None, k1=2, k2=None, kmax=None, "
-     "index=None, v=None, betti_a=None, betti_b=None, degree_bound=None, "
-     "work_limit=None)"),
 ]
 
 
@@ -116,7 +111,6 @@ def test_value_classes_differ_when_a_field_differs():
     assert MonomialOrder((1, 2)) != MonomialOrder((1, 2), cheapest=0)
     assert GluingCandidate(A, B) != GluingCandidate(A, B, k2=2)
     assert HomologySummary(2) != HomologySummary(2, mu=3)
-    assert InputDocument() != InputDocument(kmax=5)
     # a value is not its field tuple
     assert Monomial(X2, (2, 0)) != (X2, (2, 0))
 
