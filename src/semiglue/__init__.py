@@ -61,11 +61,7 @@ from .homology import (
     HomologySummary,
     NotAGluing,
     cm_type_product,
-    dim_of,
     glued_betti,
-    glued_depth,
-    glued_dim,
-    glued_pd,
     is_complete_intersection,
     propagate,
 )

@@ -500,12 +500,8 @@ class GluingReport:
     @cached_property
     def homology(self) -> HomologySummary:
         # Scaling the two blocks does not change the rank of [A|B].
-        dim_c = self.rank.rank_joint
-        codim_c = self.candidate.c_matrix.cols - dim_c
-        if self.mu_c == codim_c:
-            return HomologySummary.make(dim_c, codim_c, dim_c, ci=True,
-                                        mu=self.mu_c)
-        return HomologySummary.make(dim_c, ci=False, mu=self.mu_c)
+        return HomologySummary.from_count(
+            self.rank.rank_joint, self.candidate.c_matrix.cols, self.mu_c)
 
 
 def verify_gluing(cand: GluingCandidate,

@@ -1,13 +1,16 @@
-"""Homological bookkeeping for glued semigroup rings.
+"""Homological bookkeeping for glued semigroup rings, each rule once.
 
-When the toric ideal of a union of two scaled semigroups is obtained
-from the two smaller ideals by adding one mixed binomial, the minimal
-free resolution of the union is the tensor product of the two smaller
-resolutions with a Koszul factor on the extra binomial.  Everything
-homological then follows by arithmetic: Betti numbers convolve,
-projective dimensions add plus one, dimension and depth add minus one,
-and the complete intersection, Cohen-Macaulay and Gorenstein properties
-hold for the union exactly when they hold for both pieces.
+The count rule, ``HomologySummary.from_count``: a toric ideal is a
+complete intersection exactly when its minimal generator count is its
+height, and then pd is the height and depth the dimension.  The gluing
+laws, ``glued_betti`` and ``propagate``: when the union's toric ideal is
+the two smaller ideals plus one mixed binomial, its minimal resolution
+is the tensor product of theirs with a Koszul factor on that binomial
+(Gimenez-Srinivasan, J. Pure Appl. Algebra 223, 2019).  So Betti
+numbers convolve, projective dimensions add plus one, dimension and
+depth add minus one, and the complete intersection, Cohen-Macaulay and
+Gorenstein properties hold for the union exactly when they hold for
+both pieces.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ class BettiSequence(Value):
         while len(vals) > 1 and vals[-1] == 0:
             vals = vals[:-1]
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def of(cls, *values: int) -> "BettiSequence":
-        return cls(tuple(values))
 
     @property
     def pd(self) -> int:
@@ -68,37 +67,6 @@ def glued_betti(a: BettiSequence, b: BettiSequence) -> BettiSequence:
     return BettiSequence(tuple(vals))
 
 
-def glued_pd(pd_a: int, pd_b: int) -> int:
-    """Return the projective dimension of a glued ring."""
-    return pd_a + pd_b + 1
-
-
-def glued_dim(dim_a: int, dim_b: int) -> int:
-    """Return the Krull dimension of a glued ring."""
-    return dim_a + dim_b - 1
-
-
-def glued_depth(depth_a: int, depth_b: int) -> int:
-    """Return the depth of a glued ring."""
-    return depth_a + depth_b - 1
-
-
-def dim_of(gens: SemigroupGens) -> int:
-    """Return the Krull dimension of the semigroup ring: the matrix rank."""
-    return rank(gens.matrix)
-
-
-def is_complete_intersection(gens: SemigroupGens) -> bool:
-    """Return whether the toric ideal is a complete intersection.
-
-    Decided by count: the ideal has height (number of generators minus
-    matrix rank), and it is a complete intersection exactly when its
-    minimal generator count equals that height.
-    """
-    t = toric_ideal(gens)
-    return t.mu == gens.count - rank(gens.matrix)
-
-
 def _and3(x: bool | None, y: bool | None) -> bool | None:
     """Three-valued conjunction: a definite False wins over unknown."""
     if x is False or y is False:
@@ -112,7 +80,8 @@ class HomologySummary(Value):
     """Known homological facts about one semigroup ring.
 
     ``None`` means not determined.  ``mu`` counts minimal generators of
-    the toric ideal.
+    the toric ideal.  A complete intersection is Cohen-Macaulay and
+    Gorenstein, so ``ci=True`` sets both.
     """
 
     __slots__ = _fields = ("dim", "pd", "depth", "ci", "cm", "gorenstein",
@@ -122,15 +91,29 @@ class HomologySummary(Value):
                  depth: int | None = None, ci: bool | None = None,
                  cm: bool | None = None, gorenstein: bool | None = None,
                  mu: int | None = None) -> None:
+        if ci:
+            cm = gorenstein = True
         self._store(dim, pd, depth, ci, cm, gorenstein, mu)
 
     @classmethod
-    def make(cls, dim: int, pd=None, depth=None, ci=None, cm=None,
-             gorenstein=None, mu=None) -> "HomologySummary":
-        if ci:
-            cm = True
-            gorenstein = True
-        return cls(dim, pd, depth, ci, cm, gorenstein, mu)
+    def from_count(cls, dim: int, count: int, mu: int) -> "HomologySummary":
+        """Return the summary that the generator count decides.
+
+        The toric ideal of ``count`` generators of rank ``dim`` has
+        height count - dim.  It is a complete intersection exactly when
+        its ``mu`` minimal generators number that height; then pd is
+        the height and depth the dimension.
+        """
+        codim = count - dim
+        if mu == codim:
+            return cls(dim, codim, dim, ci=True, mu=mu)
+        return cls(dim, ci=False, mu=mu)
+
+
+def is_complete_intersection(gens: SemigroupGens) -> bool:
+    """Return whether the toric ideal is a complete intersection."""
+    return HomologySummary.from_count(rank(gens.matrix), gens.count,
+                                      toric_ideal(gens).mu).ci
 
 
 def propagate(a: HomologySummary, b: HomologySummary,
@@ -143,10 +126,10 @@ def propagate(a: HomologySummary, b: HomologySummary,
     if not glued:
         raise NotAGluing("the homological laws require an actual gluing")
     return HomologySummary(
-        dim=glued_dim(a.dim, b.dim),
-        pd=None if a.pd is None or b.pd is None else glued_pd(a.pd, b.pd),
+        dim=a.dim + b.dim - 1,
+        pd=None if a.pd is None or b.pd is None else a.pd + b.pd + 1,
         depth=(None if a.depth is None or b.depth is None
-               else glued_depth(a.depth, b.depth)),
+               else a.depth + b.depth - 1),
         ci=_and3(a.ci, b.ci),
         cm=_and3(a.cm, b.cm),
         gorenstein=_and3(a.gorenstein, b.gorenstein),

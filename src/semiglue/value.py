@@ -20,10 +20,10 @@ class Value:
 
     Frozen dataclasses would give the same methods, but ``dataclass``
     compiles them from source with ``exec`` when the class is created:
-    for this package's fourteen value classes that was 82 compilations
-    and a third of the time of ``import semiglue.cli``, paid by every CLI
-    call before any algebra runs.  The records that ``dataclasses.replace``
-    copies stay dataclasses.
+    for the fourteen value classes the package then had, that was 82
+    compilations and a third of the time of ``import semiglue.cli``, paid
+    by every CLI call before any algebra runs.  The records that
+    ``dataclasses.replace`` copies stay dataclasses.
     """
 
     __slots__ = ()

@@ -381,9 +381,9 @@ def ideal_identity_gluing(cand: GluingCandidate,
     dim_c = rc.rank_joint
     codim_c = cand.c_matrix.cols - dim_c
     if ic.mu == codim_c:
-        hom = HomologySummary.make(dim_c, codim_c, dim_c, ci=True, mu=ic.mu)
+        hom = HomologySummary(dim_c, codim_c, dim_c, ci=True, mu=ic.mu)
     else:
-        hom = HomologySummary.make(dim_c, ci=False, mu=ic.mu)
+        hom = HomologySummary(dim_c, ci=False, mu=ic.mu)
     base = dict(candidate=cand, rank=rc, mu_a=ia.mu, mu_b=ib.mu, mu_c=ic.mu,
                 homology=hom)
     if not rc.ok:

@@ -373,8 +373,8 @@ def test_public_checks_refuse_bad_weights_and_indices():
     with pytest.raises(ValueError, match=re.escape("got (0, 1)")):
         saturate(ideal, ["x1"], weights=(0, 1))
     with pytest.raises(IndexError, match="start at index 0, not -1"):
-        BettiSequence.of(1, 3, 2)[-1]
-    assert BettiSequence.of(1, 3, 2)[3] == 0
+        BettiSequence((1, 3, 2))[-1]
+    assert BettiSequence((1, 3, 2))[3] == 0
 
 
 @pytest.mark.optimized

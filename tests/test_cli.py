@@ -54,6 +54,7 @@ CORPUS_MATRIX = [
     (("find-gluing", "twisted_glue.txt"), 0),
     (("find-gluing", "twisted_noglue.txt"), 1),
     (("find-gluing", "shared_factor_noglue.txt"), 3),
+    (("find-gluing", "rank_noglue.txt"), 1),
     (("audit", "twisted_glue.txt"), 0),
     (("audit", "twisted_noglue.txt"), 0),
     (("audit", "shared_factor_noglue.txt"), 0),
@@ -96,6 +97,11 @@ def test_find_gluing_output(capsys):
                        CORPUS / "shared_factor_noglue.txt")
     assert code == 3
     assert "no coprime pair within bound 50: inconclusive" in out
+
+    code, out, _ = run(capsys, "find-gluing", CORPUS / "rank_noglue.txt")
+    assert code == 1
+    assert out == ("no gluing for any scalings: the column spaces do not "
+                   "meet in a line\n")
 
 
 def test_find_gluing_proves_no_when_the_lattice_point_misses_a_cone(
@@ -874,7 +880,7 @@ def test_the_json_form_answers_as_the_text_form_does(capsys, tmp_path):
     # its keys reversed, must give the file's command the same exit
     # code, output and digest as the text it came from.
     files = sorted(CORPUS.glob("*.txt"))
-    assert len(files) == 11
+    assert len(files) == 12
     for path in files:
         text = path.read_text()
         doc = cli._document(text)

@@ -319,6 +319,28 @@ def test_verify_gluing_refuses_a_witness_off_its_degree(monkeypatch):
         verify_gluing(GluingCandidate(*twisted_pair(), 3, 2))
 
 
+@pytest.mark.xfail(strict=True, raises=BoundTooLarge,
+                   reason="off level 1, rho is the first vector of each "
+                          "fiber over L u, and A's fiber walk passes the "
+                          "default work limit")
+@pytest.mark.parametrize("k1, k2, ell, c, d", [
+    (1, 5, 10, (25, 80, 0, 0), (14, 10, 0)),
+    (2, 5, 20, (25, 80, 0, 0), (28, 20, 0)),
+], ids=("1-5", "2-5"))
+def test_a_yes_with_both_witnesses_found_is_decided(k1, k2, ell, c, d):
+    # Pair 192 of the chain_sweep pool.  Both membership witnesses over
+    # L u are found within the default work limit, so by the lattice
+    # criterion the candidate glues, and x^c - y^d of degree L u is rho.
+    a = SemigroupGens.from_columns(
+        [(0, 2, 2), (3, 3, 2), (3, 5, 4), (3, 7, 6)], "x")
+    b = SemigroupGens.from_columns([(2, 2, 3), (2, 3, 0), (4, 5, 3)], "y")
+    u = gluable_lattice_point(a, b)
+    assert u == (24, 29, 21)
+    assert is_member(tuple(ell // k1 * x for x in u), a) == c
+    assert is_member(tuple(ell // k2 * x for x in u), b) == d
+    assert verify_gluing(GluingCandidate(a, b, k1, k2)).is_gluing
+
+
 def test_kmax_must_be_positive():
     # Checked before the ranks, so a pair whose ranks fail is refused too.
     for pair in (twisted_pair(), crossing_plane_pair()):

@@ -70,12 +70,8 @@ def count_rule_summary(gens):
     The ring is a complete intersection exactly when mu equals the
     codimension; then pd is the codimension and depth the dimension.
     """
-    dim = rank(gens.matrix)
-    codim = gens.count - dim
-    mu = toric_ideal(gens).mu
-    if mu == codim:
-        return HomologySummary.make(dim, codim, dim, ci=True, mu=mu)
-    return HomologySummary.make(dim, ci=False, mu=mu)
+    return HomologySummary.from_count(rank(gens.matrix), gens.count,
+                                      toric_ideal(gens).mu)
 
 
 def test_gluings_of_complete_intersections_are_complete_intersections():
