@@ -171,9 +171,9 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
     """Decide whether some scalings glue two plane semigroups.
 
     In the plane the rank conditions force one side onto a ray, and the
-    meeting line is that ray.  The answer is decide_pair's, with the
-    plane's rank failure named in ``detail`` and so in ``reason``.
-    Raises ValueError unless both semigroups lie in the plane.
+    meeting line is that ray.  The answer is decide_pair's record; on a
+    rank failure its ``detail`` names the plane's.  Raises ValueError
+    unless both semigroups lie in the plane.
     """
     # Explicit so that -O keeps it: outside the plane the answer is wrong.
     if a.ambient != 2 or b.ambient != 2:
@@ -198,7 +198,8 @@ def rank1_gluable(a: SemigroupGens, b: SemigroupGens,
     Requires the first side to span the ambient space and the second to
     have rank one, else RankMismatch, raised before any membership
     search.  The meeting line is the ray, so everything reduces to
-    multiples of its primitive direction.
+    multiples of its primitive direction; the answer is decide_pair's
+    record, from the ranks already taken.
     """
     n = a.ambient
     rc, u = _meeting_line(a, b)

@@ -12,18 +12,20 @@ bound.  It solves u in each rational cone once; that one subset loop
 also gives F, the columns on the smallest face of the cone that holds
 u, and the multiples k u are found only over F and only for k in g N,
 where ZF meets Ru in g Zu: by arithmetic when F is independent or a
-ray, by a membership search otherwise.  ``verify_gluing`` decides one
-candidate exactly by Rosales' lattice criterion (Semigroup Forum 55,
-1997): the column spaces meet in a line, and the least multiple L u in
-both scaled groups lies in both scaled semigroups.  A positive answer
-comes with rho; the report's reason, generator counts and homology
-are computed from the decision when read.  The implication-chain
-audit reads ``decide_pair``'s record.
+ray, by a membership search otherwise.  Its one record,
+``PairDecision``, holds the verdict, the one sentence that justifies
+it and the links of the implication chain; the chain audit returns
+that record.  ``verify_gluing`` decides one candidate exactly by
+Rosales' lattice criterion (Semigroup Forum 55, 1997): the column
+spaces meet in a line, and the least multiple L u in both scaled
+groups lies in both scaled semigroups.  A positive answer comes with
+rho; the report's reason, generator counts and homology are computed
+from the decision when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -452,7 +454,8 @@ def _line_index(gens: SemigroupGens, u: Vector) -> int:
 class GluingReport:
     """The decision verify_gluing made about one candidate.
 
-    The rest is derived from the decision when first read, then kept:
+    The candidate glues exactly when it has a completer ``rho``.  The
+    rest is derived from the decision when first read, then kept:
     ``detail`` (coprime witnesses for a yes exactly at level 1; for a no
     with a meeting line, whether mu rules it out), and mu_a, mu_b, mu_c
     and the homology summary, with mu(C) = mu(A) + mu(B) + 1 for a
@@ -464,9 +467,12 @@ class GluingReport:
     candidate: GluingCandidate
     rank: RankConditions
     u: Vector | None
-    is_gluing: bool
     rho: Binomial | None
     rho_level: int | None
+
+    @property
+    def is_gluing(self) -> bool:
+        return self.rho is not None
 
     @cached_property
     def detail(self) -> str:
@@ -548,7 +554,7 @@ def _verify_on_line(cand: GluingCandidate, rc: RankConditions,
                 raise AssertionError(f"the {name} exponents {e} of rho "
                                      f"miss the degree {v}")
         rho = _mixed_binomial(cand, c, d)
-    return GluingReport(cand, rc, u, rho is not None, rho, lev)
+    return GluingReport(cand, rc, u, rho, lev)
 
 
 def _cone_solution(v, matrix: IntegerMatrix):
@@ -628,21 +634,26 @@ def in_cone(v, matrix: IntegerMatrix) -> bool:
 class PairDecision:
     """Whether some scalings glue a pair, with the evidence for each step.
 
-    ``witnesses_a`` and ``witnesses_b`` list (k, exponents) for every
-    multiple k u up to kmax in each semigroup, each found on the face of
-    u and padded back to the side's columns.  ``multiples`` is True
-    when both lists are nonempty, False when the column spaces do not
-    meet in a line or a cheap obstruction proves that no multiple of u
-    lies in some side, and None otherwise; ``detail`` says which.
-    ``pair`` is the smallest coprime (k1, k2) among the witnesses,
-    ordered by k1 + k2 and then k1, with A witness_a = k2 u and
-    B witness_b = k1 u; such a pair makes k1 A and k2 B glue.
+    ``gluing`` is True with a coprime pair, False when none can exist,
+    and None when the bounded search is inconclusive; ``detail`` is the
+    one sentence that justifies it.  ``witnesses_a`` and ``witnesses_b``
+    list (k, exponents) for every multiple k u up to kmax in each
+    semigroup, each found on the face of u and padded back to the side's
+    columns.  ``multiples`` is True when both lists are nonempty, False
+    when a cheap obstruction proves that no multiple of u lies in some
+    side, and None otherwise, a rank failure included.  ``pair`` is the
+    smallest coprime (k1, k2) among the witnesses, ordered by k1 + k2
+    and then k1, with A witness_a = k2 u and B witness_b = k1 u; such a
+    pair makes k1 A and k2 B glue.
 
-    ``cone_solutions`` holds u's first cone solutions (exponents,
-    multiplier) in A and B.  None marks a side whose rational cone u
-    misses, and B's is reported only when A's cone holds u.  The cones
-    can meet on the line only along u: -u has a negative coordinate,
-    and the generators are nonnegative.
+    ``common_element`` is a nonzero element of both semigroups, built
+    from u's cone solutions; it exists exactly when both rational cones
+    hold u, since they can meet on the line only along u: -u has a
+    negative coordinate, and the generators are nonnegative.  So
+    ``cone_meet`` and ``semigroup_meet`` are one link, None when the
+    column spaces do not meet in a line.  ``violations`` names each
+    link of the implication chain that ``implication_chain_audit``
+    found broken: gluing implies multiples implies cone_meet.
     """
 
     a: SemigroupGens
@@ -653,62 +664,20 @@ class PairDecision:
     witnesses_a: tuple
     witnesses_b: tuple
     multiples: bool | None
+    gluing: bool | None
     detail: str
     pair: tuple | None = None
     witness_a: Vector | None = None
     witness_b: Vector | None = None
-    cone_solutions: tuple = (None, None)
+    common_element: Vector | None = None
+    violations: tuple = ()
 
     @property
-    def common_element(self) -> Vector | None:
-        """Return a nonzero element of both semigroups, or None.
+    def cone_meet(self) -> bool | None:
+        """Return whether the two rational cones share a nonzero point."""
+        return None if self.u is None else self.common_element is not None
 
-        Such an element exists exactly when both cones hold u.
-        """
-        sol_a, sol_b = self.cone_solutions
-        if sol_b is None:
-            return None
-        (ea, na), (eb, nb) = sol_a, sol_b
-        common = tuple(na * nb * x for x in self.u)
-        # Self-checks of the cone solutions; explicit so that -O keeps them.
-        for name, gens, exps, mult in (("first", self.a, ea, nb),
-                                       ("second", self.b, eb, na)):
-            if gens.matrix.matvec(tuple(mult * e for e in exps)) != common:
-                raise AssertionError(f"the {name} cone solution misses "
-                                     f"the common element {common}")
-        return common
-
-    @property
-    def gluable(self) -> bool | None:
-        """Return True with a coprime pair, False when none can exist.
-
-        No pair exists when multiples are ruled out or u misses either
-        cone, since a multiple in a semigroup lies in its cone; otherwise
-        the bounded search is inconclusive and the answer is None.
-        """
-        if self.pair is not None:
-            return True
-        if self.multiples is False or None in self.cone_solutions:
-            return False
-        return None
-
-    @property
-    def reason(self) -> str:
-        """Return the sentence that justifies ``gluable``.
-
-        A proven obstruction to multiples is named by the cone it
-        implies u misses; the ranks' failure by ``detail``.
-        """
-        if self.pair is not None:
-            return ("coprime multiples of the lattice point lie in both "
-                    "semigroups")
-        if not self.rank.ok:
-            return self.detail
-        for name, sol in zip(("first", "second"), self.cone_solutions):
-            if sol is None:
-                return (f"the lattice point {self.u} misses the cone of the "
-                        f"{name} semigroup")
-        return f"no coprime pair found up to {self.kmax}"
+    semigroup_meet = cone_meet
 
 
 def decide_pair(a: SemigroupGens, b: SemigroupGens, kmax: int = 50,
@@ -875,85 +844,74 @@ def _decide_on_line(a: SemigroupGens, b: SemigroupGens, kmax: int,
     if kmax < 1:
         raise ValueError("kmax must be positive")
     if not rc.ok:
-        return PairDecision(a, b, kmax, rc, None, (), (), False,
+        return PairDecision(a, b, kmax, rc, None, (), (), None, False,
                             "the column spaces do not meet in a line")
     sol_a, wa = _face_multiples(u, a, kmax, work_limit)
     sol_b, wb = _face_multiples(u, b, kmax, work_limit)
-    cones = sol_a, sol_a and sol_b
+    common = None
+    if sol_a and sol_b:
+        (ea, na), (eb, nb) = sol_a, sol_b
+        common = tuple(na * nb * x for x in u)
+        # Self-checks of the cone solutions; explicit so that -O keeps them.
+        for name, gens, exps, mult in (("first", a, ea, nb),
+                                       ("second", b, eb, na)):
+            if gens.matrix.matvec(tuple(mult * e for e in exps)) != common:
+                raise AssertionError(f"the {name} cone solution misses "
+                                     f"the common element {common}")
     if wa and wb:
         best = _smallest_coprime_pair(wa, wb, work_limit)
-        found = {} if best is None else dict(
-            pair=best[:2], witness_a=best[2], witness_b=best[3])
-        return PairDecision(a, b, kmax, rc, u, wa, wb, True,
-                            "multiples of the lattice point lie in both "
-                            "semigroups", cone_solutions=cones, **found)
+        if best is None:
+            return PairDecision(a, b, kmax, rc, u, wa, wb, True, None,
+                                "multiples of the lattice point lie in both "
+                                "semigroups", common_element=common)
+        return PairDecision(a, b, kmax, rc, u, wa, wb, True, True,
+                            "coprime multiples of the lattice point lie in "
+                            "both semigroups", best[:2], *best[2:], common)
     empty = [(nm, gens) for nm, got, gens in
              (("first", wa, a), ("second", wb, b)) if not got]
     proven = [nm for nm, gens in empty if no_multiple_possible(u, gens)]
     if proven:
-        return PairDecision(a, b, kmax, rc, u, wa, wb, False,
+        return PairDecision(a, b, kmax, rc, u, wa, wb, False, False,
                             f"no positive multiple of {u} can ever lie in "
                             f"the {' or '.join(proven)} semigroup",
-                            cone_solutions=cones)
+                            common_element=common)
+    # A multiple in a semigroup lies in its cone: a missed cone is a no.
+    for nm, sol in (("first", sol_a), ("second", sol_b)):
+        if sol is None:
+            return PairDecision(a, b, kmax, rc, u, wa, wb, None, False,
+                                f"the lattice point {u} misses the cone of "
+                                f"the {nm} semigroup")
     names = " or ".join(nm for nm, _ in empty)
-    return PairDecision(a, b, kmax, rc, u, wa, wb, None,
+    return PairDecision(a, b, kmax, rc, u, wa, wb, None, None,
                         f"no multiple of {u} found in the {names} semigroup "
-                        f"up to {kmax}", cone_solutions=cones)
-
-
-@dataclass(frozen=True, eq=False)
-class ChainAudit:
-    """The implication chain for a pair, each link three-valued.
-
-    gluing: some scalings make the pair glue; multiples: some positive
-    multiple of the lattice point lies in each semigroup; cone_meet:
-    the two rational cones share a nonzero point; semigroup_meet: the
-    two semigroups share a nonzero element.  gluing implies multiples
-    implies cone_meet, and cone_meet holds exactly when semigroup_meet
-    does.  None records that a bounded search was inconclusive.
-    """
-
-    rank: RankConditions
-    u: Vector | None
-    gluing: bool | None
-    multiples: bool | None
-    cone_meet: bool | None
-    semigroup_meet: bool | None
-    pair: tuple | None
-    common_element: Vector | None
-    violations: tuple
+                        f"up to {kmax}", common_element=common)
 
 
 def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
                             kmax: int = 50, try_pairs=(),
-                            work_limit: int = 10 ** 6) -> ChainAudit:
-    """Evaluate the implication chain on one pair of semigroups.
+                            work_limit: int = 10 ** 6) -> PairDecision:
+    """Return decide_pair's record with its implication chain checked.
 
-    The gluing link is decide_pair's verdict; without a coprime pair,
-    any explicitly supplied (k1, k2) pairs are fully verified.  Every
-    search, the decision's and each verification's, runs within
-    work_limit.  A nonzero common semigroup element is constructed
-    whenever the cones meet, making the last equivalence concrete.
+    Without a coprime pair, any explicitly supplied (k1, k2) pairs are
+    fully verified, and the first that glues becomes the record's pair
+    and verdict.  Every search, the decision's and each verification's,
+    runs within work_limit.  The record's ``violations`` then name each
+    broken link: a gluing where multiples are ruled out, or multiples
+    in both semigroups whose cones meet only at the origin.
     """
     d = decide_pair(a, b, kmax, work_limit)
-    if not d.rank.ok:
-        return ChainAudit(d.rank, None, False, None, None, None, None, None,
-                          ())
-    mult, common = d.multiples, d.common_element
-    cone_meet = common is not None
-    glue, pair = d.gluable, d.pair
-    if pair is None:
+    if d.pair is None and d.rank.ok:
         for k1, k2 in try_pairs:
             if verify_gluing(GluingCandidate(a, b, k1, k2),
                              work_limit).is_gluing:
-                glue, pair = True, (k1, k2)
+                d = replace(d, gluing=True, pair=(k1, k2),
+                            detail=f"the scalings k1={k1} k2={k2} glue")
                 break
     violations = []
-    if glue is True and mult is False:
+    if d.gluing and d.multiples is False:
         violations.append("a gluing exists but provably no multiple of the "
                           "lattice point lies in both semigroups")
-    if mult is True and not cone_meet:
+    if d.multiples and not d.cone_meet:
         violations.append("multiples lie in both semigroups but the cones "
                           "meet only at the origin")
-    return ChainAudit(d.rank, d.u, glue, mult, cone_meet, cone_meet, pair,
-                      common, tuple(violations))
+    return replace(d, violations=tuple(violations)) if violations else d

@@ -1287,7 +1287,7 @@ def face_identity_sweep(pairs=200, seed=20261024,
             assert [getattr(got, f.name) for f in fields(got)] == [
                 getattr(want, f.name) for f in fields(want)], (
                 a.matrix.columns(), b.matrix.columns(), kmax)
-            seen[f"gluable {got.gluable}"] += 1
+            seen[f"gluable {got.gluing}"] += 1
     return seen
 
 

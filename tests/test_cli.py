@@ -154,6 +154,33 @@ def test_audit_output(capsys):
     assert "multiples in both semigroups: yes" in out
 
 
+def test_audit_of_a_rank_failure_leaves_the_chain_unknown(capsys):
+    code, out, _ = run(capsys, "audit", CORPUS / "rank_noglue.txt", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["gluing"] is False
+    assert (result["multiples"], result["cone_meet"],
+            result["semigroup_meet"], result["violations"]) == (
+                None, None, None, [])
+
+
+@pytest.mark.optimized
+def test_a_violated_chain_is_an_internal_error(capsys, monkeypatch):
+    # decide_pair is replaced by one that rules out the multiples it
+    # found, and the tried pair (2, 1) still glues: the chain is broken,
+    # a fault of this program, so exit 4 and not 1, the proven no.
+    real = gluing.decide_pair
+    monkeypatch.setattr(gluing, "decide_pair", lambda *args: replace(
+        real(*args), multiples=False))
+    code, out, err = run(capsys, "audit", CORPUS / "shared_column_glue.txt")
+    assert (code, out) == (4, "")
+    message = ("the implication chain is violated: a gluing exists but "
+               "provably no multiple of the lattice point lies in both "
+               "semigroups")
+    assert err.endswith(f"AssertionError: {message}\n"
+                        f"internal error: {message}\n"), err
+
+
 def test_embed_glue_output(capsys):
     code, out, _ = run(capsys, "embed-glue",
                        CORPUS / "plane_embed_selfglue.txt")
@@ -729,7 +756,7 @@ def test_find_gluing_self_check_refuses_a_failed_verification(capsys,
     # an internal error, exit 4, since exit 1 is a proven no.
     real = cli._verify_on_line
     monkeypatch.setattr(cli, "_verify_on_line", lambda *args: replace(
-        real(*args), is_gluing=False))
+        real(*args), rho=None))
     code, out, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt")
     assert (code, out) == (4, "")
     assert err.startswith("Traceback (most recent call last):\n"), err

@@ -127,7 +127,7 @@ def test_n2_gluable_positive():
     a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
     b = SemigroupGens.from_columns([(1, 1), (2, 2)], "y")
     decision = n2_gluable(a, b)
-    assert decision.gluable is True
+    assert decision.gluing is True
     assert decision.pair == (1, 1)
     assert decision.u == (1, 1)
     assert a.matrix.matvec(decision.witness_a) == (1, 1)
@@ -146,8 +146,8 @@ def test_n2_gluable_rejects_two_full_planes():
     a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
     b = SemigroupGens.from_columns([(1, 1), (1, 2)], "y")
     decision = n2_gluable(a, b)
-    assert decision.gluable is False
-    assert decision.reason == ("both sides span the plane, so the meeting "
+    assert decision.gluing is False
+    assert decision.detail == ("both sides span the plane, so the meeting "
                                "is not a line")
 
 
@@ -155,23 +155,26 @@ def test_n2_gluable_rejects_a_missed_cone():
     a = SemigroupGens.from_columns([(2, 1), (1, 2)], "x")
     b = SemigroupGens.from_columns([(1, 0)], "y")
     decision = n2_gluable(a, b)
-    assert decision.gluable is False
-    assert "misses the cone of the first semigroup" in decision.reason
+    assert decision.gluing is False and decision.cone_meet is False
+    # The cheap obstruction is found first, and is the one named.
+    assert decision.detail == ("no positive multiple of (1, 0) can ever "
+                               "lie in the first semigroup")
 
 
 def test_n2_gluable_can_stay_open():
     a = SemigroupGens.from_columns([(2, 0), (0, 2)], "x")
     b = SemigroupGens.from_columns([(2, 2)], "y")
     decision = n2_gluable(a, b, kmax=20)
-    assert decision.gluable is None
-    assert decision.reason == "no coprime pair found up to 20"
+    assert decision.gluing is None
+    assert decision.detail == ("multiples of the lattice point lie in "
+                               "both semigroups")
 
 
 def test_rank1_gluable_positive():
     a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
     b = SemigroupGens.from_columns([(2, 2)], "y")
     decision = rank1_gluable(a, b)
-    assert decision.gluable is True
+    assert decision.gluing is True
     assert decision.pair == (2, 1)
 
 
@@ -186,7 +189,7 @@ def test_rank1_gluable_takes_each_rank_once(monkeypatch):
     monkeypatch.setattr(constructions, "rank", counted)
     a = SemigroupGens.from_columns([(1, 0), (0, 1)], "x")
     b = SemigroupGens.from_columns([(2, 2)], "y")
-    assert rank1_gluable(a, b).gluable is True
+    assert rank1_gluable(a, b).gluing is True
     assert ranked == [b.matrix]
 
 
@@ -222,7 +225,7 @@ def test_rank1_gluable_checks_the_ranks_before_any_membership(monkeypatch):
     ray = SemigroupGens.from_columns([(1, 1, 0), (2, 2, 0)], "y")
     full = SemigroupGens.from_columns(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], "x")
-    assert rank1_gluable(full, ray).gluable is True
+    assert rank1_gluable(full, ray).gluing is True
     assert decided == ["x1", "y1"]
     assert searched
 
@@ -231,13 +234,16 @@ def test_rank1_gluable_rejects_a_missed_cone():
     a = SemigroupGens.from_columns([(2, 1), (1, 2)], "x")
     b = SemigroupGens.from_columns([(1, 0)], "y")
     decision = rank1_gluable(a, b)
-    assert decision.gluable is False
-    assert "misses the cone of the first semigroup" in decision.reason
+    assert decision.gluing is False and decision.cone_meet is False
+    # The cheap obstruction is found first, and is the one named.
+    assert decision.detail == ("no positive multiple of (1, 0) can ever "
+                               "lie in the first semigroup")
 
 
 def test_rank1_gluable_can_stay_open():
     a = SemigroupGens.from_columns([(2, 0), (0, 2)], "x")
     b = SemigroupGens.from_columns([(2, 2)], "y")
     decision = rank1_gluable(a, b)
-    assert decision.gluable is None
-    assert decision.reason == "no coprime pair found up to 50"
+    assert decision.gluing is None
+    assert decision.detail == ("multiples of the lattice point lie in "
+                               "both semigroups")

@@ -489,8 +489,8 @@ def test_decide_pair_multiples_on_the_fixtures():
     assert rep.multiples is True
     assert rep.u == (1, 1, 0)
     assert rep.witnesses_a and rep.witnesses_b
-    assert rep.detail == ("multiples of the lattice point lie in both "
-                          "semigroups")
+    assert rep.detail == ("coprime multiples of the lattice point lie in "
+                          "both semigroups")
 
     rep = decide_pair(*twisted_bad_pair())
     assert rep.multiples is False
@@ -503,7 +503,7 @@ def test_decide_pair_multiples_on_the_fixtures():
                           "semigroup up to 8")
 
     rep = decide_pair(*crossing_plane_pair())
-    assert rep.multiples is False
+    assert rep.multiples is None
     assert rep.u is None
     assert rep.detail == "the column spaces do not meet in a line"
 
@@ -523,7 +523,7 @@ def test_decide_pair_finds_the_smallest_coprime_pair():
     assert decide_pair(*shared_factor_pair()).pair is None
     assert decide_pair(*twisted_bad_pair()).pair is None
     crossing = decide_pair(*crossing_plane_pair())
-    assert crossing.pair is None and crossing.gluable is False
+    assert crossing.pair is None and crossing.gluing is False
     assert not crossing.rank.ok
     with pytest.raises(RankConditionsFail):
         crossing.rank.require_line()
@@ -558,9 +558,10 @@ def test_pair_decisions_sweep_each_side_once(monkeypatch, capsys):
 
 def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
     # The audit, the plane and ray helpers and find-gluing read one
-    # decide_pair record.  The first pair's lattice point (2, 1) misses
-    # the cone of <(0,4), (4,3)> although no cheap obstruction rules its
-    # multiples out.
+    # decide_pair record, and find-gluing prints that record's one
+    # detail for every no or open verdict.  The first pair's lattice
+    # point (2, 1) misses the cone of <(0,4), (4,3)> although no cheap
+    # obstruction rules its multiples out.
     rng = random.Random(20260823)
     pairs = [(SemigroupGens.from_columns([(0, 4), (4, 3)], "x"),
               SemigroupGens.from_columns([(2, 1)], "y"))]
@@ -586,6 +587,8 @@ def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["u"] == list(audit.u), cols
         detail = result["detail"]
+        if audit.gluing is not True:
+            assert detail == audit.detail, cols
         if audit.gluing:
             assert detail == "glued by coprime membership witnesses", cols
         elif audit.gluing is None and audit.multiples:
@@ -609,10 +612,9 @@ def test_every_route_to_the_verdict_agrees(capsys, tmp_path):
             helpers.append(rank1_gluable(a, b, kmax=12))
             ray_helpers += 1
         for decision in helpers:
-            assert decision.gluable == audit.gluing, cols
-            assert (decision.pair, decision.u) == (audit.pair, audit.u), cols
-            if audit.gluing is False and audit.multiples is not False:
-                assert decision.reason == detail, cols
+            assert decision.gluing == audit.gluing, cols
+            assert (decision.pair, decision.u, decision.detail) == (
+                audit.pair, audit.u, audit.detail), cols
     assert cone_misses >= 1
     assert ray_helpers >= 100
 
@@ -693,9 +695,9 @@ def test_report_invariants_are_computed_when_read(monkeypatch):
     calls.clear()
     # replace copies the decision only: a no reads I_C, whose mu is 7,
     # and its detail agrees with the copied verdict.
-    copy = dataclasses.replace(yes, is_gluing=False)
+    copy = dataclasses.replace(yes, rho=None)
     assert type(copy) is type(yes) and not copy.is_gluing
-    assert copy.rho is yes.rho
+    assert copy.candidate is yes.candidate and copy.rho_level == 6
     assert copy.detail == "no single mixed binomial completes the two ideals"
     assert invariants(copy) == (3, 3, 7, homology(3, 7))
     assert calls == [4, 4, 8]
@@ -1039,6 +1041,7 @@ def test_audit_accepts_explicit_scaling_pairs():
     audit = implication_chain_audit(*shared_column_pair(), try_pairs=[(2, 1)])
     assert audit.gluing is True
     assert audit.pair == (2, 1)
+    assert audit.detail == "the scalings k1=2 k2=1 glue"
     assert audit.violations == ()
 
 

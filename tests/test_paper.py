@@ -58,7 +58,7 @@ def test_any_two_numerical_semigroups_glue():
         kmax = max(frobenius_number(ga), frobenius_number(gb)) + 2
         gapped += kmax > 2
         decision = decide_pair(a, b, kmax)
-        assert decision.gluable is True, (ga, gb, decision.detail)
+        assert decision.gluing is True, (ga, gb, decision.detail)
         report = verify_gluing(GluingCandidate(a, b, *decision.pair))
         assert report.is_gluing, (ga, gb, decision.pair, report.detail)
     assert gapped >= 100, gapped
@@ -89,7 +89,7 @@ def test_gluings_of_complete_intersections_are_complete_intersections():
     yes = higher = not_ci = 0
     for a, b in chain_pairs(300, seed=20261024) + fixtures:
         decision = decide_pair(a, b, 12)
-        if decision.gluable is not True:
+        if decision.gluing is not True:
             continue
         report = verify_gluing(GluingCandidate(a, b, *decision.pair))
         assert report.is_gluing, (a, b, decision.pair, report.detail)

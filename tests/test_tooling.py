@@ -178,8 +178,8 @@ def test_importing_the_cli_generates_no_value_class_code():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "[]", "13",
-        "semiglue.gluing.ChainAudit semiglue.gluing.GluingReport "
-        "semiglue.gluing.PairDecision semiglue.toric.GradedBinomialSet"]
+        "semiglue.gluing.GluingReport semiglue.gluing.PairDecision "
+        "semiglue.toric.GradedBinomialSet"]
 
 
 def test_readme_library_example_runs():
