@@ -12,7 +12,6 @@ its precondition: the plane's rank failure, or a full side and a ray.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import gcd
 
 from .binomial import Binomial
@@ -188,7 +187,7 @@ def n2_gluable(a: SemigroupGens, b: SemigroupGens,
     else:
         detail = (f"rank {rc.rank_a} + rank {rc.rank_b} != "
                   f"rank {rc.rank_joint} + 1")
-    return replace(d, detail=detail)
+    return d.replace(detail=detail)
 
 
 def rank1_gluable(a: SemigroupGens, b: SemigroupGens,

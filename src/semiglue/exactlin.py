@@ -10,8 +10,8 @@ is ``kernel_lattice_basis``'s.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .value import Value
 
@@ -223,20 +223,13 @@ def kernel_lattice_basis(m: IntegerMatrix) -> tuple[Vector, ...]:
     return tuple(sorted(primitive(tuple(v)) for v in raw))
 
 
-class IndependentSuffix(NamedTuple):
-    """The longest suffix of linearly independent columns, with an inverse.
-
-    Columns ``start`` to the last are linearly independent, and column
-    ``start - 1``, if there is one, lies in their rational span.  On the
-    selected ``rows`` the suffix is an invertible square matrix T_R, and
-    ``inverse`` is denominator * T_R^-1 with the smallest positive
-    denominator that makes it integral.
-    """
-
-    start: int
-    rows: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]
-    denominator: int
+# The longest suffix of linearly independent columns, with an inverse.
+# Column ``start - 1``, if there is one, lies in the suffix's rational span.
+IndependentSuffix = namedtuple("IndependentSuffix", (
+    "start",         # the suffix is the columns from start to the last
+    "rows",          # the rows on which it is an invertible square T_R
+    "inverse",       # denominator * T_R^-1, a tuple of integer rows
+    "denominator"))  # the smallest positive one that makes inverse integral
 
 
 def independent_suffix(m: IntegerMatrix) -> IndependentSuffix:

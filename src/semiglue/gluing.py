@@ -25,12 +25,11 @@ from the decision when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import NamedTuple
 
 from .binomial import (  # noqa: F401  (perfbench wraps ideal_equal)
     Binomial,
@@ -188,17 +187,14 @@ def gluable_lattice_point(a: SemigroupGens, b: SemigroupGens) -> Vector:
     return u
 
 
-class _MemberPlan(NamedTuple):
-    """Per-matrix data for ``is_member``; see ``exactlin.independent_suffix``."""
-
-    cols: tuple[Vector, ...]
-    free: int                      # column before the independent tail, or -1
-    rows: tuple[int, ...]
-    inverse: tuple[Vector, ...]
-    denominator: int
-    tail: tuple[Vector, ...]       # the tail columns, row by row
-    shift: Vector                  # inverse * (free column on rows)
-    bounds: tuple                  # (form, a): form * rem - c * a >= 0
+# Per-matrix data for ``is_member``; see ``exactlin.independent_suffix``.
+_MemberPlan = namedtuple("_MemberPlan", (
+    "cols",
+    "free",          # column before the independent tail, or -1
+    "rows", "inverse", "denominator",  # the tail's IndependentSuffix
+    "tail",          # the tail columns, row by row
+    "shift",         # inverse * (free column on rows)
+    "bounds"))       # (form, a): form * rem - c * a >= 0
 
 
 @lru_cache(maxsize=64)
@@ -450,8 +446,7 @@ def _line_index(gens: SemigroupGens, u: Vector) -> int:
     return gcd(*(d[-1] for d in basis))
 
 
-@dataclass(frozen=True, eq=False)
-class GluingReport:
+class GluingReport(Value, eq=False):
     """The decision verify_gluing made about one candidate.
 
     The candidate glues exactly when it has a completer ``rho``.  The
@@ -459,16 +454,18 @@ class GluingReport:
     ``detail`` (coprime witnesses for a yes exactly at level 1; for a no
     with a meeting line, whether mu rules it out), and mu_a, mu_b, mu_c
     and the homology summary, with mu(C) = mu(A) + mu(B) + 1 for a
-    gluing and the glued ideal's count otherwise.  The record has no
-    ``__slots__``, so that ``cached_property`` can store them, and
-    ``dataclasses.replace`` copies only the decision.
+    gluing and the glued ideal's count otherwise.  Its slots include
+    ``__dict__``, where ``cached_property`` stores them, and ``replace``
+    copies only the decision.
     """
 
-    candidate: GluingCandidate
-    rank: RankConditions
-    u: Vector | None
-    rho: Binomial | None
-    rho_level: int | None
+    _fields = ("candidate", "rank", "u", "rho", "rho_level")
+    __slots__ = (*_fields, "__dict__")
+
+    def __init__(self, candidate: GluingCandidate, rank: RankConditions,
+                 u: Vector | None, rho: Binomial | None,
+                 rho_level: int | None) -> None:
+        self._store(candidate, rank, u, rho, rho_level)
 
     @property
     def is_gluing(self) -> bool:
@@ -630,8 +627,7 @@ def in_cone(v, matrix: IntegerMatrix) -> bool:
     return _cone_solution(v, matrix)[0] is not None
 
 
-@dataclass(frozen=True, eq=False)
-class PairDecision:
+class PairDecision(Value, eq=False):
     """Whether some scalings glue a pair, with the evidence for each step.
 
     ``gluing`` is True with a coprime pair, False when none can exist,
@@ -656,21 +652,22 @@ class PairDecision:
     found broken: gluing implies multiples implies cone_meet.
     """
 
-    a: SemigroupGens
-    b: SemigroupGens
-    kmax: int
-    rank: RankConditions
-    u: Vector | None
-    witnesses_a: tuple
-    witnesses_b: tuple
-    multiples: bool | None
-    gluing: bool | None
-    detail: str
-    pair: tuple | None = None
-    witness_a: Vector | None = None
-    witness_b: Vector | None = None
-    common_element: Vector | None = None
-    violations: tuple = ()
+    __slots__ = _fields = (
+        "a", "b", "kmax", "rank", "u", "witnesses_a", "witnesses_b",
+        "multiples", "gluing", "detail", "pair", "witness_a", "witness_b",
+        "common_element", "violations")
+
+    def __init__(self, a: SemigroupGens, b: SemigroupGens, kmax: int,
+                 rank: RankConditions, u: Vector | None, witnesses_a: tuple,
+                 witnesses_b: tuple, multiples: bool | None,
+                 gluing: bool | None, detail: str, pair: tuple | None = None,
+                 witness_a: Vector | None = None,
+                 witness_b: Vector | None = None,
+                 common_element: Vector | None = None,
+                 violations: tuple = ()) -> None:
+        self._store(a, b, kmax, rank, u, witnesses_a, witnesses_b, multiples,
+                    gluing, detail, pair, witness_a, witness_b,
+                    common_element, violations)
 
     @property
     def cone_meet(self) -> bool | None:
@@ -904,8 +901,8 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
         for k1, k2 in try_pairs:
             if verify_gluing(GluingCandidate(a, b, k1, k2),
                              work_limit).is_gluing:
-                d = replace(d, gluing=True, pair=(k1, k2),
-                            detail=f"the scalings k1={k1} k2={k2} glue")
+                d = d.replace(gluing=True, pair=(k1, k2),
+                              detail=f"the scalings k1={k1} k2={k2} glue")
                 break
     violations = []
     if d.gluing and d.multiples is False:
@@ -914,4 +911,4 @@ def implication_chain_audit(a: SemigroupGens, b: SemigroupGens,
     if d.multiples and not d.cone_meet:
         violations.append("multiples lie in both semigroups but the cones "
                           "meet only at the origin")
-    return replace(d, violations=tuple(violations)) if violations else d
+    return d.replace(violations=tuple(violations)) if violations else d

@@ -20,7 +20,6 @@ reduced basis.  The minimal generators then come from one run of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, repeat
 from math import factorial
@@ -97,17 +96,16 @@ class SemigroupGens(Value):
         return SemigroupGens(self.matrix.scaled(k), self.block)
 
 
-@dataclass(frozen=True, eq=False)
-class GradedBinomialSet:
+class GradedBinomialSet(Value, eq=False):
     """Binomial generators of a toric ideal together with their degrees."""
 
-    ideal: BinomialIdeal
-    adegrees: dict
-    weights: tuple[int, ...]
+    __slots__ = _fields = ("ideal", "adegrees", "weights")
 
-    def __post_init__(self) -> None:
-        if set(self.adegrees) != set(self.ideal.generators):
+    def __init__(self, ideal: BinomialIdeal, adegrees: dict,
+                 weights: tuple[int, ...]) -> None:
+        if set(adegrees) != set(ideal.generators):
             raise ValueError("one degree per generator of the ideal")
+        self._store(ideal, adegrees, weights)
 
     @property
     def mu(self) -> int:

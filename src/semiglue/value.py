@@ -22,8 +22,9 @@ class Value:
     compiles them from source with ``exec`` when the class is created:
     for the fourteen value classes the package then had, that was 82
     compilations and a third of the time of ``import semiglue.cli``, paid
-    by every CLI call before any algebra runs.  The records that
-    ``dataclasses.replace`` copies stay dataclasses.
+    by every CLI call before any algebra runs, and ``dataclasses`` itself
+    loads ``inspect`` and ``ast``.  A copy with some fields changed comes
+    from ``replace``.
     """
 
     __slots__ = ()
@@ -41,6 +42,15 @@ class Value:
         """Set the fields to the values, in ``_fields`` order."""
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
+
+    def replace(self, **changes):
+        """Return a copy with the named fields changed, built by ``__init__``.
+
+        So the arguments are checked again, and a name that ``__init__``
+        does not take raises TypeError.
+        """
+        fields = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**fields, **changes})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -28,7 +28,6 @@ pipeline.
 import argparse
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, islice, product, repeat, starmap
 from math import gcd
@@ -1284,8 +1283,8 @@ def face_identity_sweep(pairs=200, seed=20261024,
             seen[face_kind(u, gens)] += 1
         for kmax in kmaxes:
             got, want = decide_pair(a, b, kmax), search_decide_pair(a, b, kmax)
-            assert [getattr(got, f.name) for f in fields(got)] == [
-                getattr(want, f.name) for f in fields(want)], (
+            assert [getattr(got, f) for f in got._fields] == [
+                getattr(want, f) for f in want._fields], (
                 a.matrix.columns(), b.matrix.columns(), kmax)
             seen[f"gluable {got.gluing}"] += 1
     return seen

@@ -8,7 +8,6 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,8 +169,8 @@ def test_a_violated_chain_is_an_internal_error(capsys, monkeypatch):
     # found, and the tried pair (2, 1) still glues: the chain is broken,
     # a fault of this program, so exit 4 and not 1, the proven no.
     real = gluing.decide_pair
-    monkeypatch.setattr(gluing, "decide_pair", lambda *args: replace(
-        real(*args), multiples=False))
+    monkeypatch.setattr(gluing, "decide_pair", lambda *args: real(
+        *args).replace(multiples=False))
     code, out, err = run(capsys, "audit", CORPUS / "shared_column_glue.txt")
     assert (code, out) == (4, "")
     message = ("the implication chain is violated: a gluing exists but "
@@ -755,8 +754,8 @@ def test_find_gluing_self_check_refuses_a_failed_verification(capsys,
     # so the coprime pair that find-gluing found fails its self-check:
     # an internal error, exit 4, since exit 1 is a proven no.
     real = cli._verify_on_line
-    monkeypatch.setattr(cli, "_verify_on_line", lambda *args: replace(
-        real(*args), rho=None))
+    monkeypatch.setattr(cli, "_verify_on_line", lambda *args: real(
+        *args).replace(rho=None))
     code, out, err = run(capsys, "find-gluing", CORPUS / "twisted_glue.txt")
     assert (code, out) == (4, "")
     assert err.startswith("Traceback (most recent call last):\n"), err

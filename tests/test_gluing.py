@@ -1,6 +1,5 @@
 """Deciding and certifying gluings on the fixture pairs."""
 
-import dataclasses
 import gc
 import json
 import random
@@ -695,7 +694,7 @@ def test_report_invariants_are_computed_when_read(monkeypatch):
     calls.clear()
     # replace copies the decision only: a no reads I_C, whose mu is 7,
     # and its detail agrees with the copied verdict.
-    copy = dataclasses.replace(yes, rho=None)
+    copy = yes.replace(rho=None)
     assert type(copy) is type(yes) and not copy.is_gluing
     assert copy.candidate is yes.candidate and copy.rho_level == 6
     assert copy.detail == "no single mixed binomial completes the two ideals"

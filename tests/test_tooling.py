@@ -156,30 +156,39 @@ def test_the_packed_engine_stays_inside_binomial():
 
 def test_importing_the_cli_generates_no_value_class_code():
     # Frozen dataclasses compile their methods with exec when the class
-    # is made, fractions pulls in decimal, and hashlib loads OpenSSL:
-    # each CLI call paid for all three before any algebra ran, although
-    # only the --json digest hashes.  Only the records that
-    # dataclasses.replace copies stay dataclasses.
+    # is made, and dataclasses loads inspect, ast, dis and tokenize;
+    # fractions pulls in decimal, and hashlib loads OpenSSL.  Each CLI
+    # call paid for them before any algebra ran, although only the
+    # --json digest hashes.  Every value and record is a Value.
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import semiglue.cli\n"
         "from semiglue.value import Value\n"
-        "print(sorted({'fractions', 'decimal', 'hashlib', '_hashlib'}\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize',\n"
+        "              'fractions', 'decimal', 'hashlib', '_hashlib'}\n"
         "             & set(sys.modules)))\n"
         "classes = [c for name, m in list(sys.modules.items())\n"
         "           if name.startswith('semiglue') for c in vars(m).values()\n"
         "           if isinstance(c, type) and c.__module__ == name]\n"
         "print(sum(issubclass(c, Value) for c in classes if c is not Value))\n"
-        "print(*sorted(f'{c.__module__}.{c.__name__}' for c in classes\n"
-        "              if dataclasses.is_dataclass(c)))\n")
+        "print([c.__name__ for c in classes\n"
+        "       if hasattr(c, '__dataclass_fields__')])\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "[]", "13",
-        "semiglue.gluing.GluingReport semiglue.gluing.PairDecision "
-        "semiglue.toric.GradedBinomialSet"]
+    assert done.stdout.splitlines() == ["[]", "16", "[]"]
+
+
+def test_importing_the_cli_loads_no_typing():
+    # site may preload typing through a .pth file; without site, nothing
+    # that semiglue.cli imports loads it.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, semiglue.cli; print('typing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_readme_library_example_runs():

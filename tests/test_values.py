@@ -2,7 +2,8 @@
 
 Each case builds one value from keyword arguments, the leading fields
 in order, relying on the defaults for the rest, and gives the repr a
-frozen dataclass printed for it.
+frozen dataclass printed for it.  A copy with some fields changed comes
+from ``Value.replace``, as it came from ``dataclasses.replace``.
 """
 
 import copy
@@ -16,6 +17,7 @@ from semiglue import (
     BinomialIdeal,
     EmbeddedGluing,
     GluingCandidate,
+    GluingReport,
     HomologySummary,
     IntegerMatrix,
     Monomial,
@@ -23,7 +25,10 @@ from semiglue import (
     PlaneHomogeneousGens,
     SemigroupGens,
     VariableBlock,
+    decide_pair,
     embed_and_glue,
+    toric_ideal,
+    verify_gluing,
 )
 from semiglue.gluing import RankConditions
 
@@ -139,3 +144,65 @@ def test_binomial_ideal_equality_ignores_held_bases():
     assert spanned._bases is not held._bases
     with pytest.raises(AttributeError):
         held._bases = {}
+
+
+def _report():
+    return verify_gluing(embed_and_glue(P, Q, 1).candidate)
+
+
+@pytest.mark.optimized
+def test_replace_keeps_the_unchanged_fields():
+    cand = GluingCandidate(A, B)
+    twice = cand.replace(k2=2)
+    assert twice == GluingCandidate(A, B, k2=2) and cand.k2 == 1
+    assert twice.a is cand.a and twice.b is cand.b
+    report = _report()
+    no = report.replace(rho=None)
+    assert type(no) is type(report) and no.rho is None
+    assert all(getattr(no, name) is getattr(report, name)
+               for name in report._fields if name != "rho")
+    d = decide_pair(A, B)
+    named = d.replace(detail="renamed")
+    assert named.detail == "renamed" and named.violations == ()
+    assert all(getattr(named, name) is getattr(d, name)
+               for name in d._fields if name != "detail")
+
+
+@pytest.mark.optimized
+def test_replace_checks_the_arguments_again():
+    graded = toric_ideal(A)
+    assert graded.mu == 1
+    again = graded.replace(weights=graded.weights)
+    assert again.ideal is graded.ideal and again.adegrees is graded.adegrees
+    with pytest.raises(ValueError, match="one degree per generator"):
+        graded.replace(adegrees={})
+    with pytest.raises(ValueError, match="k1 and k2 must be positive"):
+        GluingCandidate(A, B).replace(k1=0)
+    for value in (graded, _report(), decide_pair(A, B), X2):
+        with pytest.raises(TypeError):
+            value.replace(extra=None)
+
+
+@pytest.mark.optimized
+def test_a_replaced_report_computes_its_invariants_again():
+    report = _report()
+    assert report.detail == "glued by coprime membership witnesses"
+    assert report.__dict__ == {"detail": report.detail}
+    no = report.replace(rho=None)
+    assert no.__dict__ == {}
+    assert no.detail == "no single mixed binomial completes the two ideals"
+    assert (no.mu_a, no.mu_b, no.mu_c) == (3, 1, 5)
+    assert report.detail == "glued by coprime membership witnesses"
+    _refuses_changes(no, (*report._fields, "detail"))
+
+
+@pytest.mark.optimized
+def test_a_report_copies_and_pickles_through_its_fields():
+    report = _report()
+    want = repr(report)
+    assert report.detail and report.__dict__
+    for twin in (copy.copy(report), pickle.loads(pickle.dumps(report))):
+        assert type(twin) is GluingReport and repr(twin) == want
+        # compared by identity, and the cached invariants are not copied
+        assert twin != report and twin.__dict__ == {}
+        assert twin.detail == report.detail
